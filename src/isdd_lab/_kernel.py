@@ -7,6 +7,30 @@ leaner: this module re-derives the same verdicts from degree-pair counts with
 plain integer cross-multiplication, using one precomputed common denominator
 per vertex count so the exact index value is a single integer dot product.
 
+The enumerating scans go further and check each degree-pair signature once
+per chunk.  A signature packs the edge count of every degree pair (a, b),
+a >= b, with two flags: connected, and has an isolated vertex.  Within one
+vertex count it fixes every input of :func:`check_pair_stats`:
+
+- m is the sum of the counts;
+- M1 = sum_v d_v^2 = sum over edges of (a + b), and
+  F = sum_v d_v^3 = sum over edges of (a^2 + b^2), since vertex v adds d_v to
+  each of its d_v edges;
+- Delta is the largest a present, and delta is 0 when a vertex is isolated,
+  else the smallest b present (every other vertex ends some edge);
+- the index, GA, M2, ell, k, the edge-term minima and the labels regular,
+  semiregular bipartite, gamma1, gamma2 and constant edge ratio are sums,
+  minima or tests over the pairs and these degrees.
+
+The one exception is gamma3, which parses the graph.  It is tested only with
+class checks on, for a connected graph with a constant edge ratio that is
+neither regular nor semiregular, i.e. one with two or more distinct pairs;
+signatures of that kind are re-checked graph by graph.  Otherwise the scan
+keeps the records of the first graph of a signature without their graph6
+field and, for each later graph of it, renders graph6 once and only when there
+are records.  The float GA sums then run in pair order, not edge order; they
+may differ in the last bits, far inside the 1e-9 tolerance of those checks.
+
 Everything here is cross-validated against the reference path by the test
 suite (exhaustively for small n); any divergence is a bug, not a policy.
 """
@@ -448,6 +472,80 @@ def _lazy_gamma3(n: int, g6: str, ratio_const: bool, regular: bool, semireg: boo
     return in_gamma3(parse_graph6(g6))
 
 
+@lru_cache(maxsize=None)
+def signature_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]:
+    """Packing of degree-pair signatures for graphs on n vertices.
+
+    A signature is one integer: bit 0 is set for a connected graph, bit 1 for
+    a graph with an isolated vertex, and above them pair (a, b), a >= b >= 1,
+    owns a ``width``-bit field holding its edge count, as wide as the
+    n(n-1)/2 edges of K_n need (5 bits at n = 7, 8).  Returns (weights, pairs,
+    width): ``weights[a*n + b]`` is the amount one (a, b) edge adds, for both
+    endpoint orders, and ``pairs`` lists the fields from the lowest.
+    """
+    width = max(1, (n * (n - 1) // 2).bit_length())
+    pairs = tuple((a, b) for a in range(1, n) for b in range(1, a + 1))
+    weights = [0] * (n * n)
+    for idx, (a, b) in enumerate(pairs):
+        weights[a * n + b] = weights[b * n + a] = 1 << (2 + idx * width)
+    return tuple(weights), pairs, width
+
+
+def signature_pairs(n: int, key: int) -> dict[tuple[int, int], int]:
+    """The degree-pair counts packed in a signature (see :func:`signature_table`)."""
+    _, pairs, width = signature_table(n)
+    field = (1 << width) - 1
+    key >>= 2
+    pc = {}
+    for pair in pairs:
+        cnt = key & field
+        if cnt:
+            pc[pair] = cnt
+        key >>= width
+    return pc
+
+
+def _template(n: int, m: int, deg, key: int, sel: Selection, tables):
+    """The verdicts of one signature, as a function that emits them for a graph.
+
+    Runs :func:`check_pair_stats` once on the pair counts rebuilt from ``key``
+    (``deg`` is any graph with that signature; only its maximum, minimum and
+    power sums are read, which the key fixes).  Returns ``()`` when the
+    signature yields no records, else ``emit(g6, violations, discrepancies)``
+    appending the records with ``g6`` as their graph6 field.  A connected
+    signature with two or more pairs and a constant edge ratio keeps the one
+    graph-dependent verdict (gamma3), so with class checks on its emit
+    re-checks every graph.
+    """
+    pc = signature_pairs(n, key)
+    connected = bool(key & 1)
+    if sel.check_classes and connected and len(pc) > 1 and _ratio_constant(pc):
+        def emit_checked(g6, violations, discrepancies):
+            check_pair_stats(n, m, deg, pc, connected, sel, tables, lambda: g6,
+                             violations, discrepancies)
+        return emit_checked
+    violations: list = []
+    discrepancies: list = []
+    check_pair_stats(n, m, deg, pc, connected, sel, tables, lambda: None,
+                     violations, discrepancies)
+    if not (violations or discrepancies):
+        return ()
+    viol = [rec[1:] for rec in violations]
+    disc = [rec[1:] for rec in discrepancies]
+
+    def emit(g6, violations, discrepancies):
+        violations.extend([(g6, *rec) for rec in viol])
+        discrepancies.extend([(g6, *rec) for rec in disc])
+    return emit
+
+
+def _ratio_constant(pc) -> bool:
+    """Whether (a+b)/(a^2+b^2) takes one value over the pairs present."""
+    (a0, b0), *rest = pc
+    rn0, rd0 = a0 + b0, a0 * a0 + b0 * b0
+    return all((a + b) * rd0 == rn0 * (a * a + b * b) for a, b in rest)
+
+
 def scan_graph_masks(
     n: int,
     lo: int,
@@ -459,15 +557,14 @@ def scan_graph_masks(
     """Check every edge-bitmask graph in [lo, hi) on n vertices."""
     ei, ej = edge_table(n)
     tables = pair_tables(n)
+    weights = signature_table(n)[0]
     sel = Selection(bounds, check_classes)
     full = (1 << n) - 1
-    seen = checked = 0
+    checked = 0
     violations: list = []
     discrepancies: list = []
-    for mask in range(lo, hi):
-        seen += 1
-        if mask == 0:
-            continue
+    templates: dict = {}
+    for mask in range(max(lo, 1), hi):
         deg = [0] * n
         adj = [0] * n
         ebits = []
@@ -494,24 +591,22 @@ def scan_graph_masks(
                 f ^= low
             frontier = nxt & ~reached
             reached |= frontier
-        connected = reached == full
-        if connected_only and not connected:
+        if reached == full:
+            key = 1
+        elif connected_only:
             continue
-        m = len(ebits)
-        pc: dict[tuple[int, int], int] = {}
-        for kk in ebits:
-            a = deg[ei[kk]]
-            b = deg[ej[kk]]
-            key = (a, b) if a >= b else (b, a)
-            pc[key] = pc.get(key, 0) + 1
+        else:
+            key = 2 if 0 in deg else 0
+        for k in ebits:
+            key += weights[deg[ei[k]] * n + deg[ej[k]]]
         checked += 1
-        check_pair_stats(
-            n, m, deg, pc, connected, sel, tables,
-            lambda n=n, mask=mask: mask_to_graph6(n, mask),
-            violations, discrepancies,
-        )
+        emit = templates.get(key)
+        if emit is None:
+            emit = templates[key] = _template(n, len(ebits), deg, key, sel, tables)
+        if emit:
+            emit(mask_to_graph6(n, mask), violations, discrepancies)
     return {
-        "seen": seen,
+        "seen": max(hi - lo, 0),
         "checked": checked,
         "violations": violations,
         "discrepancies": discrepancies,
@@ -527,13 +622,13 @@ def scan_tree_ranks(
 ) -> dict:
     """Check the labeled trees with Pruefer-sequence ranks in [lo, hi)."""
     tables = pair_tables(n)
+    weights = signature_table(n)[0]
     sel = Selection(bounds, check_classes)
-    seen = checked = 0
     violations: list = []
     discrepancies: list = []
+    templates: dict = {}
     length = max(n - 2, 0)
     for rank in range(lo, hi):
-        seen += 1
         r = rank
         seq = [0] * length
         for idx in range(length - 1, -1, -1):
@@ -543,21 +638,18 @@ def scan_tree_ranks(
         deg = [1] * n
         for s in seq:
             deg[s] += 1
-        pc: dict[tuple[int, int], int] = {}
+        key = 1
         for i, j in edges:
-            a = deg[i]
-            b = deg[j]
-            key = (a, b) if a >= b else (b, a)
-            pc[key] = pc.get(key, 0) + 1
-        checked += 1
-        check_pair_stats(
-            n, n - 1, deg, pc, True, sel, tables,
-            lambda n=n, edges=edges: mask_to_graph6(n, edges_to_mask(edges)),
-            violations, discrepancies,
-        )
+            key += weights[deg[i] * n + deg[j]]
+        emit = templates.get(key)
+        if emit is None:
+            emit = templates[key] = _template(n, n - 1, deg, key, sel, tables)
+        if emit:
+            emit(mask_to_graph6(n, edges_to_mask(edges)), violations, discrepancies)
+    count = max(hi - lo, 0)
     return {
-        "seen": seen,
-        "checked": checked,
+        "seen": count,
+        "checked": count,
         "violations": violations,
         "discrepancies": discrepancies,
     }

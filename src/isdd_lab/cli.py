@@ -33,7 +33,7 @@ import sys
 
 from .bounds import ALL_BOUND_IDS, BoundReport, SkippedBound, evaluate_all
 from .classify import GraphClassLabel, classify
-from .enumeration import SweepConfig, run_sweep, stream_graph6
+from .enumeration import StreamError, SweepConfig, run_sweep, stream_graph6
 from .graphs import Graph, GraphError, parse_edge_list, parse_graph6
 from .indices import fraction_str, index_vector
 
@@ -259,12 +259,24 @@ def _run_sweep_command(args, trees: bool) -> int:
         )
         if not args.stdin_graph6:
             cfg.validate()
+        elif cfg.n_min > cfg.n_max:
+            raise ValueError(f"n_min {cfg.n_min} exceeds n_max {cfg.n_max}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     jobs = _resolve_jobs(args)
+    parse_errors = 0
     if args.stdin_graph6:
-        report = run_sweep(cfg, jobs=1, graphs=stream_graph6(sys.stdin))
+        def stream():
+            nonlocal parse_errors
+            for item in stream_graph6(sys.stdin):
+                if isinstance(item, StreamError):
+                    parse_errors += 1
+                    print(f"parse error at stdin:{item.line_no}: {item.message}",
+                          file=sys.stderr)
+                yield item
+
+        report = run_sweep(cfg, jobs=1, graphs=stream())
     else:
         report = run_sweep(cfg, jobs=jobs)
     payload = {"config": {
@@ -296,7 +308,9 @@ def _run_sweep_command(args, trees: bool) -> int:
             f"expected_one_of={','.join(d.expected_classes)} "
             f"actual={','.join(d.actual_classification) if d.actual_classification else 'none'}"
         )
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+    if report.violations:
+        return EXIT_VIOLATION
+    return EXIT_PARSE if parse_errors else EXIT_OK
 
 
 def cmd_sweep(args) -> int:

@@ -200,6 +200,41 @@ class TestSweep:
         assert code == 0
         assert "seen=2 checked=2" in err
 
+    def test_stdin_parse_error_exits_2(self, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--stdin-graph6", "--jobs", "1"],
+            "Ch\nzzz!\nDQc\n", monkeypatch, capsys,
+        )
+        assert code == 2
+        errors = [line for line in err.splitlines() if line.startswith("parse error")]
+        assert len(errors) == 1 and errors[0].startswith("parse error at stdin:2: ")
+        assert "seen=3 checked=2" in err
+        assert "DQc" in out  # the lines after the bad one are still checked
+
+    def test_stdin_violation_outranks_parse_error(self, monkeypatch, capsys):
+        from isdd_lab import _kernel
+
+        def fake_kernel(g, bounds, connected_only, check_classes):
+            return {"seen": 1, "checked": 1, "violations": [("Ch", "LOWER_ELL", "0", "1")],
+                    "discrepancies": []}
+
+        monkeypatch.setattr(_kernel, "check_graph_kernel", fake_kernel)
+        code, out, err = run_cli(
+            ["sweep", "--stdin-graph6", "--jobs", "1"], "Ch\nzzz!\n", monkeypatch, capsys,
+        )
+        assert code == 3
+        assert "parse error at stdin:2: " in err
+        assert "VIOLATION LOWER_ELL Ch" in out
+
+    def test_stdin_n_range_exits_1(self, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--stdin-graph6", "--n-min", "5", "--n-max", "3"],
+            "Ch\n", monkeypatch, capsys,
+        )
+        assert code == 1
+        assert "n_min 5 exceeds n_max 3" in err
+        assert out == ""
+
     def test_trees_subcommand(self, tmp_path, capsys):
         p = tmp_path / "trees.json"
         code = main([

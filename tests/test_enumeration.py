@@ -18,6 +18,7 @@ from isdd_lab.enumeration import (
 from isdd_lab.graphs import Graph, is_connected, parse_graph6, write_graph6
 from isdd_lab.indices import isdd
 from isdd_lab.bounds import ALL_BOUND_IDS
+from isdd_lab.classify import in_gamma3
 from helpers import cycle_graph, h3_graph, oracle_encode_prufer, path_graph
 
 
@@ -185,6 +186,69 @@ class TestKernelAgainstReference:
                 mask = rng.randrange(1 << (n * (n - 1) // 2))
                 assert _kernel.mask_to_graph6(n, mask) == write_graph6(_graph_from_mask(n, mask))
                 assert _kernel.edges_to_mask(_graph_from_mask(n, mask).edges) == mask
+
+
+def _sorted_partial(part):
+    return {**part, "violations": sorted(part["violations"]),
+            "discrepancies": sorted(part["discrepancies"])}
+
+
+def _per_graph_kernel(graphs, bounds, connected_only, check_classes):
+    out = {"seen": 0, "checked": 0, "violations": [], "discrepancies": []}
+    for g in graphs:
+        part = _kernel.check_graph_kernel(g, bounds, connected_only, check_classes)
+        for key in out:
+            out[key] += part[key]
+    return _sorted_partial(out)
+
+
+class TestSignatureScans:
+    """The per-signature scans emit exactly the records of per-graph kernel checks."""
+
+    def test_graph_masks_exhaustive(self):
+        cases = (
+            (ALL_BOUND_IDS, True, True),
+            (ALL_BOUND_IDS, False, True),
+            (ALL_BOUND_IDS, True, False),
+            (("TREE_EDGE",), True, True),
+        )
+        for n in range(1, 7):
+            graphs = list(labeled_graphs(n))
+            for bounds, connected_only, check_classes in cases:
+                scan = _kernel.scan_graph_masks(n, 0, len(graphs), bounds, connected_only,
+                                                check_classes)
+                assert _sorted_partial(scan) == _per_graph_kernel(
+                    graphs, bounds, connected_only, check_classes
+                ), f"diverges at n={n} bounds={bounds} connected_only={connected_only} " \
+                   f"check_classes={check_classes}"
+
+    def test_tree_ranks_exhaustive(self):
+        # trees are connected, so connected_only does not apply; the class-check
+        # and bound-selection axes share one case to keep n = 8 affordable
+        cases = ((ALL_BOUND_IDS, True), (("TREE_EDGE",), False))
+        for n in range(2, 9):
+            trees = list(labeled_trees(n))
+            for bounds, check_classes in cases:
+                scan = _kernel.scan_tree_ranks(n, 0, len(trees), bounds, check_classes)
+                assert _sorted_partial(scan) == _per_graph_kernel(
+                    trees, bounds, True, check_classes
+                ), f"diverges at n={n} bounds={bounds} check_classes={check_classes}"
+
+    def test_gamma3_signature_checked_per_graph(self):
+        # K_{3,7} minus a 3-edge matching: gamma3 with edge ratio 1/5 on the two
+        # pairs (6,2) and (6,3), so the verdict of its signature needs the graph
+        g = parse_graph6("IBjFFB_w?")
+        deg = [sum(v in e for e in g.edges) for v in range(g.n)]
+        assert {(deg[i], deg[j]) if deg[i] >= deg[j] else (deg[j], deg[i])
+                for i, j in g.edges} == {(6, 2), (6, 3)}
+        assert in_gamma3(g)
+        mask = _kernel.edges_to_mask(g.edges)
+        for check_classes in (True, False):
+            scan = _kernel.scan_graph_masks(10, mask, mask + 1, ALL_BOUND_IDS, True,
+                                            check_classes)
+            assert _sorted_partial(scan) == _per_graph_kernel(
+                [g], ALL_BOUND_IDS, True, check_classes
+            )
 
 
 def _graph_from_mask(n, mask):
