@@ -37,7 +37,9 @@ suite (exhaustively for small n); any divergence is a bug, not a policy.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
@@ -141,6 +143,62 @@ def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             leaf = ptr
     edges.append((leaf, n - 1))
     return edges
+
+
+def prufer_rank(edges, n: int) -> int:
+    """Rank of a labeled tree's Pruefer sequence; inverts :func:`prufer_edges`.
+
+    The sequence is read as n-2 base-n digits, first entry most significant:
+    the order of ``itertools.product`` and of :func:`scan_tree_ranks`.
+    """
+    deg = [0] * n
+    nbr = [0] * n  # XOR of the neighbours still attached: a leaf's is its neighbour
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+        nbr[i] ^= j
+        nbr[j] ^= i
+    rank = 0
+    ptr = 0
+    while deg[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for _ in range(n - 2):
+        s = nbr[leaf]
+        rank = rank * n + s
+        nbr[s] ^= leaf
+        deg[s] -= 1
+        if deg[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    return rank
+
+
+@lru_cache(maxsize=1)
+def relabel_slots(n: int) -> tuple[bytes, ...]:
+    """Slot-map table: byte p of column k is the slot that edge slot k moves to
+    under the p-th permutation of the n vertices (``itertools.permutations``
+    order).
+
+    n! bytes per slot: 15 x 720 at n = 6, 21 x 5040 at n = 7, 36 x 9! (13 MB)
+    at n = 9.  Only the table of the last n asked for is kept.
+    """
+    ei, ej = edge_table(n)
+    slot = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(zip(ei, ej)):
+        slot[i][j] = slot[j][i] = k
+    images = [bytearray() for _ in range(n)]  # images[v][p]: where p sends v
+    for perm in itertools.permutations(range(n)):
+        for column, v in zip(images, perm):
+            column.append(v)
+    return tuple(
+        bytes(map(operator.getitem, map(slot.__getitem__, images[i]), images[j]))
+        for i, j in zip(ei, ej)
+    )
 
 
 class Selection:

@@ -242,6 +242,10 @@ def _resolve_jobs(args) -> int:
             return max(1, int(env))
         except ValueError:
             print(f"warning: ignoring bad ISDD_LAB_JOBS={env!r}", file=sys.stderr)
+    # the CPUs this process may run on: a pinned or cgroup-limited run sees
+    # fewer than os.cpu_count(), which counts every CPU of the host
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -261,6 +265,11 @@ def _run_sweep_command(args, trees: bool) -> int:
             cfg.validate()
         elif cfg.n_min > cfg.n_max:
             raise ValueError(f"n_min {cfg.n_min} exceeds n_max {cfg.n_max}")
+        elif cfg.dedup:
+            raise ValueError("--dedup does not apply to --stdin-graph6")
+        elif cfg.trees:
+            raise ValueError("tree mode (--trees or the trees subcommand) does not "
+                             "apply to --stdin-graph6")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -335,13 +344,16 @@ def _add_sweep_flags(p: argparse.ArgumentParser, tree_defaults: bool):
                    help="restrict to connected graphs (default: true)")
     p.add_argument("--bounds", default="all", help="'all' or comma list of bound ids")
     p.add_argument("--dedup", action="store_true",
-                   help="one representative per isomorphism class (serial)")
+                   help="check only the first graph of each isomorphism class in "
+                        "enumeration order (serial)")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: ISDD_LAB_JOBS or CPU count)")
+                   help="parallel workers (default: ISDD_LAB_JOBS, else the number of "
+                        "CPUs this process may use)")
     p.add_argument("--report", default=None, help="write the JSON report to this path")
     p.add_argument("--stdin-graph6", action="store_true",
-                   help="check graph6 lines from stdin instead of enumerating")
+                   help="check graph6 lines from stdin instead of enumerating "
+                        "(not with --dedup or tree mode)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -56,7 +57,9 @@ class SweepConfig:
     """What to enumerate and which checks to run.
 
     ``trees`` switches from all-edge-subset enumeration to labeled trees.
-    ``dedup`` keeps one representative per isomorphism class (serial only).
+    ``dedup`` checks one graph per isomorphism class, the first of the class
+    in enumeration order; the walk is serial and flags each checked graph's
+    relabelings (see :func:`_run_dedup_sweep`).
     ``check_classes`` controls the equality-characterization cross-checks;
     they never affect the violation list.
     """
@@ -317,44 +320,111 @@ def _tree_chunk_worker(args):
     return _kernel.scan_tree_ranks(*args)
 
 
-def _chunk_jobs(cfg: SweepConfig):
-    """Deterministic list of (worker, args) chunks covering the configured range."""
-    jobs = []
+def _enumerated_counts(cfg: SweepConfig):
+    """(n, count) per vertex count: the sweep covers positions [0, count) of n.
+
+    A position is an edge bitmask for graphs and a Pruefer rank for trees;
+    ``max_graphs`` cuts the walk off across vertex counts.
+    """
     budget = cfg.max_graphs
-    chunk = 1 << CHUNK_BITS
     for n in range(cfg.n_min, cfg.n_max + 1):
-        if cfg.trees:
-            total = n ** (n - 2) if n >= 2 else 0
-            worker = _tree_chunk_worker
-            extra = (cfg.bounds, cfg.check_classes)
-        else:
-            total = 1 << (n * (n - 1) // 2)
-            worker = _graph_chunk_worker
-            extra = (cfg.bounds, cfg.connected_only, cfg.check_classes)
+        total = n ** (n - 2) if cfg.trees else 1 << (n * (n - 1) // 2)
         if budget is not None:
             total = min(total, budget)
             budget -= total
+        if total == 0:
+            return
+        yield n, total
+
+
+def _chunk_jobs(cfg: SweepConfig):
+    """Deterministic list of (worker, args) chunks covering the configured range."""
+    jobs = []
+    chunk = 1 << CHUNK_BITS
+    if cfg.trees:
+        worker = _tree_chunk_worker
+        extra = (cfg.bounds, cfg.check_classes)
+    else:
+        worker = _graph_chunk_worker
+        extra = (cfg.bounds, cfg.connected_only, cfg.check_classes)
+    for n, total in _enumerated_counts(cfg):
         for lo in range(0, total, chunk):
             jobs.append((worker, (n, lo, min(lo + chunk, total)) + extra))
-        if budget == 0:
-            break
     return jobs
 
 
+def _mask_slots(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _relabelings(slots: list[int], columns: tuple[bytes, ...], bits: list[int]):
+    """Edge mask of the graph on ``slots`` under every vertex permutation.
+
+    One mask per permutation, repeats included; ``columns`` is the slot-map
+    table of :func:`_kernel.relabel_slots` and ``bits[k]`` is ``1 << k``.
+    """
+    if not slots:
+        return (0,)
+    first, *rest = slots
+    masks = map(bits.__getitem__, columns[first])
+    for k in rest:
+        masks = map(operator.or_, masks, map(bits.__getitem__, columns[k]))
+    return masks
+
+
+def _first_of_each_class(n: int, count: int, trees: bool):
+    """Yield the first graph of each isomorphism class met in positions [0, count).
+
+    See :func:`_run_dedup_sweep` for why the flags find exactly these.
+    """
+    ei, ej = _kernel.edge_table(n)
+    columns = _kernel.relabel_slots(n)
+    bits = [1 << k for k in range(len(ei))]
+    flags = bytearray(n ** (n - 2) if trees else 1 << len(ei))
+    pos = flags.find(0, 0, count)
+    while pos >= 0:
+        if trees:
+            seq = []
+            r = pos
+            for _ in range(n - 2):
+                r, digit = divmod(r, n)
+                seq.append(digit)
+            edges = _kernel.prufer_edges(tuple(reversed(seq)), n)
+            slots = _mask_slots(_kernel.edges_to_mask(edges))
+        else:
+            slots = _mask_slots(pos)
+            edges = [(ei[k], ej[k]) for k in slots]
+        yield Graph(n, tuple(sorted(edges)))
+        masks = _relabelings(slots, columns, bits)
+        if trees:
+            for mask in set(masks):
+                tree = [(ei[k], ej[k]) for k in _mask_slots(mask)]
+                flags[_kernel.prufer_rank(tree, n)] = 1
+        else:
+            for mask in masks:
+                flags[mask] = 1
+        pos = flags.find(0, pos + 1, count)
+
+
 def _run_dedup_sweep(cfg: SweepConfig, report: SweepReport):
-    """Serial sweep keeping one representative per isomorphism class."""
-    seen_forms: set[bytes] = set()
-    budget = cfg.max_graphs
-    source = labeled_trees if cfg.trees else labeled_graphs
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        for g in source(n):
-            if budget is not None and report.graphs_seen >= budget:
-                return
-            report.graphs_seen += 1
-            form = canonical_form(g)
-            if form in seen_forms:
-                continue
-            seen_forms.add(form)
+    """Serial sweep that checks the first graph of each isomorphism class.
+
+    Two labeled graphs on n vertices are isomorphic exactly when some
+    permutation of the vertices maps one onto the other, so a class is the
+    orbit of any of its members under the n! relabelings.  The walk keeps one
+    flag per enumeration position (the edge bitmask for graphs, the Pruefer
+    rank for trees) and visits the positions in increasing order.  At the
+    first unflagged position it checks the graph there and flags its whole
+    orbit.  Relabeling preserves the class, so a flagged position belongs to
+    a class that has been checked already; an unflagged one has no earlier
+    member of its class, since that member would have flagged it.  Each class
+    is therefore checked once, at its first graph in enumeration order, and
+    every other labeled graph costs one flag lookup (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26 (1998), in its simplest form).
+    """
+    for n, count in _enumerated_counts(cfg):
+        report.graphs_seen += count
+        for g in _first_of_each_class(n, count, cfg.trees):
             partial = _kernel.check_graph_kernel(
                 g, cfg.bounds, cfg.connected_only, cfg.check_classes
             )

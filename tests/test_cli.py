@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 
@@ -235,6 +236,21 @@ class TestSweep:
         assert "n_min 5 exceeds n_max 3" in err
         assert out == ""
 
+    def test_stdin_rejects_dedup(self, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--stdin-graph6", "--dedup"], "Ch\n", monkeypatch, capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "--dedup" in err
+        assert out == ""
+
+    def test_stdin_rejects_tree_mode(self, monkeypatch, capsys):
+        for argv in (["sweep", "--stdin-graph6", "--trees"], ["trees", "--stdin-graph6"]):
+            code, out, err = run_cli(argv, "Ch\n", monkeypatch, capsys)
+            assert code == 1, argv
+            assert err.startswith("error: ") and "tree mode" in err
+            assert out == ""
+
     def test_trees_subcommand(self, tmp_path, capsys):
         p = tmp_path / "trees.json"
         code = main([
@@ -247,6 +263,17 @@ class TestSweep:
         assert payload["graphs_seen"] == 141
         assert payload["violations"] == []
         assert payload["config"]["trees"] is True
+
+    def test_default_jobs_follow_cpu_affinity(self, monkeypatch):
+        from isdd_lab import cli
+
+        monkeypatch.delenv("ISDD_LAB_JOBS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert cli._resolve_jobs(argparse.Namespace(jobs=None)) == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._resolve_jobs(argparse.Namespace(jobs=None)) == 64
 
     def test_jobs_env_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("ISDD_LAB_JOBS", "1")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,19 @@ class TestLabeledTrees:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             next(labeled_trees(10))
+
+    def test_rank_inverts_decode_exhaustive(self):
+        for n in range(2, 7):
+            seqs = itertools.product(range(n), repeat=n - 2)
+            for rank, seq in enumerate(seqs):
+                assert _kernel.prufer_rank(_kernel.prufer_edges(seq, n), n) == rank
+
+    @given(st.integers(min_value=2, max_value=9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_inverts_decode(self, n, data):
+        rank = data.draw(st.integers(0, n ** (n - 2) - 1))
+        seq = tuple(rank // n ** (n - 3 - i) % n for i in range(n - 2))
+        assert _kernel.prufer_rank(_kernel.prufer_edges(seq, n), n) == rank
 
     @given(st.integers(min_value=3, max_value=9), st.data())
     @settings(max_examples=100, deadline=None)
@@ -359,3 +373,68 @@ class TestRunSweep:
         rep = run_sweep(SweepConfig(n_min=4, n_max=4, dedup=True))
         assert rep.graphs_checked == 6
         assert rep.graphs_seen == 64
+
+
+def _dedup_oracle(cfg: SweepConfig) -> dict:
+    """The first graph of each canonical_form class in enumeration order,
+    checked by the reference path."""
+    report = SweepReport()
+    forms = set()
+    source = labeled_trees if cfg.trees else labeled_graphs
+    graphs = itertools.chain.from_iterable(
+        source(n) for n in range(cfg.n_min, cfg.n_max + 1)
+    )
+    for g in itertools.islice(graphs, cfg.max_graphs):
+        report.graphs_seen += 1
+        form = canonical_form(g)
+        if form not in forms:
+            forms.add(form)
+            partial = check_graph_reference(g, cfg.bounds, cfg.connected_only,
+                                            cfg.check_classes)
+            report.merge({**partial, "seen": 0})
+    report.finalize()
+    return report_dict(report)
+
+
+# OEIS A000088 (graphs), A001349 (connected graphs), A000055 (trees), by n
+GRAPH_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+TREE_CLASSES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+
+
+class TestDedupSweep:
+    """The orbit-flagging walk checks exactly the first graph of each class."""
+
+    def test_graphs_match_oracle(self):
+        for connected_only in (True, False):
+            cfg = SweepConfig(n_min=1, n_max=5, dedup=True, connected_only=connected_only)
+            assert report_dict(run_sweep(cfg)) == _dedup_oracle(cfg), connected_only
+
+    def test_trees_match_oracle(self):
+        cfg = SweepConfig(n_min=2, n_max=7, dedup=True, trees=True)
+        assert report_dict(run_sweep(cfg)) == _dedup_oracle(cfg)
+
+    def test_max_graphs_cut_inside_one_n(self):
+        cases = (
+            SweepConfig(n_min=2, n_max=5, dedup=True, connected_only=False,
+                        max_graphs=2 + 8 + 64 + 300),
+            SweepConfig(n_min=2, n_max=6, dedup=True, trees=True,
+                        max_graphs=1 + 1 + 3 + 16 + 125 + 500),
+        )
+        for cfg in cases:
+            rep = run_sweep(cfg)
+            assert rep.graphs_seen == cfg.max_graphs
+            assert report_dict(rep) == _dedup_oracle(cfg)
+
+    def test_class_counts_match_oeis(self):
+        # the edgeless graph is a class of its own but has nothing to check
+        for n, count in GRAPH_CLASSES.items():
+            cfg = SweepConfig(n_min=n, n_max=n, dedup=True, connected_only=False)
+            assert run_sweep(cfg).graphs_checked == count - 1, n
+        for n, count in CONNECTED_CLASSES.items():
+            cfg = SweepConfig(n_min=n, n_max=n, dedup=True)
+            assert run_sweep(cfg).graphs_checked == (count if n > 1 else 0), n
+        for n, count in TREE_CLASSES.items():
+            rep = run_sweep(SweepConfig(n_min=n, n_max=n, dedup=True, trees=True))
+            assert rep.graphs_checked == count, n
+            assert rep.graphs_seen == n ** (n - 2)

@@ -146,6 +146,34 @@ class TestEdgeList:
             parse_edge_list("4 3\n0 1\n1 2")
 
 
+# arbitrary text, plus text drawn near each format so the fuzz reaches past
+# the first character or line check
+_GRAPH6_LIKE = st.text(alphabet=st.characters(min_codepoint=55, max_codepoint=130))
+_EDGE_LIST_LIKE = st.text(alphabet="0123456789 -+_\t\n\r")
+
+
+class TestParserFuzz:
+    """Any text either parses or raises GraphError; no other exception escapes."""
+
+    @given(st.one_of(st.text(), _GRAPH6_LIKE))
+    @settings(max_examples=500, deadline=None)
+    def test_parse_graph6(self, text):
+        try:
+            g = parse_graph6(text)
+        except GraphError:
+            return
+        assert write_graph6(g) == text.rstrip("\r\n")
+
+    @given(st.one_of(st.text(), _EDGE_LIST_LIKE))
+    @settings(max_examples=500, deadline=None)
+    def test_parse_edge_list(self, text):
+        try:
+            g = parse_edge_list(text)
+        except GraphError:
+            return
+        assert g.m == int(text.split()[1])
+
+
 class TestStructure:
     def test_degree_data_p4(self):
         dd = degree_data(path_graph(4))
