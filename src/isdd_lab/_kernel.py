@@ -4,8 +4,9 @@ The public bound/classification modules work on Graph objects with Fraction
 arithmetic, which is the readable reference implementation.  Scanning the
 full 2^21 edge subsets at n=7 (and up to 4.8M labeled trees) needs something
 leaner: this module re-derives the same verdicts from degree-pair counts with
-plain integer cross-multiplication, using one precomputed common denominator
-per vertex count so the exact index value is a single integer dot product.
+plain integer cross-multiplication.  The exact index value is one integer
+over the lcm of a^2 + b^2 for the degree pairs (a, b) present, so the same
+code serves every graph order.
 
 The enumerating scans go further and check each degree-pair signature once
 per chunk.  A signature packs the edge count of every degree pair (a, b),
@@ -49,8 +50,6 @@ from .classify import in_gamma3
 from .graphs import Graph
 from .indices import fraction_str
 
-KERNEL_MAX_N = 10  # above this, sweeps fall back to the reference path
-
 # Classes whose membership is expected to coincide with equality, per check id.
 # RATIO_CONSTANT is the classification-equivalence check (not a numeric bound):
 # a constant (di+dj)/(di^2+dj^2) over edges should coincide with membership in
@@ -78,27 +77,6 @@ def edge_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             ei.append(i)
             ej.append(j)
     return tuple(ei), tuple(ej)
-
-
-@lru_cache(maxsize=None)
-def pair_tables(n: int):
-    """Per-degree-pair tables for graphs on n vertices (degrees <= n-1).
-
-    Returns (D, inum, ga, m2) where D is the lcm of all di^2+dj^2 values,
-    inum[(a, b)] = a*b*D/(a^2+b^2) so the exact index is sum(count*inum)/D,
-    ga[(a, b)] is the float GA edge term and m2[(a, b)] = a*b.
-    """
-    keys = [(a, b) for a in range(1, n) for b in range(1, a + 1)]
-    d = math.lcm(*(a * a + b * b for a, b in keys))
-    inum = {}
-    ga = {}
-    m2 = {}
-    for a, b in keys:
-        sq = a * a + b * b
-        inum[(a, b)] = a * b * (d // sq)
-        ga[(a, b)] = 2.0 * sqrt(a * b) / (a + b)
-        m2[(a, b)] = a * b
-    return d, inum, ga, m2
 
 
 def mask_to_graph6(n: int, mask: int) -> str:
@@ -254,7 +232,6 @@ def check_pair_stats(
     pc: dict[tuple[int, int], int],
     connected: bool,
     sel: Selection,
-    tables,
     g6_fn,
     violations: list,
     discrepancies: list,
@@ -264,8 +241,9 @@ def check_pair_stats(
     Appends (graph6, check_id, lhs, rhs) violation records and
     (graph6, check_id, expected_classes, actual, equality) discrepancy records.
     Identical verdict semantics to the reference path built on the public API.
+    The exact index is inum / d_common, d_common the lcm of a^2 + b^2 over
+    the pairs in ``pc``.
     """
-    d_common, inum_t, ga_t, m2_t = tables
     dmax = max(deg)
     dmin = min(deg)
     has_min_deg = dmin >= 1
@@ -278,9 +256,13 @@ def check_pair_stats(
     ell = pc.get((dmax, dmin), 0)
 
     inum = 0
+    d_common = 1
     if sel.needs_isdd:
-        for key, cnt in pc.items():
-            inum += cnt * inum_t[key]
+        # folded pairwise, not math.lcm(*...): no argument tuple per graph
+        for a, b in pc:
+            d_common = math.lcm(d_common, a * a + b * b)
+        for (a, b), cnt in pc.items():
+            inum += cnt * a * b * (d_common // (a * a + b * b))
 
     if sel.edge_min and has_min_deg:
         # min edge term over present pairs, tracked by cross-multiplication
@@ -414,16 +396,16 @@ def check_pair_stats(
 
     if sel.ga_simple or sel.ga_m2 or sel.remark_order:
         ga = 0.0
-        for key, cnt in pc.items():
-            ga += cnt * ga_t[key]
+        for (a, b), cnt in pc.items():
+            ga += cnt * (2.0 * sqrt(a * b) / (a + b))
         isdd_f = inum / d_common if sel.needs_isdd else 0.0
         rhs_simple = ga_simple_rhs(ga, m)
         if sel.ga_simple and isdd_f < rhs_simple - REL_TOL * max(1.0, abs(rhs_simple)):
             violations.append((g6_fn(), "GA_SIMPLE", repr(isdd_f), repr(rhs_simple)))
         if sel.ga_m2 or sel.remark_order:
             m2 = 0
-            for key, cnt in pc.items():
-                m2 += cnt * m2_t[key]
+            for (a, b), cnt in pc.items():
+                m2 += cnt * a * b
             rhs_m2 = ga_m2_rhs(ga, m, dmax, m2)
             if sel.ga_m2:
                 if isdd_f < rhs_m2 - REL_TOL * max(1.0, abs(rhs_m2)):
@@ -563,7 +545,7 @@ def signature_pairs(n: int, key: int) -> dict[tuple[int, int], int]:
     return pc
 
 
-def _template(n: int, m: int, deg, key: int, sel: Selection, tables):
+def _template(n: int, m: int, deg, key: int, sel: Selection):
     """The verdicts of one signature, as a function that emits them for a graph.
 
     Runs :func:`check_pair_stats` once on the pair counts rebuilt from ``key``
@@ -579,12 +561,12 @@ def _template(n: int, m: int, deg, key: int, sel: Selection, tables):
     connected = bool(key & 1)
     if sel.check_classes and connected and len(pc) > 1 and _ratio_constant(pc):
         def emit_checked(g6, violations, discrepancies):
-            check_pair_stats(n, m, deg, pc, connected, sel, tables, lambda: g6,
+            check_pair_stats(n, m, deg, pc, connected, sel, lambda: g6,
                              violations, discrepancies)
         return emit_checked
     violations: list = []
     discrepancies: list = []
-    check_pair_stats(n, m, deg, pc, connected, sel, tables, lambda: None,
+    check_pair_stats(n, m, deg, pc, connected, sel, lambda: None,
                      violations, discrepancies)
     if not (violations or discrepancies):
         return ()
@@ -614,7 +596,6 @@ def scan_graph_masks(
 ) -> dict:
     """Check every edge-bitmask graph in [lo, hi) on n vertices."""
     ei, ej = edge_table(n)
-    tables = pair_tables(n)
     weights = signature_table(n)[0]
     sel = Selection(bounds, check_classes)
     full = (1 << n) - 1
@@ -660,7 +641,7 @@ def scan_graph_masks(
         checked += 1
         emit = templates.get(key)
         if emit is None:
-            emit = templates[key] = _template(n, len(ebits), deg, key, sel, tables)
+            emit = templates[key] = _template(n, len(ebits), deg, key, sel)
         if emit:
             emit(mask_to_graph6(n, mask), violations, discrepancies)
     return {
@@ -679,7 +660,6 @@ def scan_tree_ranks(
     check_classes: bool,
 ) -> dict:
     """Check the labeled trees with Pruefer-sequence ranks in [lo, hi)."""
-    tables = pair_tables(n)
     weights = signature_table(n)[0]
     sel = Selection(bounds, check_classes)
     violations: list = []
@@ -701,7 +681,7 @@ def scan_tree_ranks(
             key += weights[deg[i] * n + deg[j]]
         emit = templates.get(key)
         if emit is None:
-            emit = templates[key] = _template(n, n - 1, deg, key, sel, tables)
+            emit = templates[key] = _template(n, n - 1, deg, key, sel)
         if emit:
             emit(mask_to_graph6(n, edges_to_mask(edges)), violations, discrepancies)
     count = max(hi - lo, 0)
@@ -715,7 +695,7 @@ def scan_tree_ranks(
 
 def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool,
                        check_classes: bool) -> dict:
-    """Kernel checks for one externally supplied graph (n <= KERNEL_MAX_N)."""
+    """Kernel checks for one graph, whatever its order."""
     from .graphs import is_connected, write_graph6
 
     violations: list = []
@@ -734,29 +714,8 @@ def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool,
         pc[key] = pc.get(key, 0) + 1
     sel = Selection(bounds, check_classes)
     check_pair_stats(
-        g.n, g.m, deg, pc, connected, sel, pair_tables(g.n),
-        lambda: write_graph6(g), violations, discrepancies,
+        g.n, g.m, deg, pc, connected, sel, lambda: write_graph6(g),
+        violations, discrepancies,
     )
     return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}
 
-
-def isdd_exact(n: int, mask: int) -> Fraction:
-    """Exact index value straight from the integer tables (test hook)."""
-    ei, ej = edge_table(n)
-    d_common, inum_t, _, _ = pair_tables(n)
-    deg = [0] * n
-    bits = []
-    eb = mask
-    while eb:
-        low = eb & -eb
-        k = low.bit_length() - 1
-        eb ^= low
-        deg[ei[k]] += 1
-        deg[ej[k]] += 1
-        bits.append(k)
-    total = 0
-    for k in bits:
-        a, b = deg[ei[k]], deg[ej[k]]
-        key = (a, b) if a >= b else (b, a)
-        total += inum_t[key]
-    return Fraction(total, d_common)

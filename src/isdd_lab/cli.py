@@ -263,13 +263,13 @@ def _run_sweep_command(args, trees: bool) -> int:
         )
         if not args.stdin_graph6:
             cfg.validate()
-        elif cfg.n_min > cfg.n_max:
-            raise ValueError(f"n_min {cfg.n_min} exceeds n_max {cfg.n_max}")
-        elif cfg.dedup:
-            raise ValueError("--dedup does not apply to --stdin-graph6")
-        elif cfg.trees:
-            raise ValueError("tree mode (--trees or the trees subcommand) does not "
-                             "apply to --stdin-graph6")
+        else:
+            cfg.validate_common()
+            if cfg.dedup:
+                raise ValueError("--dedup does not apply to --stdin-graph6")
+            if cfg.trees:
+                raise ValueError("tree mode (--trees or the trees subcommand) does not "
+                                 "apply to --stdin-graph6")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -352,8 +352,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser, tree_defaults: bool):
                         "CPUs this process may use)")
     p.add_argument("--report", default=None, help="write the JSON report to this path")
     p.add_argument("--stdin-graph6", action="store_true",
-                   help="check graph6 lines from stdin instead of enumerating "
-                        "(not with --dedup or tree mode)")
+                   help="check graph6 lines from stdin instead of enumerating: every "
+                        "graph whatever its order, serially (--n-min/--n-max do not "
+                        "filter and --jobs does not apply; not with --dedup or tree mode)")
 
 
 def build_parser() -> argparse.ArgumentParser:

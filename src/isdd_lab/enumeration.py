@@ -73,19 +73,24 @@ class SweepConfig:
     trees: bool = False
     check_classes: bool = True
 
-    def validate(self):
+    def validate_common(self):
+        """Raise ValueError for a configuration no sweep mode accepts."""
         if self.n_min > self.n_max:
             raise ValueError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
-        if self.trees:
-            if not 2 <= self.n_min <= self.n_max <= 9:
-                raise ValueError("tree sweeps support 2 <= n <= 9")
-        elif not 1 <= self.n_min <= self.n_max <= 7:
-            raise ValueError("graph sweeps enumerate internally only for 1 <= n <= 7")
         unknown = set(self.bounds) - set(ALL_BOUND_IDS)
         if unknown:
             raise ValueError(f"unknown bound ids: {sorted(unknown)}")
         if self.max_graphs is not None and self.max_graphs < 0:
             raise ValueError("max_graphs must be non-negative")
+
+    def validate(self):
+        """Raise ValueError for a configuration internal enumeration rejects."""
+        self.validate_common()
+        if self.trees:
+            if not 2 <= self.n_min <= self.n_max <= 9:
+                raise ValueError("tree sweeps support 2 <= n <= 9")
+        elif not 1 <= self.n_min <= self.n_max <= 7:
+            raise ValueError("graph sweeps enumerate internally only for 1 <= n <= 7")
 
 
 @dataclass
@@ -227,9 +232,9 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
                           check_classes: bool) -> dict:
     """Reference per-graph checking built on the public bound/classify API.
 
-    Produces records identical to the kernel path; used for externally
-    streamed graphs too large for the kernel tables and, in tests, to
-    cross-validate the kernel itself.
+    Produces records identical to the kernel path.  It is the oracle the
+    test suite holds the kernel to, and the engine of
+    ``run_sweep(engine="reference")``.
     """
     from .graphs import is_connected
 
@@ -436,10 +441,11 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
     """Execute a sweep and return its report.
 
     ``graphs``: optional external iterable (mix of Graph and StreamError, as
-    produced by :func:`stream_graph6`) replacing internal enumeration; stream
-    errors count as seen-but-unchecked.  ``engine`` selects the fast kernel or
-    the reference path ("reference"); both produce identical reports and the
-    test suite holds them to that.
+    produced by :func:`stream_graph6`) replacing internal enumeration.  Each
+    graph is checked serially whatever its order (``n_min``/``n_max`` and
+    ``jobs`` do not apply); stream errors count as seen-but-unchecked.
+    ``engine`` selects the fast kernel or the reference path ("reference");
+    both produce identical reports and the test suite holds them to that.
     """
     if engine not in ("fast", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -447,9 +453,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
     start = time.perf_counter()
 
     if graphs is not None:
-        unknown = set(cfg.bounds) - set(ALL_BOUND_IDS)
-        if unknown:
-            raise ValueError(f"unknown bound ids: {sorted(unknown)}")
+        cfg.validate_common()
         budget = cfg.max_graphs
         for item in graphs:
             if budget is not None and report.graphs_seen >= budget:
@@ -457,7 +461,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
             if isinstance(item, StreamError):
                 report.graphs_seen += 1
                 continue
-            if engine == "fast" and item.n <= _kernel.KERNEL_MAX_N:
+            if engine == "fast":
                 partial = _kernel.check_graph_kernel(
                     item, cfg.bounds, cfg.connected_only, cfg.check_classes
                 )

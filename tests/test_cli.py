@@ -3,8 +3,9 @@ import io
 import json
 
 from isdd_lab.cli import main
+from isdd_lab.enumeration import SweepConfig, run_sweep, stream_graph6
 from isdd_lab.graphs import write_graph6
-from helpers import complete_bipartite, cycle_graph
+from helpers import complete_bipartite, cycle_graph, h2_graph, h3_graph, path_graph
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -250,6 +251,33 @@ class TestSweep:
             assert code == 1, argv
             assert err.startswith("error: ") and "tree mode" in err
             assert out == ""
+
+    def test_stdin_negative_max_graphs_exits_1(self, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--stdin-graph6", "--max-graphs", "-3"], "Ch\n", monkeypatch, capsys,
+        )
+        assert code == 1
+        assert "error: max_graphs must be non-negative" in err
+        assert out == ""
+
+    def test_stdin_any_order_matches_reference(self, tmp_path, monkeypatch, capsys):
+        # orders 4, 9, 14 and 30, outside the default --n-min/--n-max range
+        lines = ["Ch", write_graph6(path_graph(9)), write_graph6(h2_graph()),
+                 write_graph6(h3_graph())]
+        p = tmp_path / "stdin.json"
+        code, out, err = run_cli(
+            ["sweep", "--stdin-graph6", "--report", str(p)],
+            "\n".join(lines) + "\n", monkeypatch, capsys,
+        )
+        assert code == 0
+        payload = json.loads(p.read_text())
+        expected = run_sweep(
+            SweepConfig(n_min=2, n_max=6), graphs=stream_graph6(lines), engine="reference",
+        ).to_dict(include_timing=False)
+        assert {key: payload[key] for key in expected} == expected
+        assert expected["graphs_checked"] == 4
+        flagged = {d["graph6"] for d in expected["equality_discrepancies"]}
+        assert write_graph6(h2_graph()) in flagged  # records above 10 vertices
 
     def test_trees_subcommand(self, tmp_path, capsys):
         p = tmp_path / "trees.json"

@@ -17,10 +17,16 @@ from isdd_lab.enumeration import (
     stream_graph6,
 )
 from isdd_lab.graphs import Graph, is_connected, parse_graph6, write_graph6
-from isdd_lab.indices import isdd
 from isdd_lab.bounds import ALL_BOUND_IDS
 from isdd_lab.classify import in_gamma3
-from helpers import cycle_graph, h3_graph, oracle_encode_prufer, path_graph
+from helpers import (
+    cycle_graph,
+    h1_graph,
+    h2_graph,
+    h3_graph,
+    oracle_encode_prufer,
+    path_graph,
+)
 
 
 def report_dict(rep: SweepReport) -> dict:
@@ -170,28 +176,43 @@ class TestKernelAgainstReference:
         masks = [rng.randrange(1 << 21) for _ in range(400)]
         self._compare_masks(7, masks)
 
-    def _compare_masks(self, n, masks):
+    def _compare_masks(self, n, masks, connected_only=True):
+        self._compare_graphs([_graph_from_mask(n, mask) for mask in masks], connected_only)
+
+    def _compare_graphs(self, graphs, connected_only=True):
         # record order within one graph is not contractual (reports sort at
         # finalize), so compare sorted partials
-        pairs = [(i, j) for j in range(n) for i in range(j)]
-        for mask in masks:
-            g = Graph(n, tuple(sorted(p for k, p in enumerate(pairs) if (mask >> k) & 1)))
-            fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True, True)
-            ref = check_graph_reference(g, ALL_BOUND_IDS, True, True)
-            for part in (fast, ref):
-                part["violations"] = sorted(part["violations"])
-                part["discrepancies"] = sorted(part["discrepancies"])
-            assert fast == ref, f"diverges at n={n} mask={mask}"
+        for g in graphs:
+            fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only, True)
+            ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only, True)
+            assert _sorted_partial(fast) == _sorted_partial(ref), \
+                f"diverges on {write_graph6(g)} (n={g.n})"
 
-    def test_exact_isdd_from_tables(self):
+    def test_every_mask_including_disconnected(self):
+        # disconnected graphs too: their exact index and GA-based checks
+        # still run
         rng = random.Random(5)
         for n in (2, 3, 4, 5):
-            for mask in range(1 << (n * (n - 1) // 2)):
-                assert _kernel.isdd_exact(n, mask) == isdd(_graph_from_mask(n, mask))
+            self._compare_masks(n, range(1 << (n * (n - 1) // 2)), connected_only=False)
         for n in (6, 7):
-            for _ in range(300):
-                mask = rng.randrange(1 << (n * (n - 1) // 2))
-                assert _kernel.isdd_exact(n, mask) == isdd(_graph_from_mask(n, mask))
+            masks = [rng.randrange(1 << (n * (n - 1) // 2)) for _ in range(300)]
+            self._compare_masks(n, masks, connected_only=False)
+
+    def test_random_graphs_beyond_enumeration(self):
+        # orders 8..31, sparse (mostly disconnected) to dense, each also with
+        # one isolated vertex added, plus the three family exemplars
+        rng = random.Random(2024)
+        graphs = [h1_graph(), h2_graph(), h3_graph()]
+        for density in (0.05, 0.15, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(12):
+                n = rng.randint(8, 30)
+                edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+                graphs.append(Graph.from_edges(n, edges))
+                graphs.append(Graph.from_edges(n + 1, edges))
+        assert {g.n for g in graphs} >= {14, 19, 30, 31}
+        assert sum(not is_connected(g) for g in graphs if g.m) > 40
+        for connected_only in (True, False):
+            self._compare_graphs(graphs, connected_only)
 
     def test_mask_graph6_matches_writer(self):
         rng = random.Random(99)
@@ -338,7 +359,7 @@ class TestRunSweep:
         assert rep.graphs_checked == 2
         assert rep.violations == []
 
-    def test_external_large_graph_uses_reference_path(self):
+    def test_external_large_graph(self):
         rep = run_sweep(SweepConfig(n_min=2, n_max=7), graphs=iter([h3_graph()]))
         assert rep.graphs_checked == 1
         assert rep.violations == []
@@ -368,6 +389,12 @@ class TestRunSweep:
             run_sweep(SweepConfig(n_min=2, n_max=10, trees=True))
         with pytest.raises(ValueError):
             run_sweep(SweepConfig(n_min=2, n_max=4, bounds=("NOT_A_BOUND",)))
+        # a stream skips only the enumeration range checks
+        for cfg in (SweepConfig(n_min=5, n_max=4), SweepConfig(n_min=2, n_max=4, max_graphs=-1),
+                    SweepConfig(n_min=2, n_max=4, bounds=("NOT_A_BOUND",))):
+            with pytest.raises(ValueError):
+                run_sweep(cfg, graphs=iter([]))
+        assert run_sweep(SweepConfig(n_min=2, n_max=40), graphs=iter([])).graphs_seen == 0
 
     def test_dedup_counts_classes(self):
         rep = run_sweep(SweepConfig(n_min=4, n_max=4, dedup=True))
