@@ -10,15 +10,17 @@ code serves every graph order.
 
 The enumerating scans go further and check each degree-pair signature once
 per chunk.  A signature packs the edge count of every degree pair (a, b),
-a >= b, with two flags: connected, and has an isolated vertex.  Within one
-vertex count it fixes every input of :func:`check_pair_stats`:
+a >= b, with a connected flag.  Within one vertex count it fixes every input
+of :func:`check_pair_stats`:
 
 - m is the sum of the counts;
 - M1 = sum_v d_v^2 = sum over edges of (a + b), and
   F = sum_v d_v^3 = sum over edges of (a^2 + b^2), since vertex v adds d_v to
   each of its d_v edges;
 - Delta is the largest a present, and delta is 0 when a vertex is isolated,
-  else the smallest b present (every other vertex ends some edge);
+  else the smallest b present (every other vertex ends some edge); whether
+  one is isolated is fixed too, since the vertices of degree d >= 1 number
+  (the edge ends at degree d) / d, which the counts give;
 - the index, GA, M2, ell, k, the edge-term minima and the labels regular,
   semiregular bipartite, gamma1, gamma2 and constant edge ratio are sums,
   minima or tests over the pairs and these degrees.
@@ -32,6 +34,23 @@ field and, for each later graph of it, renders graph6 once and only when there
 are records.  The float GA sums then run in pair order, not edge order; they
 may differ in the last bits, far inside the 1e-9 tolerance of those checks.
 
+Neither scan decodes a graph edge by edge.  The graph scan walks two
+levels, in mask order.  The low c(c-1)/2 bits of a mask are a graph L on the
+core vertices 0..c-1, c = min(n, CORE_ORDER); in column-major slot order
+every edge touching a vertex >= c lies above them, in the high part H.  A
+per-process table (:func:`core_table`) gives each L a few codes: vertex
+pairs with their degrees in L, L's component partition, its other edges.
+For each H, :func:`_code_weights` gives each code its signature weight
+under the degrees H adds, with connectivity decided per partition, so a
+mask costs one sum of table entries.  A core of 5 vertices has 2^10 graphs:
+its table takes about 10 ms and 0.2 MB to build, and a per-H table of about
+600 entries serves 1,024 masks.  A 4-vertex core would rebuild that table
+every 64 masks; a 6-vertex one takes about 250 ms and 12 MB per process.
+The tree scan fixes all Pruefer digits but the last four per block,
+iterates those with ``itertools.product`` and decodes each sequence
+straight into its signature; :func:`prufer_edges` runs only to render the
+graph6 text of a record.
+
 Everything here is cross-validated against the reference path by the test
 suite (exhaustively for small n); any divergence is a bug, not a policy.
 """
@@ -43,6 +62,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, islice, product, repeat
 from math import sqrt
 
 from .bounds import REL_TOL, STRICT_MARGIN, ga_m2_rhs, ga_simple_rhs
@@ -123,11 +143,21 @@ def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
+    """The Pruefer sequence of a rank: its n-2 base-n digits, first most significant."""
+    digits = []
+    for _ in range(n - 2):
+        rank, digit = divmod(rank, n)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
 def prufer_rank(edges, n: int) -> int:
     """Rank of a labeled tree's Pruefer sequence; inverts :func:`prufer_edges`.
 
-    The sequence is read as n-2 base-n digits, first entry most significant:
-    the order of ``itertools.product`` and of :func:`scan_tree_ranks`.
+    The sequence is read as n-2 base-n digits, first entry most significant
+    (:func:`prufer_sequence`): the order of ``itertools.product`` and of
+    :func:`scan_tree_ranks`.
     """
     deg = [0] * n
     nbr = [0] * n  # XOR of the neighbours still attached: a leaf's is its neighbour
@@ -516,10 +546,9 @@ def _lazy_gamma3(n: int, g6: str, ratio_const: bool, regular: bool, semireg: boo
 def signature_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]:
     """Packing of degree-pair signatures for graphs on n vertices.
 
-    A signature is one integer: bit 0 is set for a connected graph, bit 1 for
-    a graph with an isolated vertex, and above them pair (a, b), a >= b >= 1,
-    owns a ``width``-bit field holding its edge count, as wide as the
-    n(n-1)/2 edges of K_n need (5 bits at n = 7, 8).  Returns (weights, pairs,
+    A signature is one integer: bit 0 is set for a connected graph, and above
+    it pair (a, b), a >= b >= 1, owns a ``width``-bit field holding its edge
+    count, as wide as the n(n-1)/2 edges of K_n need (5 bits at n = 7, 8).  Returns (weights, pairs,
     width): ``weights[a*n + b]`` is the amount one (a, b) edge adds, for both
     endpoint orders, and ``pairs`` lists the fields from the lowest.
     """
@@ -527,7 +556,7 @@ def signature_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...
     pairs = tuple((a, b) for a in range(1, n) for b in range(1, a + 1))
     weights = [0] * (n * n)
     for idx, (a, b) in enumerate(pairs):
-        weights[a * n + b] = weights[b * n + a] = 1 << (2 + idx * width)
+        weights[a * n + b] = weights[b * n + a] = 1 << (1 + idx * width)
     return tuple(weights), pairs, width
 
 
@@ -535,7 +564,7 @@ def signature_pairs(n: int, key: int) -> dict[tuple[int, int], int]:
     """The degree-pair counts packed in a signature (see :func:`signature_table`)."""
     _, pairs, width = signature_table(n)
     field = (1 << width) - 1
-    key >>= 2
+    key >>= 1
     pc = {}
     for pair in pairs:
         cnt = key & field
@@ -586,6 +615,170 @@ def _ratio_constant(pc) -> bool:
     return all((a + b) * rd0 == rn0 * (a * a + b * b) for a, b in rest)
 
 
+CORE_ORDER = 5  # core vertices of the graph scan: 2^10 core graphs
+
+
+def _code_offsets(c: int) -> tuple[int, int]:
+    """Where the vertex-pair codes and the partition codes of a c-vertex core start."""
+    pair0 = c * (c - 1) // 2 * c * c
+    return pair0, pair0 + c // 2 * c * c * 2
+
+
+@lru_cache(maxsize=None)
+def core_table(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Codes of every graph L on the core vertices 0..c-1.
+
+    ``codes[L]`` holds, with d the degrees in L:
+
+    - per vertex pair (2t, 2t+1): ``pair0 + ((t*c + d[2t])*c + d[2t+1])*2 + e``,
+      e = 1 when the pair is an edge;
+    - ``last0 + pid*c + d[c-1]`` (``+ 0`` when c is even), pid numbering L's
+      component partition;
+    - per other edge of L, in slot k: ``(k*c + d[i])*c + d[j]``.
+
+    ``partitions[pid]`` lists the blocks of partition pid as vertex bitmasks.
+    :func:`_code_weights` gives each code its weight.  Returns (codes,
+    partitions).
+    """
+    slots = c * (c - 1) // 2
+    ei, ej = edge_table(c)
+    twins = [(2 * t + 1) * t + 2 * t for t in range(c // 2)]  # slot of (2t, 2t+1)
+    pair0, last0 = _code_offsets(c)
+    pids: dict = {}
+    codes = []
+    for core in range(1 << slots):
+        deg = [0] * c
+        comp = [1 << v for v in range(c)]  # comp[v]: the block holding v
+        ks = [k for k in range(slots) if core >> k & 1]
+        for k in ks:
+            i, j = ei[k], ej[k]
+            deg[i] += 1
+            deg[j] += 1
+            if comp[i] != comp[j]:
+                block = comp[i] | comp[j]
+                for v in range(c):
+                    if block >> v & 1:
+                        comp[v] = block
+        pid = pids.setdefault(tuple(sorted(set(comp))), len(pids))
+        codes.append((
+            *[pair0 + ((t * c + deg[2 * t]) * c + deg[2 * t + 1]) * 2 + (core >> k & 1)
+              for t, k in enumerate(twins)],
+            last0 + pid * c + (deg[c - 1] if c % 2 else 0),
+            *[(k * c + deg[ei[k]]) * c + deg[ej[k]] for k in ks if k not in twins],
+        ))
+    return tuple(codes), tuple(pids)
+
+
+@lru_cache(maxsize=None)
+def _joins_connected(c: int, links: tuple[int, ...]) -> tuple[bool, ...]:
+    """Per core partition: whether its blocks and the vertex sets in ``links``
+    together join all c core vertices."""
+    full = (1 << c) - 1
+    out = []
+    for blocks in core_table(c)[1]:
+        sets = blocks + links
+        reached = blocks[0]
+        grown = True
+        while grown:
+            grown = False
+            for s in sets:
+                if s & reached and s | reached != reached:
+                    reached |= s
+                    grown = True
+        out.append(reached == full)
+    return tuple(out)
+
+
+def _code_weights(n: int, c: int, high: int, weights, connected_only: bool) -> list:
+    """Code -> signature weight for the masks whose bits above the core are ``high``.
+
+    ``high`` holds the edges that touch a vertex >= c.  An edge weighs by the
+    degrees of its ends: an outer vertex has all its edges in ``high``, a
+    core vertex u adds its core degree to ``out[u]``, its degree in ``high``.
+    So a core edge's weight needs the core degrees of its ends, and the
+    weight of u's edges to outer vertices needs u's; the partition code adds
+    the outer-outer edges and the connected flag.  A partition whose graph
+    with ``high`` is disconnected gets no flag, or with ``connected_only`` a
+    negative weight below any key.
+    """
+    ei, ej = edge_table(n)
+    wpairs, width = signature_table(n)[1:]
+    slots = c * (c - 1) // 2
+    pair0, last0 = _code_offsets(c)
+    out = [0] * n
+    outer_edges = []
+    k = slots
+    while high:
+        if high & 1:
+            i, j = ei[k], ej[k]
+            out[i] += 1
+            out[j] += 1
+            outer_edges.append((i, j))
+        high >>= 1
+        k += 1
+    row = [weights[d * n:(d + 1) * n] for d in range(n)]
+    table = [0] * (last0 + len(core_table(c)[1]) * c)
+    for k in range(slots):
+        oi, oj = out[ei[k]], out[ej[k]]
+        for a in range(1, c):
+            wa = row[a + oi]
+            base = (k * c + a) * c
+            for b in range(1, c):
+                table[base + b] = wa[b + oj]
+    # spoke[u][d]: u's edges to outer vertices when u has core degree d; the
+    # outer components join the core vertices they touch
+    spoke = [[0] * c for _ in range(c)]
+    comp = [1 << v for v in range(n)]
+    touch = [0] * n
+    const = 0
+    for i, j in outer_edges:
+        if i < c:
+            touch[j] |= 1 << i
+            for d in range(c):
+                spoke[i][d] += row[d + out[i]][out[j]]
+        else:
+            const += row[out[i]][out[j]]
+            if comp[i] != comp[j]:
+                block = comp[i] | comp[j]
+                for v in range(c, n):
+                    if block >> v & 1:
+                        comp[v] = block
+    for t in range(c // 2):
+        u, v = 2 * t, 2 * t + 1
+        for a in range(c):
+            for b in range(c):
+                base = pair0 + ((t * c + a) * c + b) * 2
+                table[base] = spoke[u][a] + spoke[v][b]
+                if a and b:
+                    table[base + 1] = table[base] + row[a + out[u]][b + out[v]]
+    links = {}
+    for w in range(c, n):
+        links[comp[w]] = links.get(comp[w], 0) | touch[w]
+    stranded = 0 in links.values()  # an outer component that touches no core vertex
+    joined = _joins_connected(c, tuple(sorted(set(links.values()) - {0})))
+    skip = -(1 << (1 + len(wpairs) * width))  # below every key
+    lone = spoke[c - 1] if c % 2 else [0]
+    for pid, joins in enumerate(joined):
+        flag = 1 if joins and not stranded else skip if connected_only else 0
+        base = last0 + pid * c
+        for d, w in enumerate(lone):
+            table[base + d] = const + flag + w
+    return table
+
+
+def _mask_degrees(n: int, mask: int) -> list[int]:
+    ei, ej = edge_table(n)
+    deg = [0] * n
+    k = 0
+    while mask:
+        if mask & 1:
+            deg[ei[k]] += 1
+            deg[ej[k]] += 1
+        mask >>= 1
+        k += 1
+    return deg
+
+
 def scan_graph_masks(
     n: int,
     lo: int,
@@ -594,56 +787,44 @@ def scan_graph_masks(
     connected_only: bool,
     check_classes: bool,
 ) -> dict:
-    """Check every edge-bitmask graph in [lo, hi) on n vertices."""
-    ei, ej = edge_table(n)
+    """Check every edge-bitmask graph in [lo, hi) on n vertices.
+
+    A mask is ``high << slots | core``: ``core`` the edges among the first
+    c = min(n, CORE_ORDER) vertices, ``high`` the rest.  For each ``high`` one
+    table of code weights is built (:func:`_code_weights`); the signature of
+    every mask of that block is then the sum of the weights of its core
+    graph's codes (:func:`core_table`), negative for a skipped mask.
+    """
+    c = min(n, CORE_ORDER)
+    slots = c * (c - 1) // 2
+    codes = core_table(c)[0]
     weights = signature_table(n)[0]
     sel = Selection(bounds, check_classes)
-    full = (1 << n) - 1
     checked = 0
     violations: list = []
     discrepancies: list = []
     templates: dict = {}
-    for mask in range(max(lo, 1), hi):
-        deg = [0] * n
-        adj = [0] * n
-        ebits = []
-        eb = mask
-        while eb:
-            low = eb & -eb
-            k = low.bit_length() - 1
-            eb ^= low
-            i = ei[k]
-            j = ej[k]
-            deg[i] += 1
-            deg[j] += 1
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            ebits.append(k)
-        reached = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~reached
-            reached |= frontier
-        if reached == full:
-            key = 1
-        elif connected_only:
-            continue
-        else:
-            key = 2 if 0 in deg else 0
-        for k in ebits:
-            key += weights[deg[ei[k]] * n + deg[ej[k]]]
-        checked += 1
-        emit = templates.get(key)
-        if emit is None:
-            emit = templates[key] = _template(n, len(ebits), deg, key, sel)
-        if emit:
-            emit(mask_to_graph6(n, mask), violations, discrepancies)
+    loud = set()  # the keys whose templates emit records
+    first = max(lo, 1)  # the edgeless graph is never checked
+    for high in range(first >> slots, (hi - 1 >> slots) + 1 if hi > first else 0):
+        offset = high << slots
+        start = max(first - offset, 0)
+        stop = min(hi - offset, 1 << slots)
+        table = _code_weights(n, c, high, weights, connected_only)
+        keys = list(map(sum, map(map, repeat(table.__getitem__), codes[start:stop])))
+        checked += sum(map((0).__le__, keys))
+        for key in set(keys) - templates.keys():
+            if key < 0:
+                templates[key] = ()
+                continue
+            deg = _mask_degrees(n, offset | start + keys.index(key))
+            templates[key] = _template(n, sum(deg) // 2, deg, key, sel)
+            if templates[key]:
+                loud.add(key)
+        if loud:
+            for core in compress(range(start, stop), map(loud.__contains__, keys)):
+                templates[keys[core - start]](mask_to_graph6(n, offset | core),
+                                              violations, discrepancies)
     return {
         "seen": max(hi - lo, 0),
         "checked": checked,
@@ -659,31 +840,54 @@ def scan_tree_ranks(
     bounds: tuple[str, ...],
     check_classes: bool,
 ) -> dict:
-    """Check the labeled trees with Pruefer-sequence ranks in [lo, hi)."""
+    """Check the labeled trees with Pruefer-sequence ranks in [lo, hi).
+
+    The ranks are walked in blocks that share every digit but the last
+    (at most) four.  Each sequence is decoded straight into its signature:
+    the decoding pairs each removed leaf with the sequence entry, and the
+    final degrees (one plus the occurrences) weigh the pair.
+    """
     weights = signature_table(n)[0]
+    row = [weights[d * n:(d + 1) * n] for d in range(n)]
     sel = Selection(bounds, check_classes)
     violations: list = []
     discrepancies: list = []
     templates: dict = {}
+    get = templates.get
     length = max(n - 2, 0)
-    for rank in range(lo, hi):
-        r = rank
-        seq = [0] * length
-        for idx in range(length - 1, -1, -1):
-            seq[idx] = r % n
-            r //= n
-        edges = prufer_edges(tuple(seq), n)
-        deg = [1] * n
-        for s in seq:
-            deg[s] += 1
-        key = 1
-        for i, j in edges:
-            key += weights[deg[i] * n + deg[j]]
-        emit = templates.get(key)
-        if emit is None:
-            emit = templates[key] = _template(n, n - 1, deg, key, sel)
-        if emit:
-            emit(mask_to_graph6(n, edges_to_mask(edges)), violations, discrepancies)
+    tail = min(length, 4)
+    head = length - tail
+    span = n ** tail
+    last = n - 1
+    for block in range(lo // span, (hi - 1) // span + 1 if hi > lo else 0):
+        start = max(lo - block * span, 0)
+        stop = min(hi - block * span, span)
+        prefix = prufer_sequence(block * span, n)[:head]
+        pdeg = [1] * n
+        for s in prefix:
+            pdeg[s] += 1
+        digits = [(s,) for s in prefix] + [range(n)] * tail
+        for seq in islice(product(*digits), start, stop):
+            deg = pdeg.copy()
+            for s in seq[head:]:
+                deg[s] += 1
+            left = deg.copy()  # degrees in the part not yet decoded
+            leaf = ptr = left.index(1)
+            key = 1
+            for s in seq:
+                key += row[deg[leaf]][deg[s]]
+                left[s] -= 1
+                if left[s] == 1 and s < ptr:
+                    leaf = s
+                else:
+                    leaf = ptr = left.index(1, ptr + 1)
+            key += row[deg[leaf]][deg[last]]
+            emit = get(key)
+            if emit is None:
+                emit = templates[key] = _template(n, n - 1, deg, key, sel)
+            if emit:
+                edges = prufer_edges(seq, n)
+                emit(mask_to_graph6(n, edges_to_mask(edges)), violations, discrepancies)
     count = max(hi - lo, 0)
     return {
         "seen": count,

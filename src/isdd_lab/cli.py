@@ -4,9 +4,10 @@ Subcommands: ``compute`` (index values), ``check`` (bound reports),
 ``classify`` (family membership), ``sweep`` (exhaustive verification), and
 ``trees`` (tree-mode sweep).  Records go to stdout, diagnostics to stderr.
 
-Exit codes: 0 success; 1 unreadable input or invalid configuration; 2 parse
-errors in the input; 3 at least one bound violation (a falsified claim, which
-CI must be able to tell apart from bad input).
+Exit codes: 0 success; 1 unreadable input, an unwritable report path or an
+invalid configuration; 2 parse errors in the input; 3 at least one bound
+violation (a falsified claim, which CI must be able to tell apart from bad
+input).
 
 JSON schemas (--json emits one object per line):
 
@@ -27,6 +28,7 @@ Rationals always serialize as lowest-terms strings, never floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -89,7 +91,8 @@ def _read_input(path: str) -> str | None:
     if path == "-":
         return sys.stdin.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        # like stdin: an undecodable byte reaches the parser, a parse error
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             return fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
@@ -249,6 +252,24 @@ def _resolve_jobs(args) -> int:
     return os.cpu_count() or 1
 
 
+def _sweep(cfg: SweepConfig, jobs: int, stdin_graph6: bool):
+    """Run the sweep; returns the report and the number of bad stdin lines."""
+    if not stdin_graph6:
+        return run_sweep(cfg, jobs=jobs), 0
+    parse_errors = 0
+
+    def stream():
+        nonlocal parse_errors
+        for item in stream_graph6(sys.stdin):
+            if isinstance(item, StreamError):
+                parse_errors += 1
+                print(f"parse error at stdin:{item.line_no}: {item.message}", file=sys.stderr)
+            yield item
+
+    report = run_sweep(cfg, jobs=1, graphs=stream())
+    return report, parse_errors
+
+
 def _run_sweep_command(args, trees: bool) -> int:
     try:
         selected = _parse_bounds(args.bounds)
@@ -274,34 +295,29 @@ def _run_sweep_command(args, trees: bool) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     jobs = _resolve_jobs(args)
-    parse_errors = 0
-    if args.stdin_graph6:
-        def stream():
-            nonlocal parse_errors
-            for item in stream_graph6(sys.stdin):
-                if isinstance(item, StreamError):
-                    parse_errors += 1
-                    print(f"parse error at stdin:{item.line_no}: {item.message}",
-                          file=sys.stderr)
-                yield item
-
-        report = run_sweep(cfg, jobs=1, graphs=stream())
-    else:
-        report = run_sweep(cfg, jobs=jobs)
-    payload = {"config": {
-        "n_min": cfg.n_min,
-        "n_max": cfg.n_max,
-        "connected_only": cfg.connected_only,
-        "dedup": cfg.dedup,
-        "bounds": list(cfg.bounds),
-        "max_graphs": cfg.max_graphs,
-        "trees": cfg.trees,
-    }}
-    payload.update(report.to_dict())
+    report_file = None
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        # opened before the sweep, which can run for minutes
+        try:
+            report_file = open(args.report, "w", encoding="ascii")
+        except OSError as exc:
+            print(f"error: cannot write report {args.report}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    with report_file or contextlib.nullcontext():
+        report, parse_errors = _sweep(cfg, jobs, args.stdin_graph6)
+        if report_file:
+            payload = {"config": {
+                "n_min": cfg.n_min,
+                "n_max": cfg.n_max,
+                "connected_only": cfg.connected_only,
+                "dedup": cfg.dedup,
+                "bounds": list(cfg.bounds),
+                "max_graphs": cfg.max_graphs,
+                "trees": cfg.trees,
+            }}
+            payload.update(report.to_dict())
+            json.dump(payload, report_file, indent=2)
+            report_file.write("\n")
     print(
         f"seen={report.graphs_seen} checked={report.graphs_checked} "
         f"violations={len(report.violations)} "

@@ -389,12 +389,7 @@ def _first_of_each_class(n: int, count: int, trees: bool):
     pos = flags.find(0, 0, count)
     while pos >= 0:
         if trees:
-            seq = []
-            r = pos
-            for _ in range(n - 2):
-                r, digit = divmod(r, n)
-                seq.append(digit)
-            edges = _kernel.prufer_edges(tuple(reversed(seq)), n)
+            edges = _kernel.prufer_edges(_kernel.prufer_sequence(pos, n), n)
             slots = _mask_slots(_kernel.edges_to_mask(edges))
         else:
             slots = _mask_slots(pos)
@@ -488,7 +483,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
         else:
             chunk_jobs = _chunk_jobs(cfg)
             if jobs > 1 and len(chunk_jobs) > 1:
-                with multiprocessing.Pool(jobs) as pool:
+                with multiprocessing.Pool(min(jobs, len(chunk_jobs))) as pool:
                     for partial in pool.imap_unordered(_dispatch_chunk, chunk_jobs, chunksize=1):
                         report.merge(partial)
             else:

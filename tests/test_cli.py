@@ -51,6 +51,17 @@ class TestCompute:
         assert code == 1
         assert "cannot read" in err
 
+    def test_non_ascii_file_line_is_a_parse_error(self, tmp_path, capsys):
+        # the same bytes on stdin give the same verdict: exit 2, not a traceback
+        p = tmp_path / "bad.g6"
+        p.write_bytes(b"C~\n\xc3\xa9\n")
+        for command in ("compute", "check", "classify"):
+            code = main([command, "--input", str(p)])
+            out, err = capsys.readouterr()
+            assert code == 2, command
+            assert f"parse error at {p}:2: " in err, command
+            assert out.startswith("C~"), command  # the good line is still reported
+
     def test_edgelist_input(self, tmp_path, capsys):
         p = tmp_path / "p4.txt"
         p.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -188,6 +199,20 @@ class TestSweep:
             payload.pop("wall_time")
             payloads.append(payload)
         assert payloads[0] == payloads[1]
+
+    def test_unwritable_report_exits_1_before_sweeping(self, tmp_path, monkeypatch, capsys):
+        from isdd_lab import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept although the report cannot be written")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        report = tmp_path / "missing-dir" / "report.json"
+        code = main(["sweep", "--n-max", "4", "--jobs", "1", "--report", str(report)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith(f"error: cannot write report {report}: ")
+        assert out == ""
 
     def test_invalid_config_exits_1(self, capsys):
         code = main(["sweep", "--n-max", "9", "--jobs", "1"])

@@ -79,13 +79,15 @@ class TestLabeledTrees:
         for n in range(2, 7):
             seqs = itertools.product(range(n), repeat=n - 2)
             for rank, seq in enumerate(seqs):
+                assert _kernel.prufer_sequence(rank, n) == seq
                 assert _kernel.prufer_rank(_kernel.prufer_edges(seq, n), n) == rank
 
     @given(st.integers(min_value=2, max_value=9), st.data())
     @settings(max_examples=100, deadline=None)
     def test_rank_inverts_decode(self, n, data):
         rank = data.draw(st.integers(0, n ** (n - 2) - 1))
-        seq = tuple(rank // n ** (n - 3 - i) % n for i in range(n - 2))
+        seq = _kernel.prufer_sequence(rank, n)
+        assert seq == tuple(rank // n ** (n - 3 - i) % n for i in range(n - 2))
         assert _kernel.prufer_rank(_kernel.prufer_edges(seq, n), n) == rank
 
     @given(st.integers(min_value=3, max_value=9), st.data())
@@ -269,6 +271,90 @@ class TestSignatureScans:
                     trees, bounds, True, check_classes
                 ), f"diverges at n={n} bounds={bounds} check_classes={check_classes}"
 
+    def test_graph_ranges_inside_core_blocks(self):
+        # the scan walks 2^10-mask blocks (one per setting of the edges that
+        # leave the 5-vertex core); these ranges start and end inside blocks
+        rng = random.Random(6)
+        block = 1 << 10
+        for n in (6, 7):
+            for _ in range(2):
+                first = rng.randrange((1 << (n * (n - 1) // 2)) // block - 2)
+                lo = first * block + rng.randrange(1, block)
+                hi = (first + rng.randrange(1, 3)) * block + rng.randrange(1, block)
+                graphs = [_graph_from_mask(n, mask) for mask in range(lo, hi)]
+                for connected_only in (True, False):
+                    scan = _kernel.scan_graph_masks(n, lo, hi, ALL_BOUND_IDS, connected_only,
+                                                    True)
+                    assert _sorted_partial(scan) == _per_graph_kernel(
+                        graphs, ALL_BOUND_IDS, connected_only, True
+                    ), f"diverges on [{lo}, {hi}) at n={n} connected_only={connected_only}"
+
+    def test_single_masks_beyond_enumeration(self):
+        # 3 to 7 vertices outside the core: sparse masks leave some of them
+        # isolated or cut off from the core, dense ones connect everything
+        rng = random.Random(8)
+        kinds = set()
+        for n in range(8, 13):
+            slots = n * (n - 1) // 2
+            masks = [sum(1 << k for k in range(slots) if rng.random() < density)
+                     for density in (0.08, 0.15, 0.3, 0.6) for _ in range(4)]
+            k4 = [(i, j) for j in range(4) for i in range(j)]
+            k5 = k4 + [(i, 4) for i in range(4)]
+            masks += [_kernel.edges_to_mask(edges) for edges in (
+                k5 + [(v, v + 1) for v in range(5, n - 1)],  # an outer part cut off
+                k5 + [(v, v + 1) for v in range(5, n - 2)],  # and an outer vertex isolated
+                k5 + [(v, v + 1) for v in range(4, n - 1)],  # connected
+                k4 + [(v, v + 1) for v in range(4, n - 1)],  # core vertex 4 only in high
+                [(v, n - 1) for v in range(n - 1)],  # a star through an outer vertex
+                [(v, v + 5) for v in range(n - 5)],  # a matching from core to outside
+            )]
+            for mask in masks:
+                g = _graph_from_mask(n, mask)
+                isolated = len({v for e in g.edges for v in e}) < n
+                kinds.add((is_connected(g), isolated))
+                for connected_only in (True, False):
+                    scan = _kernel.scan_graph_masks(n, mask, mask + 1, ALL_BOUND_IDS,
+                                                    connected_only, True)
+                    assert _sorted_partial(scan) == _per_graph_kernel(
+                        [g], ALL_BOUND_IDS, connected_only, True
+                    ), f"diverges on {write_graph6(g)} connected_only={connected_only}"
+        assert kinds == {(True, False), (False, False), (False, True)}
+
+    def test_tree_ranges_inside_suffix_blocks(self):
+        # the scan walks blocks of n^4 ranks that share all digits but the
+        # last four; these ranges cross block boundaries from inside a block,
+        # and each end lies between two trees with records, so that a range
+        # one rank too long or too short shows
+        rng = random.Random(9)
+
+        def tree(n, rank):
+            return Graph.from_edges(n, _kernel.prufer_edges(_kernel.prufer_sequence(rank, n), n))
+
+        def recorded(n, rank):
+            part = _kernel.check_graph_kernel(tree(n, rank), ALL_BOUND_IDS, True, True)
+            return bool(part["violations"] or part["discrepancies"])
+
+        def end_near(n, rank, step):
+            while not (recorded(n, rank - 1) and recorded(n, rank)):
+                rank += step
+            return rank
+
+        for n in (7, 8, 9):
+            block = n ** 4
+            first = rng.randrange(n ** (n - 2) // block - 2)
+            ranges = [((first + 1) * block - rng.randrange(1, 300),
+                       (first + 1) * block + rng.randrange(1, 300))]
+            if n == 7:  # one range over a whole block as well
+                ranges.append((first * block + 300, (first + 2) * block - 300))
+            for lo, hi in ranges:
+                lo, hi = end_near(n, lo, -1), end_near(n, hi, 1)
+                assert lo % block and hi % block and lo // block < hi // block
+                trees = [tree(n, rank) for rank in range(lo, hi)]
+                scan = _kernel.scan_tree_ranks(n, lo, hi, ALL_BOUND_IDS, True)
+                assert _sorted_partial(scan) == _per_graph_kernel(
+                    trees, ALL_BOUND_IDS, True, True
+                ), f"diverges on ranks [{lo}, {hi}) at n={n}"
+
     def test_gamma3_signature_checked_per_graph(self):
         # K_{3,7} minus a 3-edge matching: gamma3 with edge ratio 1/5 on the two
         # pairs (6,2) and (6,3), so the verdict of its signature needs the graph
@@ -297,6 +383,30 @@ class TestRunSweep:
         serial = run_sweep(cfg, jobs=1)
         parallel = run_sweep(cfg, jobs=2)
         assert report_dict(serial) == report_dict(parallel)
+
+    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
+        from isdd_lab import enumeration
+
+        sizes = []
+
+        class SerialPool:  # records the size asked for; starts no process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(enumeration.multiprocessing, "Pool", SerialPool)
+        cfg = SweepConfig(n_min=2, n_max=4)  # one chunk per order
+        report = run_sweep(cfg, jobs=8)
+        assert sizes == [3]
+        assert report_dict(report) == report_dict(run_sweep(cfg, jobs=1))
 
     def test_lower_ell_gap_at_n4(self):
         cfg = SweepConfig(n_min=4, n_max=4, bounds=("LOWER_ELL",))
