@@ -7,7 +7,9 @@ Subcommands: ``compute`` (index values), ``check`` (bound reports),
 Exit codes: 0 success; 1 unreadable input, an unwritable report path or an
 invalid configuration; 2 parse errors in the input; 3 at least one bound
 violation (a falsified claim, which CI must be able to tell apart from bad
-input).
+input).  When the reader of a sweep's stdout goes away (``isdd-lab sweep |
+head -1``), the record lines stop quietly, the ``--report`` file is still
+complete and the exit code is still the sweep's.
 
 JSON schemas (--json emits one object per line):
 
@@ -21,7 +23,11 @@ OutputRecord:
 
 SweepReport (--report): {"config": {...}, "graphs_seen": int,
     "graphs_checked": int, "violations": [...],
-    "equality_discrepancies": [...], "wall_time": float}.
+    "equality_discrepancies": [...], "wall_time": float}, in exactly the
+    ``json.dump(indent=2)`` layout plus a newline; ``wall_time`` is its only
+    run-dependent value.  ``SweepReport.write_json`` writes it and
+    ``SweepReport.write_lines`` the stdout record lines, both from one
+    formatted text per record kind.
 Rationals always serialize as lowest-terms strings, never floats.
 """
 
@@ -306,7 +312,7 @@ def _run_sweep_command(args, trees: bool) -> int:
     with report_file or contextlib.nullcontext():
         report, parse_errors = _sweep(cfg, jobs, args.stdin_graph6)
         if report_file:
-            payload = {"config": {
+            report.write_json(report_file, {
                 "n_min": cfg.n_min,
                 "n_max": cfg.n_max,
                 "connected_only": cfg.connected_only,
@@ -314,10 +320,7 @@ def _run_sweep_command(args, trees: bool) -> int:
                 "bounds": list(cfg.bounds),
                 "max_graphs": cfg.max_graphs,
                 "trees": cfg.trees,
-            }}
-            payload.update(report.to_dict())
-            json.dump(payload, report_file, indent=2)
-            report_file.write("\n")
+            })
     print(
         f"seen={report.graphs_seen} checked={report.graphs_checked} "
         f"violations={len(report.violations)} "
@@ -325,14 +328,7 @@ def _run_sweep_command(args, trees: bool) -> int:
         f"wall_time={report.wall_time:.2f}s",
         file=sys.stderr,
     )
-    for v in report.violations:
-        print(f"VIOLATION {v.bound_id} {v.graph6} lhs={v.lhs} rhs={v.rhs}")
-    for d in report.equality_discrepancies:
-        print(
-            f"equality_discrepancy {d.bound_id} {d.graph6} equality={d.equality} "
-            f"expected_one_of={','.join(d.expected_classes)} "
-            f"actual={','.join(d.actual_classification) if d.actual_classification else 'none'}"
-        )
+    report.write_lines(sys.stdout)
     if report.violations:
         return EXIT_VIOLATION
     return EXIT_PARSE if parse_errors else EXIT_OK

@@ -5,16 +5,20 @@ order; ``labeled_trees`` decodes every Pruefer sequence for n <= 9.  The
 sweep runs every selected bound on every generated (or externally streamed)
 graph, recording violations and equality-characterization discrepancies.
 Work is partitioned into contiguous index chunks whose partial reports merge
-associatively, so the final report does not depend on the worker count.
+associatively, so the final report does not depend on the worker count.  A
+finalized report writes its JSON file and stdout lines itself
+(``SweepReport.write_json``, ``write_lines``), formatting each record kind once.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import operator
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
@@ -42,6 +46,15 @@ class Violation:
     lhs: str
     rhs: str
 
+    def as_dict(self) -> dict:
+        """The record as the report lists it."""
+        return {"graph6": self.graph6, "bound_id": self.bound_id, "lhs": self.lhs,
+                "rhs": self.rhs}
+
+    def line(self) -> str:
+        """The record's stdout line, without its newline."""
+        return f"VIOLATION {self.bound_id} {self.graph6} lhs={self.lhs} rhs={self.rhs}"
+
 
 @dataclass(frozen=True)
 class EqualityDiscrepancy:
@@ -50,6 +63,22 @@ class EqualityDiscrepancy:
     expected_classes: tuple[str, ...]
     actual_classification: tuple[str, ...]
     equality: bool
+
+    def as_dict(self) -> dict:
+        """The record as the report lists it."""
+        return {
+            "graph6": self.graph6,
+            "bound_id": self.bound_id,
+            "expected_classes": list(self.expected_classes),
+            "actual_classification": list(self.actual_classification),
+            "equality": self.equality,
+        }
+
+    def line(self) -> str:
+        """The record's stdout line, without its newline."""
+        actual = ",".join(self.actual_classification) if self.actual_classification else "none"
+        return (f"equality_discrepancy {self.bound_id} {self.graph6} equality={self.equality} "
+                f"expected_one_of={','.join(self.expected_classes)} actual={actual}")
 
 
 @dataclass(frozen=True)
@@ -117,24 +146,114 @@ class SweepReport:
         out = {
             "graphs_seen": self.graphs_seen,
             "graphs_checked": self.graphs_checked,
-            "violations": [
-                {"graph6": v.graph6, "bound_id": v.bound_id, "lhs": v.lhs, "rhs": v.rhs}
-                for v in self.violations
-            ],
-            "equality_discrepancies": [
-                {
-                    "graph6": d.graph6,
-                    "bound_id": d.bound_id,
-                    "expected_classes": list(d.expected_classes),
-                    "actual_classification": list(d.actual_classification),
-                    "equality": d.equality,
-                }
-                for d in self.equality_discrepancies
-            ],
+            "violations": [v.as_dict() for v in self.violations],
+            "equality_discrepancies": [d.as_dict() for d in self.equality_discrepancies],
         }
         if include_timing:
             out["wall_time"] = self.wall_time
         return out
+
+    # The writers below give the report file and the stdout lines of a
+    # finalized report.  Each record is the text of its kind (see _Templates)
+    # with its graph6 filled in, JSON-escaped in the report, since graph6
+    # text can hold a backslash, and raw on stdout; the text goes out
+    # WRITE_BLOCK records per write.
+
+    def write_json(self, fh, config: dict) -> None:
+        """Write ``{"config": config, **self.to_dict()}`` as ``json.dump(indent=2)`` does.
+
+        Plus a trailing newline.  The output is byte for byte that of
+        ``json.dump``, which the tests hold it to; ``to_dict`` stays the
+        definition of the content.
+        """
+        counts = replace(self, violations=[], equality_discrepancies=[])
+        top = {"config": config, **counts.to_dict()}
+        top["violations"] = top["equality_discrepancies"] = _SLOT
+        head, middle, tail = json.dumps(top, indent=2).split(json.dumps(_SLOT))
+        fh.write(head)
+        _write_json_list(fh, self.violations)
+        fh.write(middle)
+        _write_json_list(fh, self.equality_discrepancies)
+        fh.write(tail + "\n")
+
+    def write_lines(self, out) -> None:
+        """Write one ``record.line()`` per record to ``out``, violations first.
+
+        When the reader of ``out`` goes away (``isdd-lab sweep | head -1``),
+        stop writing quietly and point ``out``'s descriptor at ``os.devnull``,
+        as the Python docs advise for SIGPIPE: the text still buffered then
+        goes there instead of failing again when the interpreter flushes it
+        at exit.
+        """
+        try:
+            for records in (self.violations, self.equality_discrepancies):
+                for block in _record_blocks(records, _line_text, str):
+                    out.write("".join(block))
+            out.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, out.fileno())
+            finally:
+                os.close(devnull)
+
+
+_SLOT = "\x00"  # stands in for a graph6 or a record list while a template is formatted
+WRITE_BLOCK = 1024  # records per write call, so that no whole output is held in memory
+_GRAPH6 = operator.attrgetter("graph6")
+
+
+def _report_text(record) -> str:
+    """The record as ``json.dump(indent=2)`` lays it out two levels deep in the report."""
+    return "    " + json.dumps(record.as_dict(), indent=2).replace("\n", "\n    ")
+
+
+def _line_text(record) -> str:
+    return record.line() + "\n"
+
+
+class _Templates(dict):
+    """Record kind -> text of that kind's records as a %-format, ``%s`` for the graph6.
+
+    A kind (``kind_of(record)``) is a record's fields after its first, graph6:
+    records of one kind differ only in their graph6, so each kind is formatted
+    once, from a probe record whose graph6 is a slot.  ``escape`` renders the
+    graph6 in the text.
+    """
+
+    def __init__(self, cls, text, escape):
+        super().__init__()
+        self.cls, self.text, self.escape = cls, text, escape
+        self.kind_of = operator.attrgetter(*(f.name for f in fields(cls)[1:]))
+
+    def __missing__(self, kind):
+        text = self.text(self.cls(_SLOT, *kind))
+        fmt = self[kind] = text.replace("%", "%%").replace(self.escape(_SLOT), "%s")
+        return fmt
+
+
+def _record_blocks(records, text, escape):
+    """Lists of up to ``WRITE_BLOCK`` record texts, in report order."""
+    if not records:
+        return
+    templates = _Templates(type(records[0]), text, escape)
+    for lo in range(0, len(records), WRITE_BLOCK):
+        block = records[lo:lo + WRITE_BLOCK]
+        kinds = map(templates.kind_of, block)
+        yield list(map(operator.mod, map(templates.__getitem__, kinds),
+                       map(escape, map(_GRAPH6, block))))
+
+
+def _write_json_list(fh, records):
+    if not records:
+        fh.write("[]")
+        return
+    separator = "[\n"
+    for block in _record_blocks(records, _report_text, json.dumps):
+        fh.write(separator)
+        fh.write(",\n".join(block))
+        separator = ",\n"
+    fh.write("\n  ]")
 
 
 def labeled_graphs(n: int):

@@ -11,15 +11,18 @@ Two text formats are supported:
   N(n), then the upper triangle of the adjacency matrix column by column,
   x(0,1), x(0,2), x(1,2), x(0,3), ...  The short header covers n <= 62, the
   four-byte header ('~' + 3 bytes) covers 63 <= n <= 258047.
-* edge list: first line "n m", then m lines "i j".
+* edge list: first line "n m", then m lines "i j", each number an optionally
+  signed run of ASCII digits.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 
 GRAPH6_MAX_N = 258047  # largest order encodable with the 4-byte size header
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
 
 
 class GraphError(ValueError):
@@ -254,6 +257,16 @@ def write_graph6(g: Graph) -> str:
     return header + "".join(out)
 
 
+def _ascii_int(token: str) -> int:
+    """``int(token)`` for an optionally signed run of ASCII digits only.
+
+    ``int`` alone also takes any Unicode decimal digit and ``_`` separators.
+    """
+    if not _ASCII_INT.fullmatch(token):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" + m x "i j" edge-list format; strict about counts."""
     lines = text.splitlines()
@@ -265,7 +278,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(parts) != 2:
         raise EdgeListError(f"header must be 'n m', got {head!r}", head_no)
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = _ascii_int(parts[0]), _ascii_int(parts[1])
     except ValueError:
         raise EdgeListError(f"header must be two integers, got {head!r}", head_no) from None
     if n < 0 or m < 0:
@@ -278,7 +291,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise EdgeListError(f"edge line must be 'i j', got {line!r}", line_no)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError:
             raise EdgeListError(f"edge line must be two integers, got {line!r}", line_no) from None
         if not (0 <= u < n and 0 <= v < n):

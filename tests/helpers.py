@@ -105,3 +105,27 @@ def oracle_encode_prufer(g: Graph) -> list[int]:
         adj[parent].discard(leaf)
         del adj[leaf]
     return seq
+
+
+def oracle_report_text(report, config: dict) -> str:
+    """The ``--report`` file as the CLI wrote it with ``json.dump``."""
+    import io
+    import json
+
+    fh = io.StringIO()
+    json.dump({"config": config, **report.to_dict()}, fh, indent=2)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def oracle_record_lines(report) -> str:
+    """The stdout record lines as the CLI printed them one f-string at a time."""
+    lines = [f"VIOLATION {v.bound_id} {v.graph6} lhs={v.lhs} rhs={v.rhs}\n"
+             for v in report.violations]
+    for d in report.equality_discrepancies:
+        lines.append(
+            f"equality_discrepancy {d.bound_id} {d.graph6} equality={d.equality} "
+            f"expected_one_of={','.join(d.expected_classes)} "
+            f"actual={','.join(d.actual_classification) if d.actual_classification else 'none'}\n"
+        )
+    return "".join(lines)

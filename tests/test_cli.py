@@ -1,11 +1,27 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import isdd_lab
+from isdd_lab.bounds import ALL_BOUND_IDS
 from isdd_lab.cli import main
 from isdd_lab.enumeration import SweepConfig, run_sweep, stream_graph6
 from isdd_lab.graphs import write_graph6
-from helpers import complete_bipartite, cycle_graph, h2_graph, h3_graph, path_graph
+from helpers import (
+    complete_bipartite,
+    cycle_graph,
+    h2_graph,
+    h3_graph,
+    oracle_record_lines,
+    oracle_report_text,
+    path_graph,
+)
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -69,6 +85,17 @@ class TestCompute:
         out, _ = capsys.readouterr()
         assert code == 0
         assert json.loads(out)["index_vector"]["isdd"] == "13/10"
+
+    def test_edgelist_non_ascii_digit_exits_2(self, monkeypatch, capsys):
+        # printf '3 2\n\xd9\xa0 1\n1 2\n' | isdd-lab compute --format edgelist
+        stdin = io.TextIOWrapper(io.BytesIO(b"3 2\n\xd9\xa0 1\n1 2\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["compute", "--format", "edgelist"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error at -: edge line must be two integers")
+        assert err.rstrip().endswith("(line 2)")
 
     def test_ga_decimal_round_trips(self, monkeypatch, capsys):
         g6 = write_graph6(complete_bipartite(2, 3))
@@ -333,3 +360,126 @@ class TestSweep:
         code = main(["sweep", "--n-max", "3"])
         capsys.readouterr()
         assert code == 0
+
+
+def _config(n_min, n_max, connected_only=True, trees=False):
+    return {"n_min": n_min, "n_max": n_max, "connected_only": connected_only, "dedup": False,
+            "bounds": list(ALL_BOUND_IDS), "max_graphs": None, "trees": trees}
+
+
+class TestSweepOutput:
+    """The report file and stdout of each sweep mode against json.dump of
+    ``to_dict`` and the old print f-strings, byte for byte."""
+
+    def assert_matches_oracle(self, report_path, out, expected, config):
+        text = report_path.read_text(encoding="ascii")
+        expected.wall_time = json.loads(text)["wall_time"]
+        assert text == oracle_report_text(expected, config)
+        assert out == oracle_record_lines(expected)
+
+    def test_graphs_no_connected(self, tmp_path, capsys):
+        p = tmp_path / "report.json"
+        code = main(["sweep", "--n-max", "5", "--no-connected", "--jobs", "1",
+                     "--report", str(p)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        expected = run_sweep(SweepConfig(n_min=2, n_max=5, connected_only=False))
+        self.assert_matches_oracle(p, out, expected, _config(2, 5, connected_only=False))
+
+    def test_trees_all_bounds(self, tmp_path, capsys):
+        p = tmp_path / "report.json"
+        code = main(["trees", "--n-max", "6", "--bounds", "all", "--jobs", "1",
+                     "--report", str(p)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        expected = run_sweep(SweepConfig(n_min=4, n_max=6, trees=True))
+        assert expected.equality_discrepancies
+        self.assert_matches_oracle(p, out, expected, _config(4, 6, trees=True))
+
+    def test_stdin_stream(self, tmp_path, monkeypatch, capsys):
+        lines = ["Ch", "D\\o", "zzz!", write_graph6(path_graph(9)), write_graph6(h2_graph())]
+        p = tmp_path / "report.json"
+        code, out, _ = run_cli(["sweep", "--stdin-graph6", "--report", str(p)],
+                               "\n".join(lines) + "\n", monkeypatch, capsys)
+        assert code == 2
+        expected = run_sweep(SweepConfig(n_min=2, n_max=6), graphs=stream_graph6(lines))
+        assert "D\\o" in {d.graph6 for d in expected.equality_discrepancies}
+        self.assert_matches_oracle(p, out, expected, _config(2, 6))
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away; ``fileno`` is a descriptor of the test's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def _force_violation(monkeypatch):
+    from isdd_lab import _kernel
+
+    def fake_kernel(g, bounds, connected_only, check_classes):
+        return {"seen": 1, "checked": 1, "violations": [("Ch", "LOWER_ELL", "0", "1")],
+                "discrepancies": []}
+
+    monkeypatch.setattr(_kernel, "check_graph_kernel", fake_kernel)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("stdin_text, violation, exit_code", [
+        ("Ch\nD\\o\n", False, 0),
+        ("Ch\nzzz!\n", False, 2),
+        ("Ch\nzzz!\n", True, 3),
+    ])
+    def test_exit_code_and_report_survive(self, tmp_path, monkeypatch, capsys,
+                                          stdin_text, violation, exit_code):
+        if violation:
+            _force_violation(monkeypatch)
+        p = tmp_path / "report.json"
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+            monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+            code = main(["sweep", "--stdin-graph6", "--report", str(p)])
+            now, devnull = os.fstat(fd), os.stat(os.devnull)
+        finally:
+            os.close(fd)
+        _, err = capsys.readouterr()
+        assert code == exit_code
+        assert "Traceback" not in err and "BrokenPipe" not in err
+        assert (now.st_dev, now.st_ino) == (devnull.st_dev, devnull.st_ino)
+        payload = json.loads(p.read_text())
+        assert len(payload["violations"]) == int(violation)
+        assert payload["graphs_seen"] == 2
+
+    def test_reader_closes_pipe(self, tmp_path):
+        # isdd-lab sweep --n-max 6 | head -1: about 640 kB of records, far more
+        # than a pipe holds, so the writer meets the closed pipe mid-way
+        p = tmp_path / "report.json"
+        src = str(Path(isdd_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isdd_lab.cli", "sweep", "--n-max", "6", "--jobs", "1",
+             "--report", str(p)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        assert first.startswith(b"equality_discrepancy ")
+        assert code == 0, err
+        assert err.startswith("seen=33866 checked=27475 "), err
+        assert "Traceback" not in err and "BrokenPipe" not in err
+        records = json.loads(p.read_text())["equality_discrepancies"]
+        assert f"equality_discrepancies={len(records)} " in err

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isdd_lab import _kernel
+from isdd_lab import enumeration
 from isdd_lab.enumeration import (
+    EqualityDiscrepancy,
     StreamError,
     SweepConfig,
     SweepReport,
+    Violation,
     canonical_form,
     check_graph_reference,
     labeled_graphs,
@@ -25,6 +29,8 @@ from helpers import (
     h2_graph,
     h3_graph,
     oracle_encode_prufer,
+    oracle_record_lines,
+    oracle_report_text,
     path_graph,
 )
 
@@ -575,3 +581,75 @@ class TestDedupSweep:
             rep = run_sweep(SweepConfig(n_min=n, n_max=n, dedup=True, trees=True))
             assert rep.graphs_checked == count, n
             assert rep.graphs_seen == n ** (n - 2)
+
+
+CONFIG = {"n_min": 2, "n_max": 7, "connected_only": True, "dedup": False,
+          "bounds": list(ALL_BOUND_IDS), "max_graphs": None, "trees": False}
+LOWER_ELL_CLASSES = ("regular", "semiregular_bipartite", "gamma1")
+
+
+def written(report: SweepReport) -> tuple[str, str]:
+    """(report file, stdout) as the report's writers write them."""
+    fh, out = io.StringIO(), io.StringIO()
+    report.write_json(fh, CONFIG)
+    report.write_lines(out)
+    return fh.getvalue(), out.getvalue()
+
+
+class TestReportWriters:
+    """write_json and write_lines against json.dump of to_dict and the old print
+    f-strings."""
+
+    def assert_matches_oracle(self, report: SweepReport):
+        text, lines = written(report)
+        assert text == oracle_report_text(report, CONFIG)
+        assert lines == oracle_record_lines(report)
+
+    def test_no_records(self):
+        self.assert_matches_oracle(SweepReport(graphs_seen=5, graphs_checked=0, wall_time=0.25))
+
+    @pytest.mark.parametrize("block", [1, 2, 1024])
+    def test_every_record_shape(self, monkeypatch, block):
+        # no real sweep has a violation, so only a report built by hand covers them
+        monkeypatch.setattr(enumeration, "WRITE_BLOCK", block)
+        gap = ("LOWER_ELL", LOWER_ELL_CLASSES, ("semiregular_bipartite",), True)
+        report = SweepReport(
+            graphs_seen=12, graphs_checked=9,
+            violations=[
+                Violation("C\\", "GA_SIMPLE", "2.8856180831641267", "2.885618083164126"),
+                Violation("Ch", "LOWER_ELL", "13/10", "7/5"),
+                Violation("Ch", "UPPER_K", "3", "50%"),
+            ],
+            equality_discrepancies=[
+                EqualityDiscrepancy("C\\", *gap),
+                EqualityDiscrepancy("C^", "EDGE_MIN", ("pair (dmax,dmin)",), ("(3,1)", "(2,2)"),
+                                    True),
+                EqualityDiscrepancy("Ch", *gap),
+                EqualityDiscrepancy("D\\w", "RATIO_CONSTANT", ("regular",), (), False),
+                EqualityDiscrepancy("D]w", *gap),
+            ],
+            wall_time=1.5e-05,
+        )
+        self.assert_matches_oracle(report)
+        text, lines = written(report)
+        assert '"graph6": "C\\\\",' in text  # the backslash JSON-escaped
+        assert "\nequality_discrepancy LOWER_ELL C\\ " in lines  # and raw
+        assert '"actual_classification": [],' in text
+        assert " D\\w equality=False expected_one_of=regular actual=none\n" in lines
+
+    def test_real_sweep(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "WRITE_BLOCK", 7)
+        report = run_sweep(SweepConfig(n_min=2, n_max=5, connected_only=False))
+        assert len(report.equality_discrepancies) > 7
+        self.assert_matches_oracle(report)
+
+    def test_sort_keys_are_distinct(self):
+        # finalize's (graph6, bound_id) keys order the records totally, so the
+        # output does not depend on the order in which chunks come back
+        for cfg in (SweepConfig(n_min=1, n_max=6, connected_only=False),
+                    SweepConfig(n_min=4, n_max=8, trees=True)):
+            report = run_sweep(cfg, jobs=2)
+            for records in (report.violations, report.equality_discrepancies):
+                keys = [(r.graph6, r.bound_id) for r in records]
+                assert len(set(keys)) == len(keys), cfg
+            assert report.equality_discrepancies, cfg

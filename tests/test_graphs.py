@@ -145,6 +145,13 @@ class TestEdgeList:
         with pytest.raises(EdgeListError):
             parse_edge_list("4 3\n0 1\n1 2")
 
+    def test_only_ascii_digits(self):
+        # int() alone takes any Unicode decimal digit and "_" separators
+        for text in ("3 2\n\u0660 1\n1 2", "\uff13 0", "1_0 0"):
+            with pytest.raises(EdgeListError):
+                parse_edge_list(text)
+        assert parse_edge_list("+2 1\n0 1") == path_graph(2)
+
 
 # arbitrary text, plus text drawn near each format so the fuzz reaches past
 # the first character or line check
