@@ -67,7 +67,7 @@ from math import sqrt
 
 from .bounds import REL_TOL, STRICT_MARGIN, ga_m2_rhs, ga_simple_rhs
 from .classify import in_gamma3
-from .graphs import Graph
+from .graphs import Graph, degree_pair_counts, degrees
 from .indices import fraction_str
 
 # Classes whose membership is expected to coincide with equality, per check id.
@@ -907,18 +907,10 @@ def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool,
     connected = g.n >= 1 and is_connected(g)
     if (connected_only and not connected) or g.m == 0:
         return {"seen": 1, "checked": 0, "violations": [], "discrepancies": []}
-    deg = [0] * g.n
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    pc: dict[tuple[int, int], int] = {}
-    for i, j in g.edges:
-        a, b = deg[i], deg[j]
-        key = (a, b) if a >= b else (b, a)
-        pc[key] = pc.get(key, 0) + 1
+    deg = degrees(g)
     sel = Selection(bounds, check_classes)
     check_pair_stats(
-        g.n, g.m, deg, pc, connected, sel, lambda: write_graph6(g),
+        g.n, g.m, deg, degree_pair_counts(g, deg), connected, sel, lambda: write_graph6(g),
         violations, discrepancies,
     )
     return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError, degree_pair_counts, degrees, is_connected
 from .indices import edge_term_isdd, geometric_arithmetic, isdd, zagreb1, zagreb2, forgotten
 
 REL_TOL = 1e-9
@@ -135,21 +135,12 @@ class _Params:
     """
 
     def __init__(self, g: Graph):
-        deg = [0] * g.n
-        for i, j in g.edges:
-            deg[i] += 1
-            deg[j] += 1
+        deg = degrees(g)
         self.g = g
-        self.deg = deg
         self.m = g.m
         self.dmax = max(deg) if deg else 0
         self.dmin = min(deg) if deg else 0
-        pc: dict[tuple[int, int], int] = {}
-        for i, j in g.edges:
-            a, b = deg[i], deg[j]
-            key = (a, b) if a >= b else (b, a)
-            pc[key] = pc.get(key, 0) + 1
-        self.pair_counts = pc
+        pc = self.pair_counts = degree_pair_counts(g, deg)
         self.ell = pc.get((self.dmax, self.dmin), 0)
         self.k = sum(c for (a, b), c in pc.items() if a == b)
         self._isdd: Fraction | None = None

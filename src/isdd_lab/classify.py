@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, bipartition, degree_data, is_connected
+from .graphs import Graph, GraphError, bipartition, degree_data, degree_pair_counts, is_connected
 from .indices import _degrees
 
 
@@ -112,19 +112,8 @@ def in_gamma1(g: Graph) -> bool:
         return False
     deg = _degrees(g)
     dmax, dmin = max(deg), min(deg)
-    ell = 0
-    second = 0
-    want2 = (dmax - 1, dmin) if dmax - 1 >= dmin else (dmin, dmax - 1)
-    for i, j in g.edges:
-        a, b = deg[i], deg[j]
-        pair = (a, b) if a >= b else (b, a)
-        if pair == (dmax, dmin):
-            ell += 1
-        elif pair == want2:
-            second += 1
-        else:
-            return False
-    return ell > 0 and second > 0
+    second = (dmax - 1, dmin) if dmax - 1 >= dmin else (dmin, dmax - 1)
+    return degree_pair_counts(g, deg).keys() == {(dmax, dmin), second}
 
 
 def in_gamma2(g: Graph) -> bool:
@@ -135,17 +124,10 @@ def in_gamma2(g: Graph) -> bool:
         return False
     deg = _degrees(g)
     dmax = max(deg)
-    k = 0
-    cross = 0
-    for i, j in g.edges:
-        a, b = deg[i], deg[j]
-        if a == b and (a == dmax or a == dmax - 1):
-            k += 1
-        elif (a, b) in ((dmax, dmax - 1), (dmax - 1, dmax)):
-            cross += 1
-        else:
-            return False
-    return k > 0 and cross > 0
+    cross = (dmax, dmax - 1)
+    pairs = degree_pair_counts(g, deg).keys()
+    return (cross in pairs and any(a == b for a, b in pairs)
+            and pairs <= {(dmax, dmax), (dmax - 1, dmax - 1), cross})
 
 
 def in_gamma3(g: Graph) -> bool:
@@ -186,12 +168,10 @@ def edge_ratio_constant(g: Graph) -> Fraction | None:
     """The common value of (di+dj)/(di^2+dj^2) over all edges, if constant."""
     if g.m == 0:
         raise GraphError("edge ratio undefined for an edgeless graph")
-    deg = _degrees(g)
-    i0, j0 = g.edges[0]
-    a0, b0 = deg[i0], deg[j0]
+    pairs = iter(degree_pair_counts(g))
+    a0, b0 = next(pairs)
     num0, den0 = a0 + b0, a0 * a0 + b0 * b0
-    for i, j in g.edges:
-        a, b = deg[i], deg[j]
+    for a, b in pairs:
         if (a + b) * den0 != num0 * (a * a + b * b):
             return None
     return Fraction(num0, den0)

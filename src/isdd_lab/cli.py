@@ -7,9 +7,11 @@ Subcommands: ``compute`` (index values), ``check`` (bound reports),
 Exit codes: 0 success; 1 unreadable input, an unwritable report path or an
 invalid configuration; 2 parse errors in the input; 3 at least one bound
 violation (a falsified claim, which CI must be able to tell apart from bad
-input).  When the reader of a sweep's stdout goes away (``isdd-lab sweep |
-head -1``), the record lines stop quietly, the ``--report`` file is still
-complete and the exit code is still the sweep's.
+input).  When the reader of stdout goes away (``isdd-lab compute | head -1``,
+``isdd-lab sweep | head -1``), every command stops writing quietly: compute,
+check and classify stop reading graphs and exit with the code of the graphs
+read so far; a sweep still completes its ``--report`` file and exits with
+the sweep's code.
 
 JSON schemas (--json emits one object per line):
 
@@ -41,7 +43,7 @@ import sys
 
 from .bounds import ALL_BOUND_IDS, BoundReport, SkippedBound, evaluate_all
 from .classify import GraphClassLabel, classify
-from .enumeration import StreamError, SweepConfig, run_sweep, stream_graph6
+from .enumeration import StreamError, SweepConfig, run_sweep, stream_graph6, until_reader_leaves
 from .graphs import Graph, GraphError, parse_edge_list, parse_graph6
 from .indices import fraction_str, index_vector
 
@@ -141,105 +143,96 @@ def _human_indices(input_id: str, g: Graph) -> str:
     )
 
 
-def cmd_compute(args) -> int:
+def _each_graph(args, render) -> int:
+    """The loop of compute, check and classify over the graphs of the input.
+
+    ``render(input_id, g)`` returns the graph's exit code and its stdout
+    text, or None for none.  A parse error is EXIT_PARSE, a stderr line and,
+    with ``--json``, an ``error`` object.  The exit code is the largest one
+    seen; when the reader of stdout goes away the loop ends quietly with the
+    code so far.
+    """
     text = _read_input(args.input)
     if text is None:
         return EXIT_USAGE
     status = EXIT_OK
-    for input_id, item in _iter_graphs(text, args.format, args.input):
-        if isinstance(item, str):
-            status = EXIT_PARSE
-            if args.json:
-                print(json.dumps({"input_id": input_id, "error": item}))
-            print(f"parse error at {input_id}: {item}", file=sys.stderr)
-            continue
-        if args.json:
-            print(json.dumps({"input_id": input_id, "index_vector": _index_vector_json(item)}))
-        else:
-            print(_human_indices(input_id, item))
+    with until_reader_leaves(sys.stdout):
+        for input_id, item in _iter_graphs(text, args.format, args.input):
+            if isinstance(item, str):
+                print(f"parse error at {input_id}: {item}", file=sys.stderr)
+                code = EXIT_PARSE
+                out = json.dumps({"input_id": input_id, "error": item}) if args.json else None
+            else:
+                code, out = render(input_id, item)
+            status = max(status, code)
+            if out is not None:
+                print(out)
     return status
 
 
+def cmd_compute(args) -> int:
+    def render(input_id: str, g: Graph):
+        if args.json:
+            return EXIT_OK, json.dumps({"input_id": input_id, "index_vector": _index_vector_json(g)})
+        return EXIT_OK, _human_indices(input_id, g)
+
+    return _each_graph(args, render)
+
+
 def cmd_check(args) -> int:
-    text = _read_input(args.input)
-    if text is None:
-        return EXIT_USAGE
     try:
         selected = _parse_bounds(args.bounds)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    status = EXIT_OK
-    any_violation = False
-    for input_id, item in _iter_graphs(text, args.format, args.input):
-        if isinstance(item, str):
-            status = EXIT_PARSE
-            if args.json:
-                print(json.dumps({"input_id": input_id, "error": item}))
-            print(f"parse error at {input_id}: {item}", file=sys.stderr)
-            continue
-        if item.m == 0:
-            status = EXIT_PARSE
+
+    def render(input_id: str, g: Graph):
+        if g.m == 0:
             print(f"skipping {input_id}: no edges, nothing to check", file=sys.stderr)
-            continue
-        entries = [
-            e for e in evaluate_all(item)
-            if (e.bound_id.value in selected)
-        ]
-        for e in entries:
-            if isinstance(e, BoundReport) and not e.holds:
-                any_violation = True
+            return EXIT_PARSE, None
+        entries = [e for e in evaluate_all(g) if e.bound_id.value in selected]
+        violated = any(isinstance(e, BoundReport) and not e.holds for e in entries)
+        code = EXIT_VIOLATION if violated else EXIT_OK
         if args.json:
-            print(json.dumps({
+            return code, json.dumps({
                 "input_id": input_id,
                 "bounds": [_bound_json(e) for e in entries],
-            }))
-        else:
-            print(f"{input_id}:")
-            for e in entries:
-                if isinstance(e, SkippedBound):
-                    print(f"  {e.bound_id.value}: skipped ({e.reason})")
-                    continue
-                lhs = e.lhs if isinstance(e.lhs, float) else fraction_str(e.lhs)
-                rhs = e.rhs if isinstance(e.rhs, float) else fraction_str(e.rhs)
-                verdict = "HOLDS" if e.holds else "VIOLATED"
-                eq = " equality" if e.equality else ""
-                print(f"  {e.bound_id.value}: {verdict}{eq} lhs={lhs} rhs={rhs}")
-    if any_violation:
-        return EXIT_VIOLATION
-    return status
+            })
+        lines = [f"{input_id}:"]
+        for e in entries:
+            if isinstance(e, SkippedBound):
+                lines.append(f"  {e.bound_id.value}: skipped ({e.reason})")
+                continue
+            lhs = e.lhs if isinstance(e.lhs, float) else fraction_str(e.lhs)
+            rhs = e.rhs if isinstance(e.rhs, float) else fraction_str(e.rhs)
+            verdict = "HOLDS" if e.holds else "VIOLATED"
+            eq = " equality" if e.equality else ""
+            lines.append(f"  {e.bound_id.value}: {verdict}{eq} lhs={lhs} rhs={rhs}")
+        return code, "\n".join(lines)
+
+    return _each_graph(args, render)
 
 
 def cmd_classify(args) -> int:
-    text = _read_input(args.input)
-    if text is None:
-        return EXIT_USAGE
-    status = EXIT_OK
-    for input_id, item in _iter_graphs(text, args.format, args.input):
-        if isinstance(item, str):
-            status = EXIT_PARSE
-            if args.json:
-                print(json.dumps({"input_id": input_id, "error": item}))
-            print(f"parse error at {input_id}: {item}", file=sys.stderr)
-            continue
-        label = classify(item)
+    def render(input_id: str, g: Graph):
+        label = classify(g)
         if args.json:
-            print(json.dumps({"input_id": input_id, "classes": _classes_json(label)}))
-        else:
-            parts = []
-            if label.regular:
-                parts.append(f"regular(r={label.regular_degree})")
-            if label.semiregular_bipartite:
-                r, s = label.semiregular_pair
-                parts.append(f"semiregular_bipartite({r},{s})")
-            for name, flag in (("gamma1", label.gamma1), ("gamma2", label.gamma2),
-                               ("gamma3", label.gamma3)):
-                if flag:
-                    parts.append(name)
-            if label.constant_edge_ratio:
-                parts.append(f"constant_edge_ratio({fraction_str(label.edge_ratio)})")
-            print(f"{input_id}: {' '.join(parts) if parts else 'no class memberships'}")
-    return status
+            return EXIT_OK, json.dumps({"input_id": input_id, "classes": _classes_json(label)})
+        parts = []
+        if label.regular:
+            parts.append(f"regular(r={label.regular_degree})")
+        if label.semiregular_bipartite:
+            r, s = label.semiregular_pair
+            parts.append(f"semiregular_bipartite({r},{s})")
+        for name, flag in (("gamma1", label.gamma1), ("gamma2", label.gamma2),
+                           ("gamma3", label.gamma3)):
+            if flag:
+                parts.append(name)
+        if label.constant_edge_ratio:
+            parts.append(f"constant_edge_ratio({fraction_str(label.edge_ratio)})")
+        return EXIT_OK, f"{input_id}: {' '.join(parts) if parts else 'no class memberships'}"
+
+    return _each_graph(args, render)
 
 
 def _resolve_jobs(args) -> int:
@@ -276,7 +269,8 @@ def _sweep(cfg: SweepConfig, jobs: int, stdin_graph6: bool):
     return report, parse_errors
 
 
-def _run_sweep_command(args, trees: bool) -> int:
+def cmd_sweep(args) -> int:
+    """``sweep``, and ``trees``, whose subparser sets ``trees``."""
     try:
         selected = _parse_bounds(args.bounds)
         cfg = SweepConfig(
@@ -286,7 +280,7 @@ def _run_sweep_command(args, trees: bool) -> int:
             dedup=args.dedup,
             bounds=selected,
             max_graphs=args.max_graphs,
-            trees=trees,
+            trees=args.trees,
         )
         if not args.stdin_graph6:
             cfg.validate()
@@ -332,14 +326,6 @@ def _run_sweep_command(args, trees: bool) -> int:
     if report.violations:
         return EXIT_VIOLATION
     return EXIT_PARSE if parse_errors else EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    return _run_sweep_command(args, trees=args.trees)
-
-
-def cmd_trees(args) -> int:
-    return _run_sweep_command(args, trees=True)
 
 
 def _add_input_flags(p: argparse.ArgumentParser):
@@ -397,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="exhaustive verification over labeled trees")
     _add_sweep_flags(p, tree_defaults=True)
-    p.set_defaults(func=cmd_trees)
+    p.set_defaults(func=cmd_sweep, trees=True)
 
     return parser
 

@@ -12,6 +12,7 @@ finalized report writes its JSON file and stdout lines itself
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field, fields, replace
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
 from .classify import classify
-from .graphs import Graph, GraphError, parse_graph6, write_graph6
-from .indices import fraction_str
+from .graphs import Graph, GraphError, degree_pair_counts, degrees, parse_graph6, write_graph6
+from .indices import edge_term_isdd, fraction_str
 
 CHUNK_BITS = 15  # mask-range chunk size 2**15; small enough for even balance
 
@@ -177,25 +178,33 @@ class SweepReport:
         fh.write(tail + "\n")
 
     def write_lines(self, out) -> None:
-        """Write one ``record.line()`` per record to ``out``, violations first.
-
-        When the reader of ``out`` goes away (``isdd-lab sweep | head -1``),
-        stop writing quietly and point ``out``'s descriptor at ``os.devnull``,
-        as the Python docs advise for SIGPIPE: the text still buffered then
-        goes there instead of failing again when the interpreter flushes it
-        at exit.
-        """
-        try:
+        """Write one ``record.line()`` per record to ``out``, violations first,
+        stopping quietly if the reader goes away (:func:`until_reader_leaves`)."""
+        with until_reader_leaves(out):
             for records in (self.violations, self.equality_discrepancies):
                 for block in _record_blocks(records, _line_text, str):
                     out.write("".join(block))
-            out.flush()
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(devnull, out.fileno())
-            finally:
-                os.close(devnull)
+
+
+@contextlib.contextmanager
+def until_reader_leaves(out):
+    """Run the body, then flush ``out``; a closed reader ends both quietly.
+
+    When the reader of ``out`` goes away (``isdd-lab sweep | head -1``), the
+    ``BrokenPipeError`` stops the body and ``out``'s descriptor is pointed at
+    ``os.devnull``, as the Python docs advise for SIGPIPE: the text still
+    buffered then goes there instead of failing again when the interpreter
+    flushes it at exit.
+    """
+    try:
+        yield
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, out.fileno())
+        finally:
+            os.close(devnull)
 
 
 _SLOT = "\x00"  # stands in for a graph6 or a record list while a template is formatted
@@ -375,13 +384,8 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
 
     if check_classes and connected:
         label = classify(g)
-        from .indices import _degrees, edge_term_isdd
-
-        deg = _degrees(g)
-        pairs = set()
-        for i, j in g.edges:
-            a, b = deg[i], deg[j]
-            pairs.add((a, b) if a >= b else (b, a))
+        deg = degrees(g)
+        pairs = degree_pair_counts(g, deg)
         dmax, dmin = max(deg), min(deg)
         consecutive = (
             label.semiregular_bipartite

@@ -12,7 +12,8 @@ Two text formats are supported:
   x(0,1), x(0,2), x(1,2), x(0,3), ...  The short header covers n <= 62, the
   four-byte header ('~' + 3 bytes) covers 63 <= n <= 258047.
 * edge list: first line "n m", then m lines "i j", each number an optionally
-  signed run of ASCII digits.
+  signed run of ASCII digits; lines end at "\n", numbers are separated by
+  spaces and tabs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 GRAPH6_MAX_N = 258047  # largest order encodable with the 4-byte size header
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
+_BLANKS = re.compile(r"[ \t]+")
 
 
 class GraphError(ValueError):
@@ -111,14 +113,36 @@ class Bipartition:
         return tuple(v for v, s in enumerate(self.side_of) if s == 1)
 
 
-def degree_data(g: Graph) -> DegreeData:
-    """Per-vertex degrees plus the maximum and minimum degree."""
-    if g.n == 0:
-        raise GraphError("degree data undefined for the empty vertex set")
+def degrees(g: Graph) -> list[int]:
+    """Per-vertex degrees, indexed by vertex id."""
     deg = [0] * g.n
     for i, j in g.edges:
         deg[i] += 1
         deg[j] += 1
+    return deg
+
+
+def degree_pair_counts(g: Graph, deg=None) -> dict[tuple[int, int], int]:
+    """Edge count per endpoint degree pair (a, b), a >= b.
+
+    Keys come in the order of each pair's first edge in ``g.edges``; ``deg``
+    is ``degrees(g)`` when the caller already has it.
+    """
+    if deg is None:
+        deg = degrees(g)
+    pc: dict[tuple[int, int], int] = {}
+    for i, j in g.edges:
+        a, b = deg[i], deg[j]
+        key = (a, b) if a >= b else (b, a)
+        pc[key] = pc.get(key, 0) + 1
+    return pc
+
+
+def degree_data(g: Graph) -> DegreeData:
+    """Per-vertex degrees plus the maximum and minimum degree."""
+    if g.n == 0:
+        raise GraphError("degree data undefined for the empty vertex set")
+    deg = degrees(g)
     return DegreeData(tuple(deg), max(deg), min(deg))
 
 
@@ -167,18 +191,9 @@ def bipartition(g: Graph) -> Bipartition | None:
 
 
 def count_degree_pair_edges(g: Graph, a: int, b: int) -> int:
-    """Number of edges whose endpoint degrees equal {a, b} as an unordered pair."""
-    if g.n == 0 or g.m == 0:
-        return 0
-    deg = degree_data(g).degrees
-    want = (a, b) if a >= b else (b, a)
-    count = 0
-    for i, j in g.edges:
-        di, dj = deg[i], deg[j]
-        pair = (di, dj) if di >= dj else (dj, di)
-        if pair == want:
-            count += 1
-    return count
+    """Number of edges whose endpoint degrees equal {a, b} as an unordered
+    pair: one entry of :func:`degree_pair_counts`."""
+    return degree_pair_counts(g).get((a, b) if a >= b else (b, a), 0)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -268,32 +283,34 @@ def _ascii_int(token: str) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n m" + m x "i j" edge-list format; strict about counts."""
-    lines = text.splitlines()
-    entries = [(no + 1, ln.strip()) for no, ln in enumerate(lines) if ln.strip()]
-    if not entries:
+    """Parse the "n m" + m x "i j" edge-list format; strict about counts.
+
+    Lines end at "\n" (a "\r" just before it is dropped) and the numbers of a
+    line are separated by runs of spaces and tabs; any other character fails
+    its line.
+    """
+    rows = []
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        line = raw.strip(" \t")
+        if not line:
+            continue
+        what, shape = ("edge line", "'i j'") if rows else ("header", "'n m'")
+        parts = _BLANKS.split(line)
+        if len(parts) != 2:
+            raise EdgeListError(f"{what} must be {shape}, got {line!r}", line_no)
+        try:
+            rows.append((line_no, line, _ascii_int(parts[0]), _ascii_int(parts[1])))
+        except ValueError:
+            raise EdgeListError(f"{what} must be two integers, got {line!r}", line_no) from None
+    if not rows:
         raise EdgeListError("missing 'n m' header line", 1)
-    head_no, head = entries[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise EdgeListError(f"header must be 'n m', got {head!r}", head_no)
-    try:
-        n, m = _ascii_int(parts[0]), _ascii_int(parts[1])
-    except ValueError:
-        raise EdgeListError(f"header must be two integers, got {head!r}", head_no) from None
+    head_no, _, n, m = rows[0]
     if n < 0 or m < 0:
         raise EdgeListError("n and m must be non-negative", head_no)
-    if len(entries) - 1 != m:
-        raise EdgeListError(f"expected {m} edge lines, found {len(entries) - 1}", head_no)
+    if len(rows) - 1 != m:
+        raise EdgeListError(f"expected {m} edge lines, found {len(rows) - 1}", head_no)
     seen: set[tuple[int, int]] = set()
-    for line_no, line in entries[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListError(f"edge line must be 'i j', got {line!r}", line_no)
-        try:
-            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
-        except ValueError:
-            raise EdgeListError(f"edge line must be two integers, got {line!r}", line_no) from None
+    for line_no, line, u, v in rows[1:]:
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError(f"vertex id out of range 0..{n - 1} in {line!r}", line_no)
         if u == v:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, degrees as _degrees
 
 GA_ABS_TOL = 1e-9
 
@@ -29,14 +29,6 @@ def fraction_str(x: Fraction) -> str:
 @lru_cache(maxsize=None)
 def _term(a: int, b: int) -> Fraction:
     return Fraction(a * b, a * a + b * b)
-
-
-def _degrees(g: Graph) -> list[int]:
-    deg = [0] * g.n
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
 
 
 def edge_term_isdd(di: int, dj: int) -> Fraction:

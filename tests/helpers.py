@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from isdd_lab.graphs import Graph
+from fractions import Fraction
+
+from isdd_lab.graphs import Graph, is_connected
 
 
 def path_graph(n: int) -> Graph:
@@ -129,3 +131,72 @@ def oracle_record_lines(report) -> str:
             f"actual={','.join(d.actual_classification) if d.actual_classification else 'none'}\n"
         )
     return "".join(lines)
+
+
+# Edge-by-edge definitions of the degree-pair quantities, the brute-force side
+# of the differential tests.  Degrees come from the adjacency lists, not from
+# ``graphs.degrees``.
+
+def _adjacency_degrees(g: Graph) -> list[int]:
+    return [len(nb) for nb in g.neighbors()]
+
+
+def oracle_degree_pair_counts(g: Graph) -> dict[tuple[int, int], int]:
+    """Edges per degree pair (a, b), a >= b, keyed in first-edge order."""
+    deg = _adjacency_degrees(g)
+    pc: dict[tuple[int, int], int] = {}
+    for i, j in g.edges:
+        a, b = deg[i], deg[j]
+        key = (a, b) if a >= b else (b, a)
+        pc[key] = pc.get(key, 0) + 1
+    return pc
+
+
+def oracle_in_gamma1(g: Graph) -> bool:
+    if g.n == 0 or g.m == 0 or not is_connected(g):
+        return False
+    deg = _adjacency_degrees(g)
+    dmax, dmin = max(deg), min(deg)
+    ell = 0
+    second = 0
+    want2 = (dmax - 1, dmin) if dmax - 1 >= dmin else (dmin, dmax - 1)
+    for i, j in g.edges:
+        a, b = deg[i], deg[j]
+        pair = (a, b) if a >= b else (b, a)
+        if pair == (dmax, dmin):
+            ell += 1
+        elif pair == want2:
+            second += 1
+        else:
+            return False
+    return ell > 0 and second > 0
+
+
+def oracle_in_gamma2(g: Graph) -> bool:
+    if g.n == 0 or g.m == 0 or not is_connected(g):
+        return False
+    deg = _adjacency_degrees(g)
+    dmax = max(deg)
+    k = 0
+    cross = 0
+    for i, j in g.edges:
+        a, b = deg[i], deg[j]
+        if a == b and (a == dmax or a == dmax - 1):
+            k += 1
+        elif (a, b) in ((dmax, dmax - 1), (dmax - 1, dmax)):
+            cross += 1
+        else:
+            return False
+    return k > 0 and cross > 0
+
+
+def oracle_edge_ratio_constant(g: Graph) -> Fraction | None:
+    deg = _adjacency_degrees(g)
+    i0, j0 = g.edges[0]
+    a0, b0 = deg[i0], deg[j0]
+    num0, den0 = a0 + b0, a0 * a0 + b0 * b0
+    for i, j in g.edges:
+        a, b = deg[i], deg[j]
+        if (a + b) * den0 != num0 * (a * a + b * b):
+            return None
+    return Fraction(num0, den0)

@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -96,6 +97,21 @@ class TestCompute:
         assert out == ""
         assert err.startswith("parse error at -: edge line must be two integers")
         assert err.rstrip().endswith("(line 2)")
+
+    @pytest.mark.parametrize("raw, line_no", [
+        (b"3\xc2\xa02\n0 1\n1 2\n", 1),  # no-break space inside the header
+        (b"3 2\n0 1\x1c1 2\n", 2),  # \x1c is no line end
+    ])
+    def test_edgelist_separators_exit_2(self, monkeypatch, capsys, raw, line_no):
+        # printf '3\xc2\xa02\n0 1\n1 2\n' | isdd-lab compute --format edgelist
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["compute", "--format", "edgelist"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error at -: ") and "Traceback" not in err
+        assert err.rstrip().endswith(f"(line {line_no})")
 
     def test_ga_decimal_round_trips(self, monkeypatch, capsys):
         g6 = write_graph6(complete_bipartite(2, 3))
@@ -459,6 +475,47 @@ class TestClosedStdout:
         payload = json.loads(p.read_text())
         assert len(payload["violations"]) == int(violation)
         assert payload["graphs_seen"] == 2
+
+    @pytest.mark.parametrize("command", ["compute", "check", "classify"])
+    def test_per_graph_commands_stop_quietly(self, tmp_path, monkeypatch, capsys, command):
+        # the parse error comes before the first stdout line, the last graph is never read
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdin", io.StringIO("zzz!\nCh\nCh\n"))
+            monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+            code = main([command])
+            now, devnull = os.fstat(fd), os.stat(os.devnull)
+        finally:
+            os.close(fd)
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("parse error at -:1: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "BrokenPipe" not in err
+        assert (now.st_dev, now.st_ino) == (devnull.st_dev, devnull.st_ino)
+
+    def test_reader_closes_compute_pipe(self, tmp_path):
+        # isdd-lab compute --input F | head -1 on 2,999 graphs: about 200 kB of
+        # lines, more than a pipe holds
+        from isdd_lab.enumeration import labeled_graphs
+
+        graphs = itertools.islice(labeled_graphs(6), 1, 3000)
+        p = tmp_path / "n6.g6"
+        p.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+        src = str(Path(isdd_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isdd_lab.cli", "compute", "--input", str(p)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        assert first.startswith(b"E_??: n=6 m=1 ")
+        assert code == 0, err
+        assert err == ""
 
     def test_reader_closes_pipe(self, tmp_path):
         # isdd-lab sweep --n-max 6 | head -1: about 640 kB of records, far more

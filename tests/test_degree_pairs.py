@@ -1,0 +1,73 @@
+"""Differential tests: the shared degree-pair helpers and the classification
+predicates built on them against edge-by-edge definitions (``helpers``)."""
+
+import random
+
+import pytest
+
+from isdd_lab.classify import edge_ratio_constant, in_gamma1, in_gamma2
+from isdd_lab.enumeration import labeled_graphs
+from isdd_lab.graphs import Graph, count_degree_pair_edges, degree_pair_counts, degrees
+from helpers import (
+    complete_bipartite,
+    h1_graph,
+    h2_graph,
+    h3_graph,
+    oracle_degree_pair_counts,
+    oracle_edge_ratio_constant,
+    oracle_in_gamma1,
+    oracle_in_gamma2,
+)
+
+
+def _random_graphs():
+    rng = random.Random(20261018)
+    out = [h1_graph(), h2_graph(), h3_graph()]
+    for n in range(8, 31):
+        for _ in range(12):
+            density = rng.uniform(0.05, 0.9)
+            edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+            out.append(Graph(n, tuple(sorted(edges))))
+    return out
+
+
+SMALL = [g for n in range(1, 7) for g in labeled_graphs(n)]
+RANDOM = _random_graphs()
+
+
+def assert_pairs_match(graphs):
+    for g in graphs:
+        want = oracle_degree_pair_counts(g)
+        got = degree_pair_counts(g)
+        assert list(got.items()) == list(want.items()), g
+        assert degree_pair_counts(g, degrees(g)) == got
+        for a, b in list(want) + [(g.n, g.n)]:
+            assert count_degree_pair_edges(g, a, b) == want.get((a, b), 0), (g, a, b)
+            assert count_degree_pair_edges(g, b, a) == want.get((a, b), 0), (g, a, b)
+
+
+def assert_classes_match(graphs):
+    for g in graphs:
+        assert in_gamma1(g) == oracle_in_gamma1(g), g
+        assert in_gamma2(g) == oracle_in_gamma2(g), g
+        if g.m:
+            assert edge_ratio_constant(g) == oracle_edge_ratio_constant(g), g
+
+
+@pytest.mark.parametrize("graphs", [SMALL, RANDOM], ids=["every_graph_n6", "random_n8_30"])
+def test_degree_pair_counts_match_edge_by_edge(graphs):
+    assert_pairs_match(graphs)
+
+
+@pytest.mark.parametrize("graphs", [SMALL, RANDOM], ids=["every_graph_n6", "random_n8_30"])
+def test_classes_match_edge_by_edge(graphs):
+    assert_classes_match(graphs)
+
+
+def test_small_graphs_reach_every_verdict():
+    """The exhaustive set holds members and non-members of each predicate."""
+    assert {oracle_in_gamma1(g) for g in SMALL} == {True, False}
+    assert {oracle_in_gamma2(g) for g in SMALL} == {True, False}
+    assert {oracle_edge_ratio_constant(g) is None for g in SMALL if g.m} == {True, False}
+    # a single cross pair with no equal-degree edge is not gamma2
+    assert not in_gamma2(complete_bipartite(2, 3))

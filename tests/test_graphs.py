@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,11 +154,55 @@ class TestEdgeList:
                 parse_edge_list(text)
         assert parse_edge_list("+2 1\n0 1") == path_graph(2)
 
+    def test_only_spaces_and_tabs_separate(self):
+        with pytest.raises(EdgeListError) as exc:
+            parse_edge_list("3\xa02\n0 1\n1 2\n")  # no-break space
+        assert exc.value.line_no == 1
+        # str.splitlines() also ends a line at each of these
+        for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+            with pytest.raises(EdgeListError) as exc:
+                parse_edge_list(f"3 2\n0 1{sep}1 2\n")
+            assert exc.value.line_no == 2, repr(sep)
+            with pytest.raises(EdgeListError) as exc:
+                parse_edge_list(f"3 2\n0 1\n1{sep}2\n")
+            assert exc.value.line_no == 3, repr(sep)
+
+    def test_lines_end_at_newline(self):
+        assert parse_edge_list("3 2\r\n0\t1\r\n \t1  2 \t\r\n\r\n") == path_graph(3)
+        with pytest.raises(EdgeListError) as exc:
+            parse_edge_list("3 2\r0 1\r1 2")  # a lone "\r" ends no line
+        assert exc.value.line_no == 1
+        with pytest.raises(EdgeListError) as exc:
+            parse_edge_list("3 2\n0 1\r\r\n1 2")  # only one "\r" is dropped
+        assert exc.value.line_no == 2
+
+
+def cli_decodings(data: bytes) -> tuple[str, str]:
+    """``data`` as the CLI decodes it from a file (ASCII, universal newlines)
+    and from stdin in a UTF-8 locale."""
+    as_file = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
+    return as_file.read(), data.decode("utf-8", errors="surrogateescape")
+
 
 # arbitrary text, plus text drawn near each format so the fuzz reaches past
 # the first character or line check
 _GRAPH6_LIKE = st.text(alphabet=st.characters(min_codepoint=55, max_codepoint=130))
 _EDGE_LIST_LIKE = st.text(alphabet="0123456789 -+_\t\n\r")
+
+
+@st.composite
+def _edge_list_bytes(draw):
+    """An edge list, valid but for separators and line ends drawn from those
+    that str.split and str.splitlines also take, UTF-8 encoded."""
+    sep = st.sampled_from([" ", "\t", " \t ", "\xa0", "\x0b", "\u3000"])
+    end = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
+    rows = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
+    text = "".join(f"{a}{draw(sep)}{b}{draw(end)}" for a, b in [(6, len(rows)), *rows])
+    return text.encode()
+
+
+# arbitrary bytes, and bytes near each format
+_BYTES = st.one_of(st.binary(), _GRAPH6_LIKE.map(str.encode), _edge_list_bytes())
 
 
 class TestParserFuzz:
@@ -179,6 +225,29 @@ class TestParserFuzz:
         except GraphError:
             return
         assert g.m == int(text.split()[1])
+
+    @given(_BYTES)
+    @settings(max_examples=500, deadline=None)
+    def test_parse_graph6_bytes(self, data):
+        for text in cli_decodings(data):
+            for line in text.split("\n"):
+                try:
+                    g = parse_graph6(line)
+                except GraphError:
+                    continue
+                assert write_graph6(g) == line.rstrip("\r")
+
+    @given(_BYTES)
+    @settings(max_examples=500, deadline=None)
+    def test_parse_edge_list_bytes(self, data):
+        for text in cli_decodings(data):
+            try:
+                g = parse_edge_list(text)
+            except GraphError:
+                continue
+            assert set(text.replace("\r\n", "\n")) <= set("0123456789+- \t\n")
+            header = next(line for line in text.split("\n") if line.strip())
+            assert g.m == int(header.split()[1])
 
 
 class TestStructure:
