@@ -65,6 +65,7 @@ from functools import lru_cache
 from itertools import compress, islice, product, repeat
 from math import sqrt
 
+from . import graphs
 from .bounds import REL_TOL, STRICT_MARGIN, ga_m2_rhs, ga_simple_rhs
 from .classify import in_gamma3
 from .graphs import Graph, degree_pair_counts, degrees
@@ -230,6 +231,12 @@ class Selection:
             self.lower_ell or self.upper_k or self.upper_ndelta
             or self.ga_simple or self.ga_m2 or self.m1_f
         )
+
+
+@lru_cache(maxsize=16)
+def selection(bounds: tuple[str, ...], check_classes: bool) -> Selection:
+    """The Selection of these arguments, built once and shared; never mutated."""
+    return Selection(bounds, check_classes)
 
 
 def _actual_class_names(regular, semireg, consecutive, g1, g2, g3, ratio_const):
@@ -799,7 +806,7 @@ def scan_graph_masks(
     slots = c * (c - 1) // 2
     codes = core_table(c)[0]
     weights = signature_table(n)[0]
-    sel = Selection(bounds, check_classes)
+    sel = selection(bounds, check_classes)
     checked = 0
     violations: list = []
     discrepancies: list = []
@@ -849,7 +856,7 @@ def scan_tree_ranks(
     """
     weights = signature_table(n)[0]
     row = [weights[d * n:(d + 1) * n] for d in range(n)]
-    sel = Selection(bounds, check_classes)
+    sel = selection(bounds, check_classes)
     violations: list = []
     discrepancies: list = []
     templates: dict = {}
@@ -900,18 +907,14 @@ def scan_tree_ranks(
 def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool,
                        check_classes: bool) -> dict:
     """Kernel checks for one graph, whatever its order."""
-    from .graphs import is_connected, write_graph6
-
-    violations: list = []
-    discrepancies: list = []
-    connected = g.n >= 1 and is_connected(g)
+    connected = g.n >= 1 and graphs.is_connected(g)
     if (connected_only and not connected) or g.m == 0:
         return {"seen": 1, "checked": 0, "violations": [], "discrepancies": []}
+    violations: list = []
+    discrepancies: list = []
     deg = degrees(g)
-    sel = Selection(bounds, check_classes)
     check_pair_stats(
-        g.n, g.m, deg, degree_pair_counts(g, deg), connected, sel, lambda: write_graph6(g),
-        violations, discrepancies,
+        g.n, g.m, deg, degree_pair_counts(g, deg), connected, selection(bounds, check_classes),
+        lambda: graphs.write_graph6(g), violations, discrepancies,
     )
     return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}
-

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -44,7 +45,7 @@ import sys
 from .bounds import ALL_BOUND_IDS, BoundReport, SkippedBound, evaluate_all
 from .classify import GraphClassLabel, classify
 from .enumeration import StreamError, SweepConfig, run_sweep, stream_graph6, until_reader_leaves
-from .graphs import Graph, GraphError, parse_edge_list, parse_graph6
+from .graphs import Graph, GraphError, input_lines, parse_edge_list, parse_graph6
 from .indices import fraction_str, index_vector
 
 EXIT_OK = 0
@@ -99,8 +100,9 @@ def _read_input(path: str) -> str | None:
     if path == "-":
         return sys.stdin.read()
     try:
-        # like stdin: an undecodable byte reaches the parser, a parse error
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        # like stdin: an undecodable byte reaches the parser, a parse error,
+        # and no line end but "\n" is translated
+        with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
             return fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
@@ -115,10 +117,7 @@ def _iter_graphs(text: str, fmt: str, source: str):
         except GraphError as exc:
             yield source, str(exc)
         return
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for line_no, line in input_lines(io.StringIO(text, newline="\n")):
         try:
             yield line, parse_graph6(line)
         except GraphError as exc:

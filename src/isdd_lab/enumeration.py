@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, fields, replace
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
 from .classify import classify
-from .graphs import Graph, GraphError, degree_pair_counts, degrees, parse_graph6, write_graph6
+from .graphs import (Graph, GraphError, degree_pair_counts, degrees, input_lines, parse_graph6,
+                     write_graph6)
 from .indices import edge_term_isdd, fraction_str
 
 CHUNK_BITS = 15  # mask-range chunk size 2**15; small enough for even balance
@@ -102,6 +103,11 @@ class SweepConfig:
     max_graphs: int | None = None
     trees: bool = False
     check_classes: bool = True
+
+    def __post_init__(self):
+        # hashable whatever sequence was passed: the kernel caches its
+        # Selection by the bounds (_kernel.selection)
+        object.__setattr__(self, "bounds", tuple(self.bounds))
 
     def validate_common(self):
         """Raise ValueError for a configuration no sweep mode accepts."""
@@ -345,11 +351,11 @@ def canonical_form(g: Graph) -> bytes:
 
 
 def stream_graph6(lines):
-    """Parse a line stream of graph6 text; bad lines yield StreamError records."""
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
+    """Parse a line stream of graph6 text; bad lines yield StreamError records.
+
+    Lines are read by :func:`graphs.input_lines`, blank ones skipped.
+    """
+    for line_no, text in input_lines(lines):
         try:
             yield parse_graph6(text)
         except GraphError as exc:
@@ -546,13 +552,36 @@ def _run_dedup_sweep(cfg: SweepConfig, report: SweepReport):
     exhaustive generation", J. Algorithms 26 (1998), in its simplest form).
     """
     for n, count in _enumerated_counts(cfg):
-        report.graphs_seen += count
-        for g in _first_of_each_class(n, count, cfg.trees):
-            partial = _kernel.check_graph_kernel(
-                g, cfg.bounds, cfg.connected_only, cfg.check_classes
-            )
-            partial["seen"] = 0  # already counted above
-            report.merge(partial)
+        partial = _check_each(cfg, _first_of_each_class(n, count, cfg.trees),
+                              _kernel.check_graph_kernel)
+        partial["seen"] = count  # every position, not only the graphs checked
+        report.merge(partial)
+
+
+def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> dict:
+    """One partial report for ``check`` run on each graph of ``graphs`` in turn.
+
+    ``check`` is :func:`_kernel.check_graph_kernel` or
+    :func:`check_graph_reference`; their per-graph partials are summed here,
+    so the report merges once.  A StreamError item counts as seen only, and
+    the walk stops once ``budget`` items have been seen.
+    """
+    seen = checked = 0
+    violations: list = []
+    discrepancies: list = []
+    bounds, connected_only, check_classes = cfg.bounds, cfg.connected_only, cfg.check_classes
+    for item in graphs:
+        if seen == budget:
+            break
+        seen += 1
+        if isinstance(item, StreamError):
+            continue
+        partial = check(item, bounds, connected_only, check_classes)
+        checked += partial["checked"]
+        violations += partial["violations"]
+        discrepancies += partial["discrepancies"]
+    return {"seen": seen, "checked": checked, "violations": violations,
+            "discrepancies": discrepancies}
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast") -> SweepReport:
@@ -570,24 +599,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
     report = SweepReport()
     start = time.perf_counter()
 
+    check = _kernel.check_graph_kernel if engine == "fast" else check_graph_reference
     if graphs is not None:
         cfg.validate_common()
-        budget = cfg.max_graphs
-        for item in graphs:
-            if budget is not None and report.graphs_seen >= budget:
-                break
-            if isinstance(item, StreamError):
-                report.graphs_seen += 1
-                continue
-            if engine == "fast":
-                partial = _kernel.check_graph_kernel(
-                    item, cfg.bounds, cfg.connected_only, cfg.check_classes
-                )
-            else:
-                partial = check_graph_reference(
-                    item, cfg.bounds, cfg.connected_only, cfg.check_classes
-                )
-            report.merge(partial)
+        report.merge(_check_each(cfg, graphs, check, cfg.max_graphs))
     else:
         cfg.validate()
         if cfg.dedup:
@@ -597,12 +612,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
             stream = itertools.chain.from_iterable(
                 source(n) for n in range(cfg.n_min, cfg.n_max + 1)
             )
-            if cfg.max_graphs is not None:
-                stream = itertools.islice(stream, cfg.max_graphs)
-            for g in stream:
-                report.merge(check_graph_reference(
-                    g, cfg.bounds, cfg.connected_only, cfg.check_classes
-                ))
+            report.merge(_check_each(cfg, stream, check, cfg.max_graphs))
         else:
             chunk_jobs = _chunk_jobs(cfg)
             if jobs > 1 and len(chunk_jobs) > 1:

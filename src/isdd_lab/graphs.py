@@ -5,24 +5,33 @@ pairs with i < j, which is the canonical representation of an edge set:
 construction rejects loops, out-of-range endpoints and duplicates, so two
 graphs are equal iff they have the same vertex count and edge set.
 
-Two text formats are supported:
+Two text formats are supported; both read lines by one rule
+(:func:`input_lines`): a line ends at "\n", one "\r" just before it is
+dropped, spaces and tabs at either end are trimmed and blank lines are
+skipped.
 
 * graph6 (McKay): one line per graph, byte = 63 + six data bits, size header
   N(n), then the upper triangle of the adjacency matrix column by column,
   x(0,1), x(0,2), x(1,2), x(0,3), ...  The short header covers n <= 62, the
   four-byte header ('~' + 3 bytes) covers 63 <= n <= 258047.
 * edge list: first line "n m", then m lines "i j", each number an optionally
-  signed run of ASCII digits; lines end at "\n", numbers are separated by
-  spaces and tabs.
+  signed run of ASCII digits, separated by spaces and tabs.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import itemgetter
 
 GRAPH6_MAX_N = 258047  # largest order encodable with the 4-byte size header
+# Orders whose per-order tables are kept, so that memory stays bounded however
+# many orders a stream mixes.
+TABLE_ORDERS = 16
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
 _BLANKS = re.compile(r"[ \t]+")
 
@@ -147,24 +156,33 @@ def degree_data(g: Graph) -> DegreeData:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches every vertex."""
-    if g.n == 0:
+    """True iff a search from vertex 0 reaches every vertex.
+
+    Each vertex's neighbors are one ``int`` bitset; the search keeps the
+    reached and the still-to-expand vertices as bitsets too, so a vertex
+    costs one lookup and a few integer operations.
+    """
+    n = g.n
+    if n == 0:
         raise GraphError("connectivity undefined for the empty vertex set")
-    if g.n == 1:
-        return True
-    adj = g.neighbors()
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == g.n
+    bit = _vertex_bits(n)
+    adj = [0] * n
+    for i, j in g.edges:
+        adj[i] |= bit[j]
+        adj[j] |= bit[i]
+    seen = todo = 1
+    while todo:
+        low = todo & -todo
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo = (todo ^ low) | new
+    return seen == (1 << n) - 1
+
+
+@lru_cache(maxsize=TABLE_ORDERS)
+def _vertex_bits(n: int) -> tuple[int, ...]:
+    """``1 << v`` for every vertex v of an n-vertex graph."""
+    return tuple(1 << v for v in range(n))
 
 
 def bipartition(g: Graph) -> Bipartition | None:
@@ -197,57 +215,69 @@ def count_degree_pair_edges(g: Graph, a: int, b: int) -> int:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one line of graph6 text; errors carry the 0-based byte offset."""
+    """Decode one line of graph6 text; errors carry the 0-based byte offset.
+
+    Trailing "\r" and "\n" are dropped.  The data bits come from six
+    per-character tables (``_G6_BITS``), one ``translate`` each, interleaved
+    so that slot k of the body is bit k.  The set bits are then taken in
+    row-major pair order, so the edge tuple comes out sorted without a sort:
+    for a one-byte header (n <= 62) through the order's slot table
+    (:func:`_graph6_slots`), for larger orders through an n x n matrix
+    (:func:`_matrix_edges`), whose memory grows with the input, not with
+    n^2 table entries.
+    """
     s = text.rstrip("\r\n")
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    vals = []
-    for off, ch in enumerate(s):
-        b = ord(ch)
-        if b < 63 or b > 126:
-            raise Graph6Error(f"character {ch!r} outside printable range 63..126", off)
-        vals.append(b - 63)
-    if vals[0] < 63:
-        n = vals[0]
-        pos = 1
-    else:
+    bad = _G6_BAD_CHAR.search(s)
+    if bad:
+        raise Graph6Error(f"character {bad.group()!r} outside printable range 63..126",
+                          bad.start())
+    b = s.encode("ascii")
+    n = b[0] - 63
+    pos = 1
+    if n == 63:
         # '~' introduces the 4-byte header; '~~' would be the unsupported 8-byte form
-        if len(vals) >= 2 and vals[1] == 63:
+        if len(b) >= 2 and b[1] == 126:
             raise Graph6Error(f"order above {GRAPH6_MAX_N} is not supported", 1)
-        if len(vals) < 4:
+        if len(b) < 4:
             raise Graph6Error("truncated long size header", len(s))
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        n = (b[1] - 63 << 12) | (b[2] - 63 << 6) | (b[3] - 63)
         if n < 63:
             raise Graph6Error("non-canonical long size header for n < 63", 1)
         pos = 4
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = vals[pos:]
-    if len(body) != nbytes:
+    found = len(b) - pos
+    if found != nbytes:
         raise Graph6Error(
-            f"expected {nbytes} data bytes for n={n}, found {len(body)}",
-            pos + min(len(body), nbytes),
+            f"expected {nbytes} data bytes for n={n}, found {found}",
+            pos + min(found, nbytes),
         )
-    edges = []
-    t = 0
-    i, j = 0, 1
-    for k, v in enumerate(body):
-        for shift in (5, 4, 3, 2, 1, 0):
-            if t < nbits:
-                if (v >> shift) & 1:
-                    edges.append((i, j))
-                i += 1
-                if i == j:
-                    i = 0
-                    j += 1
-            elif (v >> shift) & 1:
-                raise Graph6Error("trailing padding bits not zero", pos + k)
-            t += 1
-    return Graph(n, tuple(sorted(edges)))
+    if not nbits:
+        return Graph(n)
+    body = b[pos:]
+    bits = bytearray(6 * nbytes)
+    for shift, table in enumerate(_G6_BITS):
+        bits[shift::6] = body.translate(table)
+    if bits.find(1, nbits) >= 0:
+        # the padding lies in the last byte
+        raise Graph6Error("trailing padding bits not zero", len(b) - 1)
+    if n > 62:
+        return Graph(n, tuple(_matrix_edges(n, bits)))
+    select, pairs = _graph6_slots(n)
+    # through a list: tuple() of an iterator grows by resizing, which is
+    # slower and raised peak RSS by about 0.5 MB on a 20,000-graph stream
+    return Graph(n, tuple(list(compress(pairs, select(bits)))))
 
 
 def write_graph6(g: Graph) -> str:
-    """Canonical graph6 encoding; inverse of :func:`parse_graph6`."""
+    """Canonical graph6 encoding; inverse of :func:`parse_graph6`.
+
+    Each edge (i, j) sets the bit of slot j(j-1)/2 + i, the start of column
+    j read from a per-order table; one ``translate`` turns the byte values
+    into characters.
+    """
     n = g.n
     if n > GRAPH6_MAX_N:
         raise GraphError(f"order {n} exceeds the supported graph6 range {GRAPH6_MAX_N}")
@@ -255,21 +285,61 @@ def write_graph6(g: Graph) -> str:
         header = chr(63 + n)
     else:
         header = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    eset = set(g.edges)
-    out = []
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | ((i, j) in eset)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (acc << (6 - filled))))
-    return header + "".join(out)
+    starts = _column_starts(n)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        k = starts[j] + i
+        body[k // 6] |= 32 >> k % 6
+    return header + body.translate(_G6_CHARS).decode("ascii")
+
+
+# per bit of a data byte, most significant first: character -> that bit of
+# its 6-bit value (0 or 1)
+_G6_BITS = tuple(bytes.maketrans(bytes(range(63, 127)), bytes(v >> shift & 1 for v in range(64)))
+                 for shift in range(5, -1, -1))
+_G6_CHARS = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))  # value -> character
+_G6_BAD_CHAR = re.compile(r"[^?-~]")  # outside 63..126
+
+
+@lru_cache(maxsize=TABLE_ORDERS)
+def _column_starts(n: int) -> tuple[int, ...]:
+    """Slot of pair (0, j) in a graph6 body, j(j-1)/2, for every vertex j.
+
+    Slot k of the body is the pair (i, j), i < j, with k = j(j-1)/2 + i:
+    the format lists the adjacency matrix's upper triangle column by column.
+    """
+    return tuple(j * (j - 1) // 2 for j in range(n))
+
+
+@lru_cache(maxsize=TABLE_ORDERS)
+def _graph6_slots(n: int):
+    """The slot table of order 2 <= n <= 62: ``(select, pairs)``.
+
+    ``pairs`` lists the vertex pairs (i, j), i < j, in row-major (sorted)
+    order; ``select(bits)`` takes the data bits of a graph6 body, slot k at
+    index k, and returns the bits of those pairs in the same order (plus one
+    spare bit, so that it returns a tuple even for one pair; ``compress``
+    stops at the end of ``pairs``).  A table holds one entry per pair, up to
+    about 0.1 kB each (190 kB at n = 62); that growth with n^2, and a build
+    time to match, is why larger orders go through :func:`_matrix_edges`.
+    """
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    starts = _column_starts(n)
+    return itemgetter(*[starts[j] + i for i, j in pairs], 0), pairs
+
+
+def _matrix_edges(n: int, bits: bytes) -> list[tuple[int, int]]:
+    """The edges of a graph6 body of order n, sorted, from its data bits.
+
+    Column j of the body (its slots j(j-1)/2 .. j(j+1)/2 - 1) is copied into
+    column j of an n x n 0/1 matrix, cell i*n + j for row i; the set cells
+    in index order are then the edges in row-major order, (i, j) =
+    divmod(cell, n).
+    """
+    matrix = bytearray(n * n)
+    for j, start in enumerate(_column_starts(n)):
+        matrix[j:j * n:n] = bits[start:start + j]
+    return list(map(divmod, compress(range(n * n), matrix), repeat(n)))
 
 
 def _ascii_int(token: str) -> int:
@@ -282,18 +352,33 @@ def _ascii_int(token: str) -> int:
     return int(token)
 
 
+def input_lines(lines):
+    """(line number, text) of each non-blank line; ``lines`` holds one line per item.
+
+    An item ends at its "\n", if it has one, and one "\r" just before that
+    "\n" is dropped; then spaces and tabs are trimmed at both ends.  Any
+    other character, a lone "\r" or a Unicode space included, stays in the
+    text.  Text as a whole is split the same way by
+    ``io.StringIO(text, newline="\n")``, which is how both parsers and the
+    graph6 readers of the CLI and :func:`enumeration.stream_graph6` see lines.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        if raw[-1:] == "\n":
+            raw = raw[:-2] if raw[-2:] == "\r\n" else raw[:-1]
+        line = raw.strip(" \t")
+        if line:
+            yield line_no, line
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" + m x "i j" edge-list format; strict about counts.
 
-    Lines end at "\n" (a "\r" just before it is dropped) and the numbers of a
-    line are separated by runs of spaces and tabs; any other character fails
-    its line.
+    Lines are read by :func:`input_lines`; the numbers of a line are
+    separated by runs of spaces and tabs, and any other character fails its
+    line.
     """
     rows = []
-    for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        line = raw.strip(" \t")
-        if not line:
-            continue
+    for line_no, line in input_lines(io.StringIO(text, newline="\n")):
         what, shape = ("edge line", "'i j'") if rows else ("header", "'n m'")
         parts = _BLANKS.split(line)
         if len(parts) != 2:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from isdd_lab.graphs import Graph, is_connected
+from isdd_lab.graphs import GRAPH6_MAX_N, Graph, Graph6Error, is_connected
 
 
 def path_graph(n: int) -> Graph:
@@ -91,6 +91,96 @@ def oracle_decode_graph6(s: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((i, j))
             t += 1
     return n, edges
+
+
+def oracle_parse_graph6(text: str) -> Graph:
+    """The bit-by-bit graph6 decoder the table-driven one replaced.
+
+    Same contract as ``graphs.parse_graph6``: the same Graph, or a
+    Graph6Error with the same message and byte offset.
+    """
+    s = text.rstrip("\r\n")
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    vals = []
+    for off, ch in enumerate(s):
+        b = ord(ch)
+        if b < 63 or b > 126:
+            raise Graph6Error(f"character {ch!r} outside printable range 63..126", off)
+        vals.append(b - 63)
+    if vals[0] < 63:
+        n = vals[0]
+        pos = 1
+    else:
+        if len(vals) >= 2 and vals[1] == 63:
+            raise Graph6Error(f"order above {GRAPH6_MAX_N} is not supported", 1)
+        if len(vals) < 4:
+            raise Graph6Error("truncated long size header", len(s))
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        if n < 63:
+            raise Graph6Error("non-canonical long size header for n < 63", 1)
+        pos = 4
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = vals[pos:]
+    if len(body) != nbytes:
+        raise Graph6Error(
+            f"expected {nbytes} data bytes for n={n}, found {len(body)}",
+            pos + min(len(body), nbytes),
+        )
+    edges = []
+    t = 0
+    i, j = 0, 1
+    for k, v in enumerate(body):
+        for shift in (5, 4, 3, 2, 1, 0):
+            if t < nbits:
+                if (v >> shift) & 1:
+                    edges.append((i, j))
+                i += 1
+                if i == j:
+                    i = 0
+                    j += 1
+            elif (v >> shift) & 1:
+                raise Graph6Error("trailing padding bits not zero", pos + k)
+            t += 1
+    return Graph(n, tuple(sorted(edges)))
+
+
+def oracle_write_graph6(g: Graph) -> str:
+    """The bit-by-bit graph6 encoder the table-driven one replaced."""
+    n = g.n
+    if n <= 62:
+        header = chr(63 + n)
+    else:
+        header = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    eset = set(g.edges)
+    out = []
+    acc = 0
+    filled = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | ((i, j) in eset)
+            filled += 1
+            if filled == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                filled = 0
+    if filled:
+        out.append(chr(63 + (acc << (6 - filled))))
+    return header + "".join(out)
+
+
+def oracle_is_connected(g: Graph) -> bool:
+    """Breadth-first search over ``g.neighbors()`` from vertex 0."""
+    adj = g.neighbors()
+    seen = {0}
+    queue = [0]
+    for v in queue:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == g.n
 
 
 def oracle_encode_prufer(g: Graph) -> list[int]:

@@ -378,6 +378,79 @@ class TestSweep:
         assert code == 0
 
 
+def _stdin_bytes(monkeypatch, data: bytes):
+    """stdin as the interpreter opens it on POSIX in a UTF-8 locale: undecodable
+    bytes escaped, lines split at "\n" only."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n"))
+
+
+# A graph6 line ends at "\n" with one "\r" before it dropped, and only spaces
+# and tabs are trimmed: each input here is one bad line, in every reader.
+_BAD_LINES = [
+    (b"Ch\x1cCh\n", "'\\x1c'", 2),
+    (b"Ch\rCh\n", "'\\r'", 2),
+    (b"\xc2\xa0Ch\n", "'\\xa0'", 0),
+    (b"Ch\x0bCh\n", "'\\x0b'", 2),
+]
+_GOOD_LINES = [b"Ch\r\n", b" \tCh\t \n", b"\n \t\r\nCh"]
+
+
+class TestGraph6LineRule:
+    @pytest.mark.parametrize("command", ["compute", "check", "classify"])
+    @pytest.mark.parametrize("data, char, offset", _BAD_LINES)
+    def test_per_graph_commands(self, monkeypatch, capsys, command, data, char, offset):
+        _stdin_bytes(monkeypatch, data)
+        code = main([command])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == (f"parse error at -:1: character {char} outside printable range "
+                       f"63..126 (byte offset {offset})\n")
+
+    @pytest.mark.parametrize("data, char, offset", _BAD_LINES)
+    def test_input_file(self, tmp_path, capsys, data, char, offset):
+        p = tmp_path / "in.g6"
+        p.write_bytes(data.replace(b"\xc2\xa0", b"\xa0"))  # the file reader is ASCII
+        code = main(["compute", "--input", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        escaped = "'\\udca0'" if b"\xc2\xa0" in data else char
+        assert err.startswith(f"parse error at {p}:1: character {escaped} ")
+
+    @pytest.mark.parametrize("data, char, offset", _BAD_LINES)
+    def test_stdin_sweep(self, monkeypatch, capsys, data, char, offset):
+        _stdin_bytes(monkeypatch, data)
+        code = main(["sweep", "--stdin-graph6"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"parse error at stdin:1: character {char} outside printable "
+                              f"range 63..126 (byte offset {offset})\n")
+        assert "seen=1 checked=0 " in err
+
+    @pytest.mark.parametrize("data", _GOOD_LINES)
+    def test_accepted_in_both_modes(self, monkeypatch, capsys, data):
+        _stdin_bytes(monkeypatch, data)
+        assert main(["compute"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("Ch: n=4 m=3 ") and out.count("\n") == 1 and err == ""
+        _stdin_bytes(monkeypatch, data)
+        assert main(["sweep", "--stdin-graph6"]) == 0
+        _, err = capsys.readouterr()
+        assert "seen=1 checked=1 " in err and "parse error" not in err
+
+    def test_line_numbers_count_blank_lines(self, monkeypatch, capsys):
+        data = b"Ch\n\n \t\r\nC\x1c\n"
+        _stdin_bytes(monkeypatch, data)
+        assert main(["compute"]) == 2
+        assert "parse error at -:4: " in capsys.readouterr().err
+        _stdin_bytes(monkeypatch, data)
+        assert main(["sweep", "--stdin-graph6"]) == 2
+        assert "parse error at stdin:4: " in capsys.readouterr().err
+
+
 def _config(n_min, n_max, connected_only=True, trees=False):
     return {"n_min": n_min, "n_max": n_max, "connected_only": connected_only, "dedup": False,
             "bounds": list(ALL_BOUND_IDS), "max_graphs": None, "trees": trees}

@@ -512,6 +512,24 @@ class TestRunSweep:
                 run_sweep(cfg, graphs=iter([]))
         assert run_sweep(SweepConfig(n_min=2, n_max=40), graphs=iter([])).graphs_seen == 0
 
+    def test_bounds_as_list(self):
+        # the kernel caches its check selection by the bounds, so the config
+        # holds them as a tuple whatever sequence it was given
+        chosen = ["LOWER_ELL", "EDGE_SECOND_MIN"]
+        assert SweepConfig(n_min=2, n_max=5, bounds=chosen).bounds == tuple(chosen)
+
+        def reports(bounds):
+            cfg = SweepConfig(n_min=2, n_max=5, bounds=bounds)
+            return [rep.to_dict(include_timing=False) for rep in (
+                run_sweep(cfg),
+                run_sweep(cfg, engine="reference"),
+                run_sweep(cfg, graphs=stream_graph6(["Ch", "DQc", "zzz"])),
+            )]
+
+        got = reports(chosen)
+        assert got == reports(tuple(chosen))
+        assert all(rep["equality_discrepancies"] for rep in got)
+
     def test_dedup_counts_classes(self):
         rep = run_sweep(SweepConfig(n_min=4, n_max=4, dedup=True))
         assert rep.graphs_checked == 6

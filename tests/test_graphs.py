@@ -1,9 +1,12 @@
 import io
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isdd_lab.graphs import (
+    GRAPH6_MAX_N,
     EdgeListError,
     Graph,
     Graph6Error,
@@ -16,7 +19,15 @@ from isdd_lab.graphs import (
     parse_graph6,
     write_graph6,
 )
-from helpers import complete_graph, oracle_decode_graph6, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    oracle_decode_graph6,
+    oracle_is_connected,
+    oracle_parse_graph6,
+    oracle_write_graph6,
+    path_graph,
+    star_graph,
+)
 
 
 def mask_graph(n: int, mask: int) -> Graph:
@@ -178,9 +189,10 @@ class TestEdgeList:
 
 
 def cli_decodings(data: bytes) -> tuple[str, str]:
-    """``data`` as the CLI decodes it from a file (ASCII, universal newlines)
-    and from stdin in a UTF-8 locale."""
-    as_file = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
+    """``data`` as the CLI decodes it from a file (ASCII, no newline
+    translation) and from stdin in a UTF-8 locale."""
+    as_file = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape",
+                               newline="")
     return as_file.read(), data.decode("utf-8", errors="surrogateescape")
 
 
@@ -248,6 +260,128 @@ class TestParserFuzz:
             assert set(text.replace("\r\n", "\n")) <= set("0123456789+- \t\n")
             header = next(line for line in text.split("\n") if line.strip())
             assert g.m == int(header.split()[1])
+
+
+def _outcome(parse, text):
+    """What a decoder makes of ``text``: the graph, or the error's text and offset."""
+    try:
+        return parse(text)
+    except Graph6Error as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _graph6_error_shapes() -> list[str]:
+    """One or more lines of every kind of graph6 error, and near misses."""
+    texts = ["", "\r\n", "\n", "\r"]
+    # bad characters: below 63, above 126, non-ASCII, a surrogate, a line end
+    # inside the text; in the header, in the long header and in the data
+    for bad in (chr(30), " ", "\t", "\x7f", "\xa0", "\u3000", "\udc85", "\r", "\x1c", "\x0b"):
+        texts += [bad, bad + "Ch", "C" + bad, "Ch" + bad + "Ch", "~" + bad + "??",
+                  "~?" + bad + "?", "DQ" + bad]
+    # long header: truncated, the 8-byte form, non-canonical for n < 63
+    texts += ["~", "~?", "~??", "~~", "~~?", "~~???", "~~??????", "~??", "~???", "~??A?",
+              "~??}", "~??~", "~?@?", "~?@?" + "?" * 10, "~??~" + "?" * 316]
+    # data length: one byte short and one too many, short and long header
+    for n in (2, 3, 4, 5, 6, 12, 62, 63, 64, 70):
+        text = write_graph6(Graph(n))
+        texts += [text[:-1], text + "?", text + "~~"]
+    # padding: every padding pattern of the last data byte
+    for n in (2, 3, 4, 5, 7, 8, 63, 64):
+        text = write_graph6(complete_graph(n))
+        nbits = n * (n - 1) // 2
+        pad = -nbits % 6
+        for low in range(1 << pad):
+            last = ord(text[-1]) - 63
+            texts.append(text[:-1] + chr(63 + (last & ~((1 << pad) - 1) | low)))
+    return texts
+
+
+class TestGraph6AgainstOracle:
+    """The table decoder and encoder against the bit-by-bit ones they replaced."""
+
+    def test_every_mask_small(self):
+        for n in range(0, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = mask_graph(n, mask)
+                text = write_graph6(g)
+                assert text == oracle_write_graph6(g)
+                assert parse_graph6(text) == oracle_parse_graph6(text) == g
+                # the same data bytes under a header one order off
+                for m in (n - 1, n + 1):
+                    if m >= 0:
+                        wrong = chr(63 + m) + text[1:]
+                        assert _outcome(parse_graph6, wrong) == _outcome(oracle_parse_graph6, wrong)
+
+    def test_every_error_shape(self):
+        texts = _graph6_error_shapes()
+        outcomes = [_outcome(parse_graph6, t) for t in texts]
+        assert outcomes == [_outcome(oracle_parse_graph6, t) for t in texts]
+        messages = [o[1] for o in outcomes if isinstance(o, tuple)]
+        for kind in ("empty graph6 string", "character ", "truncated long size header",
+                     f"order above {GRAPH6_MAX_N} is not supported",
+                     "non-canonical long size header", "expected ",
+                     "trailing padding bits not zero"):
+            assert any(m.startswith(kind) for m in messages), kind
+
+    def test_random_graphs_up_to_long_headers(self):
+        rng = random.Random(63)
+        for n in (6, 7, 8, 12, 13, 30, 62, 63, 64, 65, 100, 300):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                   if rng.random() < p))
+                text = write_graph6(g)
+                assert text == oracle_write_graph6(g)
+                assert parse_graph6(text) == oracle_parse_graph6(text) == g
+
+    @given(st.one_of(st.text(), _GRAPH6_LIKE))
+    @settings(max_examples=500, deadline=None)
+    def test_text(self, text):
+        assert _outcome(parse_graph6, text) == _outcome(oracle_parse_graph6, text)
+
+    @given(_BYTES)
+    @settings(max_examples=500, deadline=None)
+    def test_bytes(self, data):
+        for text in cli_decodings(data):
+            for line in text.split("\n"):
+                assert _outcome(parse_graph6, line) == _outcome(oracle_parse_graph6, line)
+
+
+class TestConnectivityAgainstOracle:
+    """The bitset search against a breadth-first search over ``neighbors()``."""
+
+    def test_every_labeled_graph_small(self):
+        for n in range(1, 7):
+            verdicts = set()
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = mask_graph(n, mask)
+                verdict = is_connected(g)
+                assert verdict == oracle_is_connected(g), (n, mask)
+                verdicts.add(verdict)
+            assert verdicts == ({True} if n == 1 else {True, False})
+
+    def test_single_vertex(self):
+        assert is_connected(Graph(1)) and oracle_is_connected(Graph(1))
+
+    def test_empty_vertex_set_rejected(self):
+        with pytest.raises(GraphError):
+            is_connected(Graph(0))
+
+    def test_random_graphs_through_long_headers(self):
+        # edge probability around the connectivity threshold ln(n)/n, so that
+        # both verdicts come up at every size; the graphs also pass through
+        # graph6, whose 4-byte header starts at 63 vertices
+        rng = random.Random(8)
+        verdicts = {True: 0, False: 0}
+        for n in range(8, 71):
+            for scale in (0.5, 1.0, 1.5, 2.5):
+                p = min(1.0, scale * math.log(n) / n)
+                g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                   if rng.random() < p))
+                g = parse_graph6(write_graph6(g))
+                verdict = is_connected(g)
+                assert verdict == oracle_is_connected(g), write_graph6(g)
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) > 40
 
 
 class TestStructure:
