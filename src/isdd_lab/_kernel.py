@@ -235,7 +235,11 @@ class Selection:
 
 @lru_cache(maxsize=16)
 def selection(bounds: tuple[str, ...], check_classes: bool) -> Selection:
-    """The Selection of these arguments, built once and shared; never mutated."""
+    """The Selection of these arguments, built once and shared; never mutated.
+
+    Callers pass ``tuple(bounds)``, so that any sequence of bound ids keys
+    the cache (``tuple`` of a tuple is that tuple).
+    """
     return Selection(bounds, check_classes)
 
 
@@ -806,7 +810,7 @@ def scan_graph_masks(
     slots = c * (c - 1) // 2
     codes = core_table(c)[0]
     weights = signature_table(n)[0]
-    sel = selection(bounds, check_classes)
+    sel = selection(tuple(bounds), check_classes)
     checked = 0
     violations: list = []
     discrepancies: list = []
@@ -856,7 +860,7 @@ def scan_tree_ranks(
     """
     weights = signature_table(n)[0]
     row = [weights[d * n:(d + 1) * n] for d in range(n)]
-    sel = selection(bounds, check_classes)
+    sel = selection(tuple(bounds), check_classes)
     violations: list = []
     discrepancies: list = []
     templates: dict = {}
@@ -914,7 +918,8 @@ def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool,
     discrepancies: list = []
     deg = degrees(g)
     check_pair_stats(
-        g.n, g.m, deg, degree_pair_counts(g, deg), connected, selection(bounds, check_classes),
-        lambda: graphs.write_graph6(g), violations, discrepancies,
+        g.n, g.m, deg, degree_pair_counts(g, deg), connected,
+        selection(tuple(bounds), check_classes), lambda: graphs.write_graph6(g),
+        violations, discrepancies,
     )
     return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}

@@ -104,11 +104,6 @@ class SweepConfig:
     trees: bool = False
     check_classes: bool = True
 
-    def __post_init__(self):
-        # hashable whatever sequence was passed: the kernel caches its
-        # Selection by the bounds (_kernel.selection)
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-
     def validate_common(self):
         """Raise ValueError for a configuration no sweep mode accepts."""
         if self.n_min > self.n_max:

@@ -29,9 +29,13 @@ from itertools import compress, repeat
 from operator import itemgetter
 
 GRAPH6_MAX_N = 258047  # largest order encodable with the 4-byte size header
-# Orders whose per-order tables are kept, so that memory stays bounded however
+# Orders whose slot tables are kept, so that memory stays bounded however
 # many orders a stream mixes.
 TABLE_ORDERS = 16
+# Largest order parse_graph6 decodes through a slot table, which grows with
+# n^2: about 180 kB at n = 62 (2.9 MB for TABLE_ORDERS such orders), 1.9 MB
+# at n = 200.
+SLOT_TABLE_MAX_N = 62
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
 _BLANKS = re.compile(r"[ \t]+")
 
@@ -156,33 +160,27 @@ def degree_data(g: Graph) -> DegreeData:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a search from vertex 0 reaches every vertex.
+    """True iff the edges join all n vertices into one component.
 
-    Each vertex's neighbors are one ``int`` bitset; the search keeps the
-    reached and the still-to-expand vertices as bitsets too, so a vertex
-    costs one lookup and a few integer operations.
+    Union-find over ``g.edges``: each edge looks up the roots of its two
+    ends, halving their paths on the way, and links the roots if they
+    differ, which merges two components.  Memory grows with n, time with m
+    (times log n at worst), whatever the vertex ids.
     """
     n = g.n
     if n == 0:
         raise GraphError("connectivity undefined for the empty vertex set")
-    bit = _vertex_bits(n)
-    adj = [0] * n
+    root = list(range(n))
+    components = n
     for i, j in g.edges:
-        adj[i] |= bit[j]
-        adj[j] |= bit[i]
-    seen = todo = 1
-    while todo:
-        low = todo & -todo
-        new = adj[low.bit_length() - 1] & ~seen
-        seen |= new
-        todo = (todo ^ low) | new
-    return seen == (1 << n) - 1
-
-
-@lru_cache(maxsize=TABLE_ORDERS)
-def _vertex_bits(n: int) -> tuple[int, ...]:
-    """``1 << v`` for every vertex v of an n-vertex graph."""
-    return tuple(1 << v for v in range(n))
+        while root[i] != i:
+            root[i] = i = root[root[i]]  # point i at its grandparent, step there
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i != j:
+            root[j] = i
+            components -= 1
+    return components == 1
 
 
 def bipartition(g: Graph) -> Bipartition | None:
@@ -221,10 +219,10 @@ def parse_graph6(text: str) -> Graph:
     per-character tables (``_G6_BITS``), one ``translate`` each, interleaved
     so that slot k of the body is bit k.  The set bits are then taken in
     row-major pair order, so the edge tuple comes out sorted without a sort:
-    for a one-byte header (n <= 62) through the order's slot table
-    (:func:`_graph6_slots`), for larger orders through an n x n matrix
-    (:func:`_matrix_edges`), whose memory grows with the input, not with
-    n^2 table entries.
+    up to ``SLOT_TABLE_MAX_N`` vertices through the order's cached slot
+    table (:func:`_graph6_slots`), three to four times as fast per graph as
+    the n x n matrix (:func:`_matrix_edges`) that larger orders go through,
+    whose memory grows with the input and is freed with it.
     """
     s = text.rstrip("\r\n")
     if not s:
@@ -263,7 +261,7 @@ def parse_graph6(text: str) -> Graph:
     if bits.find(1, nbits) >= 0:
         # the padding lies in the last byte
         raise Graph6Error("trailing padding bits not zero", len(b) - 1)
-    if n > 62:
+    if n > SLOT_TABLE_MAX_N:
         return Graph(n, tuple(_matrix_edges(n, bits)))
     select, pairs = _graph6_slots(n)
     # through a list: tuple() of an iterator grows by resizing, which is
@@ -274,9 +272,8 @@ def parse_graph6(text: str) -> Graph:
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 encoding; inverse of :func:`parse_graph6`.
 
-    Each edge (i, j) sets the bit of slot j(j-1)/2 + i, the start of column
-    j read from a per-order table; one ``translate`` turns the byte values
-    into characters.
+    Each edge (i, j) sets the bit of body slot j(j-1)/2 + i; one
+    ``translate`` turns the byte values into characters.
     """
     n = g.n
     if n > GRAPH6_MAX_N:
@@ -285,10 +282,9 @@ def write_graph6(g: Graph) -> str:
         header = chr(63 + n)
     else:
         header = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    starts = _column_starts(n)
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for i, j in g.edges:
-        k = starts[j] + i
+        k = j * (j - 1) // 2 + i
         body[k // 6] |= 32 >> k % 6
     return header + body.translate(_G6_CHARS).decode("ascii")
 
@@ -302,30 +298,17 @@ _G6_BAD_CHAR = re.compile(r"[^?-~]")  # outside 63..126
 
 
 @lru_cache(maxsize=TABLE_ORDERS)
-def _column_starts(n: int) -> tuple[int, ...]:
-    """Slot of pair (0, j) in a graph6 body, j(j-1)/2, for every vertex j.
-
-    Slot k of the body is the pair (i, j), i < j, with k = j(j-1)/2 + i:
-    the format lists the adjacency matrix's upper triangle column by column.
-    """
-    return tuple(j * (j - 1) // 2 for j in range(n))
-
-
-@lru_cache(maxsize=TABLE_ORDERS)
 def _graph6_slots(n: int):
-    """The slot table of order 2 <= n <= 62: ``(select, pairs)``.
+    """The slot table of order n >= 2: ``(select, pairs)``.
 
     ``pairs`` lists the vertex pairs (i, j), i < j, in row-major (sorted)
     order; ``select(bits)`` takes the data bits of a graph6 body, slot k at
     index k, and returns the bits of those pairs in the same order (plus one
     spare bit, so that it returns a tuple even for one pair; ``compress``
-    stops at the end of ``pairs``).  A table holds one entry per pair, up to
-    about 0.1 kB each (190 kB at n = 62); that growth with n^2, and a build
-    time to match, is why larger orders go through :func:`_matrix_edges`.
+    stops at the end of ``pairs``).  A table grows with the n(n-1)/2 pairs.
     """
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    starts = _column_starts(n)
-    return itemgetter(*[starts[j] + i for i, j in pairs], 0), pairs
+    return itemgetter(*[j * (j - 1) // 2 + i for i, j in pairs], 0), pairs
 
 
 def _matrix_edges(n: int, bits: bytes) -> list[tuple[int, int]]:
@@ -337,8 +320,10 @@ def _matrix_edges(n: int, bits: bytes) -> list[tuple[int, int]]:
     divmod(cell, n).
     """
     matrix = bytearray(n * n)
-    for j, start in enumerate(_column_starts(n)):
+    start = 0
+    for j in range(n):
         matrix[j:j * n:n] = bits[start:start + j]
+        start += j
     return list(map(divmod, compress(range(n * n), matrix), repeat(n)))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,22 @@ class TestClassify:
         assert rec["classes"]["regular"] is False
         assert rec["classes"]["semiregular_bipartite"] is False
         assert rec["classes"]["gamma1"] is False
+
+    def test_large_sparse_edge_list(self, monkeypatch, capsys):
+        # 10^5 vertices and one edge: every class test takes memory linear in
+        # n (about 60 MB traced), where n^2/2 bits would be 625 MB
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["classify", "--format", "edgelist", "--json"],
+                                   "100000 1\n0 1\n", monkeypatch, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["classes"]["gamma1"] is False
+        assert rec["classes"]["regular"] is False
+        assert peak < 200 * 2**20
 
 
 class TestSweep:

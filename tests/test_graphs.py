@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,7 +348,7 @@ class TestGraph6AgainstOracle:
 
 
 class TestConnectivityAgainstOracle:
-    """The bitset search against a breadth-first search over ``neighbors()``."""
+    """The union-find against a breadth-first search over ``neighbors()``."""
 
     def test_every_labeled_graph_small(self):
         for n in range(1, 7):
@@ -382,6 +383,21 @@ class TestConnectivityAgainstOracle:
                 assert verdict == oracle_is_connected(g), write_graph6(g)
                 verdicts[verdict] += 1
         assert min(verdicts.values()) > 40
+
+
+    def test_large_sparse_graphs_take_memory_linear_in_n(self):
+        # one adjacency bitset per vertex would hold n^2/2 bits here (625 MB)
+        n = 100_000
+        path = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        one_edge = Graph(n, ((0, 1),))
+        tracemalloc.start()
+        try:
+            assert is_connected(path)
+            assert not is_connected(one_edge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestStructure:
