@@ -235,14 +235,24 @@ def cmd_classify(args) -> int:
 
 
 def _resolve_jobs(args) -> int:
+    """``--jobs``, else ``ISDD_LAB_JOBS``, else the CPUs this process may run on.
+
+    A ``--jobs`` below 1 raises ValueError; an ``ISDD_LAB_JOBS`` that is not
+    an integer of at least 1 is ignored with a warning.
+    """
     if args.jobs is not None:
-        return max(1, args.jobs)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        return args.jobs
     env = os.environ.get("ISDD_LAB_JOBS", "")
     if env.strip():
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            print(f"warning: ignoring bad ISDD_LAB_JOBS={env!r}", file=sys.stderr)
+            jobs = 0
+        if jobs >= 1:
+            return jobs
+        print(f"warning: ignoring bad ISDD_LAB_JOBS={env!r}", file=sys.stderr)
     # the CPUs this process may run on: a pinned or cgroup-limited run sees
     # fewer than os.cpu_count(), which counts every CPU of the host
     if hasattr(os, "sched_getaffinity"):
@@ -290,10 +300,10 @@ def cmd_sweep(args) -> int:
             if cfg.trees:
                 raise ValueError("tree mode (--trees or the trees subcommand) does not "
                                  "apply to --stdin-graph6")
+        jobs = _resolve_jobs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    jobs = _resolve_jobs(args)
     report_file = None
     if args.report:
         # opened before the sweep, which can run for minutes
@@ -345,7 +355,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser, tree_defaults: bool):
                         "enumeration order (serial)")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: ISDD_LAB_JOBS, else the number of "
+                   help="parallel workers, at least 1 (default: ISDD_LAB_JOBS, else the number of "
                         "CPUs this process may use)")
     p.add_argument("--report", default=None, help="write the JSON report to this path")
     p.add_argument("--stdin-graph6", action="store_true",

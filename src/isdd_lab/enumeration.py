@@ -3,7 +3,9 @@
 ``labeled_graphs`` walks every edge subset on n <= 7 vertices in bitmask
 order; ``labeled_trees`` decodes every Pruefer sequence for n <= 9.  The
 sweep runs every selected bound on every generated (or externally streamed)
-graph, recording violations and equality-characterization discrepancies.
+graph, recording violations and equality-characterization discrepancies; a
+tree order that no selected check can flag is counted without a scan
+(:func:`_chunk_jobs`).
 Work is partitioned into contiguous index chunks whose partial reports merge
 associatively, so the final report does not depend on the worker count.  A
 finalized report writes its JSON file and stdout lines itself
@@ -467,8 +469,19 @@ def _enumerated_counts(cfg: SweepConfig):
 
 
 def _chunk_jobs(cfg: SweepConfig):
-    """Deterministic list of (worker, args) chunks covering the configured range."""
+    """The positions settled without a scan, and the (worker, args) chunks for the rest.
+
+    The chunk list is deterministic.  A tree order that is silent for the
+    selection (:func:`_kernel.silent_tree_order`) gets no chunk: its rank
+    range, whole or cut by ``max_graphs``, counts as seen and checked with no
+    records.  The report is the scan's all the same.  Every labeled tree in
+    any rank range is isomorphic to some free tree of its order, so its
+    signature is one of that order's signatures, and for each of those the
+    scan's template is silent: the scan would count the same trees and emit
+    nothing.
+    """
     jobs = []
+    settled = 0
     chunk = 1 << CHUNK_BITS
     if cfg.trees:
         worker = _tree_chunk_worker
@@ -477,9 +490,12 @@ def _chunk_jobs(cfg: SweepConfig):
         worker = _graph_chunk_worker
         extra = (cfg.bounds, cfg.connected_only, cfg.check_classes)
     for n, total in _enumerated_counts(cfg):
+        if cfg.trees and _kernel.silent_tree_order(n, cfg.bounds, cfg.check_classes):
+            settled += total
+            continue
         for lo in range(0, total, chunk):
             jobs.append((worker, (n, lo, min(lo + chunk, total)) + extra))
-    return jobs
+    return settled, jobs
 
 
 def _mask_slots(mask: int) -> list[int]:
@@ -609,7 +625,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
             )
             report.merge(_check_each(cfg, stream, check, cfg.max_graphs))
         else:
-            chunk_jobs = _chunk_jobs(cfg)
+            settled, chunk_jobs = _chunk_jobs(cfg)
+            report.merge({"seen": settled, "checked": settled, "violations": [],
+                          "discrepancies": []})
             if jobs > 1 and len(chunk_jobs) > 1:
                 with multiprocessing.Pool(min(jobs, len(chunk_jobs))) as pool:
                     for partial in pool.imap_unordered(_dispatch_chunk, chunk_jobs, chunksize=1):

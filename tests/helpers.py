@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from fractions import Fraction
 
+from isdd_lab import _kernel
+from isdd_lab.enumeration import CHUNK_BITS, SweepReport, _enumerated_counts, _tree_chunk_worker
 from isdd_lab.graphs import GRAPH6_MAX_N, Graph, Graph6Error, is_connected
 
 
@@ -199,6 +202,28 @@ def oracle_encode_prufer(g: Graph) -> list[int]:
     return seq
 
 
+def tree_scan_report(cfg, jobs: int = 1) -> SweepReport:
+    """A tree sweep's report with every order scanned rank by rank, silent or not.
+
+    The oracle of the sweep's silent-order shortcut: the same positions as
+    ``run_sweep(cfg)``, each labeled tree decoded by
+    ``_kernel.scan_tree_ranks``; ``jobs`` > 1 scans the chunks in a pool.
+    """
+    step = 1 << CHUNK_BITS
+    chunks = [(n, lo, min(lo + step, total), cfg.bounds, cfg.check_classes)
+              for n, total in _enumerated_counts(cfg) for lo in range(0, total, step)]
+    report = SweepReport()
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            for partial in pool.imap_unordered(_tree_chunk_worker, chunks):
+                report.merge(partial)
+    else:
+        for chunk in chunks:
+            report.merge(_kernel.scan_tree_ranks(*chunk))
+    report.finalize()
+    return report
+
+
 def oracle_report_text(report, config: dict) -> str:
     """The ``--report`` file as the CLI wrote it with ``json.dump``."""
     import io
@@ -290,3 +315,74 @@ def oracle_edge_ratio_constant(g: Graph) -> Fraction | None:
         if (a + b) * den0 != num0 * (a * a + b * b):
             return None
     return Fraction(num0, den0)
+
+
+def _side_splits(g: Graph, deg: list[int]) -> list[int]:
+    """Candidate side-U vertex sets, as bitmasks, for the bipartite definitions.
+
+    Every subset of the vertices for n <= 6.  Above that, two: the vertices of
+    the largest degree, which must be side U whenever the two sides have
+    different degrees, and side 0 of a breadth-first two-colouring, which
+    puts every edge across whenever some split does (the regular case).
+    """
+    if g.n <= 6:
+        return list(range(1 << g.n))
+    dmax = max(deg)
+    adj = g.neighbors()
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] < 0:
+            side[root] = 0
+            queue = [root]
+            for v in queue:
+                for w in adj[v]:
+                    if side[w] < 0:
+                        side[w] = 1 - side[v]
+                        queue.append(w)
+    return [sum(1 << v for v in range(g.n) if deg[v] == dmax),
+            sum(1 << v for v in range(g.n) if side[v] == 0)]
+
+
+def _split_degrees(g: Graph, deg: list[int], u: int):
+    """The degree sets of side U (the vertices in ``u``) and side W, or None
+    when some edge has both ends on one side."""
+    for i, j in g.edges:
+        if (u >> i & 1) == (u >> j & 1):
+            return None
+    return ({deg[v] for v in range(g.n) if u >> v & 1},
+            {deg[v] for v in range(g.n) if not u >> v & 1})
+
+
+def oracle_is_regular(g: Graph) -> int | None:
+    """The degree of every vertex, when they all have one."""
+    deg = _adjacency_degrees(g)
+    return deg[0] if len(set(deg)) == 1 else None
+
+
+def oracle_is_semiregular_bipartite(g: Graph) -> tuple[int, int] | None:
+    """(r, s), r >= s, when some split into sides U and W puts every edge
+    across, every U vertex at degree r >= 1 and every W vertex at degree s >= 1."""
+    deg = _adjacency_degrees(g)
+    if 0 in deg or len(set(deg)) > 2:
+        return None  # some vertex could take neither r nor s
+    for u in _side_splits(g, deg):
+        split = _split_degrees(g, deg, u)
+        if split and len(split[0]) == len(split[1]) == 1:
+            (r,), (s,) = split
+            return (r, s) if r >= s else (s, r)
+    return None
+
+
+def oracle_in_gamma3(g: Graph) -> bool:
+    """Connected, and some split into sides U and W puts every edge across,
+    every U vertex at the largest degree D and the W vertices at exactly two
+    degrees: the smallest, d, and D(D-d)/(D+d), a positive integer."""
+    if g.m == 0 or not oracle_is_connected(g):
+        return False
+    deg = _adjacency_degrees(g)
+    dmax, dmin = max(deg), min(deg)
+    mid, rem = divmod(dmax * (dmax - dmin), dmax + dmin)
+    if rem or mid < 1:
+        return False
+    return any(_split_degrees(g, deg, u) == ({dmax}, {dmin, mid})
+               for u in _side_splits(g, deg))

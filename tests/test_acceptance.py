@@ -29,6 +29,7 @@ from helpers import (
     h3_graph,
     path_graph,
     star_graph,
+    tree_scan_report,
 )
 
 GA_TOL = 1e-9
@@ -53,10 +54,12 @@ def full_sweep():
     return run_sweep(SweepConfig(n_min=2, n_max=7), jobs=JOBS)
 
 
+TREE_SWEEP = SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",))
+
+
 @pytest.fixture(scope="session")
 def tree_sweep():
-    cfg = SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",))
-    return run_sweep(cfg, jobs=JOBS)
+    return run_sweep(TREE_SWEEP, jobs=JOBS)
 
 
 def test_criterion_1_index_fixtures():
@@ -119,6 +122,10 @@ def test_criterion_4_tree_edge_sweep(tree_sweep):
         assert tree_sweep.graphs_seen == sum(n ** (n - 2) for n in range(4, 10))
         assert tree_sweep.graphs_checked == tree_sweep.graphs_seen
         assert tree_sweep.violations == []
+        # the sweep decides these orders from their free trees; the witness
+        # decodes and checks every one of the 5,063,357 labeled trees
+        witness = tree_scan_report(TREE_SWEEP, jobs=JOBS)
+        assert witness.to_dict(include_timing=False) == tree_sweep.to_dict(include_timing=False)
 
 
 def test_criterion_5_claim1_chain():
@@ -183,10 +190,12 @@ def test_criterion_9_figure_constructions():
 
 def _roundtrip_chunk(args):
     n, lo, hi = args
-    pairs = [(i, j) for j in range(n) for i in range(j)]
+    # vertex pairs in lexicographic order, each with its mask bit (slot j(j-1)/2 + i),
+    # so that the set bits give a sorted edge tuple
+    pairs = [((i, j), 1 << (j * (j - 1) // 2 + i)) for i in range(n) for j in range(i + 1, n)]
     bad = 0
     for mask in range(lo, hi):
-        edges = tuple(sorted(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
+        edges = tuple([pair for pair, bit in pairs if mask & bit])
         g = Graph(n, edges)
         if parse_graph6(write_graph6(g)) != g:
             bad += 1

@@ -394,6 +394,37 @@ class TestSweep:
         capsys.readouterr()
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n-max", "4", "--jobs", "-5"],
+        ["sweep", "--n-max", "4", "--jobs", "0"],
+        ["trees", "--n-max", "5", "--jobs", "0"],
+        ["sweep", "--stdin-graph6", "--jobs", "0"],
+    ])
+    def test_jobs_below_one_exits_1(self, argv, monkeypatch, capsys):
+        from isdd_lab import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept with an invalid --jobs")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        code, out, err = run_cli(argv, "Ch\n", monkeypatch, capsys)
+        assert code == 1
+        assert err == f"error: --jobs must be at least 1, got {argv[-1]}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("env", ["0", "-3", "two"])
+    def test_bad_jobs_env_is_ignored(self, env, monkeypatch, capsys):
+        from isdd_lab import cli
+
+        monkeypatch.setenv("ISDD_LAB_JOBS", env)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        warning = f"warning: ignoring bad ISDD_LAB_JOBS={env!r}\n"
+        assert cli._resolve_jobs(argparse.Namespace(jobs=None)) == 1
+        assert capsys.readouterr().err == warning
+        code, _, err = run_cli(["sweep", "--n-max", "3"], capsys=capsys)
+        assert code == 0
+        assert err.startswith(warning + "seen=")
+
 
 def _stdin_bytes(monkeypatch, data: bytes):
     """stdin as the interpreter opens it on POSIX in a UTF-8 locale: undecodable

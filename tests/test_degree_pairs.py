@@ -1,13 +1,15 @@
 """Differential tests: the shared degree-pair helpers and the classification
-predicates built on them against edge-by-edge definitions (``helpers``)."""
+predicates against edge-by-edge and side-by-side definitions (``helpers``)."""
 
 import random
 
 import pytest
 
-from isdd_lab.classify import edge_ratio_constant, in_gamma1, in_gamma2
+from isdd_lab.classify import (edge_ratio_constant, in_gamma1, in_gamma2, in_gamma3, is_regular,
+                               is_semiregular_bipartite)
 from isdd_lab.enumeration import labeled_graphs
-from isdd_lab.graphs import Graph, count_degree_pair_edges, degree_pair_counts, degrees
+from isdd_lab.graphs import (Graph, count_degree_pair_edges, degree_pair_counts, degrees,
+                             parse_graph6)
 from helpers import (
     complete_bipartite,
     h1_graph,
@@ -17,6 +19,9 @@ from helpers import (
     oracle_edge_ratio_constant,
     oracle_in_gamma1,
     oracle_in_gamma2,
+    oracle_in_gamma3,
+    oracle_is_regular,
+    oracle_is_semiregular_bipartite,
 )
 
 
@@ -33,6 +38,8 @@ def _random_graphs():
 
 SMALL = [g for n in range(1, 7) for g in labeled_graphs(n)]
 RANDOM = _random_graphs()
+# every graph on n <= 6 vertices, the figure graphs and a gamma3 graph on 10
+NAMED = SMALL + [h1_graph(), h2_graph(), h3_graph(), parse_graph6("IBjFFB_w?")]
 
 
 def assert_pairs_match(graphs):
@@ -62,6 +69,26 @@ def test_degree_pair_counts_match_edge_by_edge(graphs):
 @pytest.mark.parametrize("graphs", [SMALL, RANDOM], ids=["every_graph_n6", "random_n8_30"])
 def test_classes_match_edge_by_edge(graphs):
     assert_classes_match(graphs)
+
+
+@pytest.mark.parametrize("graphs", [NAMED, RANDOM], ids=["named", "random_n8_30"])
+def test_regular_and_semiregular_match_definition(graphs):
+    for g in graphs:
+        assert is_regular(g) == oracle_is_regular(g), g
+        if g.n >= 2:
+            assert is_semiregular_bipartite(g) == oracle_is_semiregular_bipartite(g), g
+
+
+def test_gamma3_matches_definition():
+    for g in NAMED:
+        assert in_gamma3(g) == oracle_in_gamma3(g), g
+
+
+def test_bipartite_twins_reach_every_verdict():
+    assert {oracle_is_regular(g) is None for g in NAMED} == {True, False}
+    assert {oracle_is_semiregular_bipartite(g) is None for g in NAMED if g.n >= 2} == {
+        True, False}
+    assert {oracle_in_gamma3(g) for g in NAMED} == {True, False}
 
 
 def test_small_graphs_reach_every_verdict():

@@ -23,6 +23,7 @@ from isdd_lab.enumeration import (
 from isdd_lab.graphs import Graph, is_connected, parse_graph6, write_graph6
 from isdd_lab.bounds import ALL_BOUND_IDS
 from isdd_lab.classify import in_gamma3
+import helpers
 from helpers import (
     cycle_graph,
     h1_graph,
@@ -381,6 +382,119 @@ class TestSignatureScans:
 def _graph_from_mask(n, mask):
     pairs = [(i, j) for j in range(n) for i in range(j)]
     return Graph(n, tuple(sorted(p for k, p in enumerate(pairs) if (mask >> k) & 1)))
+
+
+# OEIS A000055: trees on n unlabeled vertices
+FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+                    11: 235, 12: 551}
+# every selection the silence decision is held to: each bound alone, and all
+SELECTIONS = [(ALL_BOUND_IDS, True)] + [((bound,), True) for bound in ALL_BOUND_IDS]
+
+
+def _prufer_signatures(n):
+    """Degree-pair counts -> sorted degrees, over every labeled tree on n vertices."""
+    out = {}
+    for seq in itertools.product(range(n), repeat=n - 2):
+        deg = [1] * n
+        for s in seq:
+            deg[s] += 1
+        pc = {}
+        for i, j in _kernel.prufer_edges(seq, n):
+            pair = (deg[i], deg[j]) if deg[i] >= deg[j] else (deg[j], deg[i])
+            pc[pair] = pc.get(pair, 0) + 1
+        out.setdefault(frozenset(pc.items()), tuple(sorted(deg)))
+    return out
+
+
+class TestFreeTrees:
+    def test_counts_match_oeis(self):
+        for n, count in FREE_TREE_COUNTS.items():
+            trees = _kernel.free_trees(n)
+            assert len(trees) == count, n
+            for g in trees:
+                assert g.n == n and g.m == n - 1 and is_connected(g), g
+
+    def test_one_tree_per_class(self):
+        # canonical_form is the brute-force isomorphism test
+        for n in range(1, 10):
+            forms = {canonical_form(g) for g in _kernel.free_trees(n)}
+            assert len(forms) == FREE_TREE_COUNTS[n], n
+
+    def test_signatures_match_every_labeled_tree(self):
+        for n in range(2, 9):
+            got = {}
+            for key, deg in _kernel.tree_signatures(n):
+                assert key & 1, (n, key)
+                got[frozenset(_kernel.signature_pairs(n, key).items())] = tuple(sorted(deg))
+            assert got == _prufer_signatures(n), n
+        assert [len(_kernel.tree_signatures(n)) for n in range(2, 10)] == [
+            1, 1, 2, 3, 6, 11, 21, 40]
+
+
+class TestSilentTreeOrders:
+    """An order is silent exactly when a scan of all its labeled trees emits nothing."""
+
+    def test_silent_exactly_when_the_scan_emits_nothing(self):
+        verdicts = set()
+        for bounds, check_classes in SELECTIONS:
+            for n in range(2, 9):
+                scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds, check_classes)
+                quiet = not (scan["violations"] or scan["discrepancies"])
+                assert _kernel.silent_tree_order(n, bounds, check_classes) == quiet, \
+                    f"n={n} bounds={bounds} check_classes={check_classes}"
+                verdicts.add(quiet)
+        assert verdicts == {True, False}
+
+    def test_per_graph_template_is_loud(self, monkeypatch):
+        # no tree on <= 9 vertices has a constant edge ratio over two or more
+        # pairs; given such a signature (that of the gamma3 graph IBjFFB_w?),
+        # the order must be loud whatever that graph's verdicts, since the
+        # template re-checks graph by graph
+        g = parse_graph6("IBjFFB_w?")
+        weights = _kernel.signature_table(g.n)[0]
+        deg = [sum(v in e for e in g.edges) for v in range(g.n)]
+        key = 1 + sum(weights[deg[i] * g.n + deg[j]] for i, j in g.edges)
+        monkeypatch.setattr(_kernel, "tree_signatures", lambda n: ((key, tuple(deg)),))
+        _kernel._silent_tree_order.cache_clear()
+        try:
+            assert not _kernel.silent_tree_order(g.n, ("EDGE_MIN",), True)
+            assert _kernel.silent_tree_order(g.n, ("EDGE_MIN",), False)
+        finally:
+            _kernel._silent_tree_order.cache_clear()
+
+    def test_sweep_equals_scan(self):
+        cases = (
+            # cut inside n = 8, a silent order
+            SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",),
+                        max_graphs=16 + 125 + 1296 + 16807 + 5000),
+            # n = 2, 3 silent, n = 4, 5 loud
+            SweepConfig(n_min=2, n_max=5, trees=True),
+            # cut inside n = 6, a loud order
+            SweepConfig(n_min=2, n_max=7, trees=True, bounds=["LOWER_ELL", "M1_F"],
+                        max_graphs=1 + 1 + 3 + 16 + 125 + 700),
+        )
+        for cfg in cases:
+            want = report_dict(helpers.tree_scan_report(cfg))
+            assert want["graphs_seen"] == (cfg.max_graphs or 1 + 3 + 16 + 125)
+            for jobs in (1, 2):
+                assert report_dict(run_sweep(cfg, jobs=jobs)) == want, (cfg, jobs)
+        assert want["equality_discrepancies"]
+
+    def test_only_loud_orders_are_chunked(self):
+        settled, jobs = enumeration._chunk_jobs(SweepConfig(n_min=2, n_max=6, trees=True))
+        assert settled == 1 + 3
+        assert [args[0] for _, args in jobs] == [4, 5, 6]
+
+    def test_no_pool_without_chunks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("started work for a silent selection")
+
+        monkeypatch.setattr(enumeration.multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(_kernel, "scan_tree_ranks", refuse)
+        cfg = SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",))
+        rep = run_sweep(cfg, jobs=8)
+        assert rep.graphs_seen == rep.graphs_checked == sum(n ** (n - 2) for n in range(4, 10))
+        assert rep.violations == [] and rep.equality_discrepancies == []
 
 
 class TestRunSweep:
