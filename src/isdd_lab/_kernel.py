@@ -162,48 +162,15 @@ def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def prufer_rank(edges, n: int) -> int:
-    """Rank of a labeled tree's Pruefer sequence; inverts :func:`prufer_edges`.
-
-    The sequence is read as n-2 base-n digits, first entry most significant
-    (:func:`prufer_sequence`): the order of ``itertools.product`` and of
-    :func:`scan_tree_ranks`.
-    """
-    deg = [0] * n
-    nbr = [0] * n  # XOR of the neighbours still attached: a leaf's is its neighbour
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-        nbr[i] ^= j
-        nbr[j] ^= i
-    rank = 0
-    ptr = 0
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for _ in range(n - 2):
-        s = nbr[leaf]
-        rank = rank * n + s
-        nbr[s] ^= leaf
-        deg[s] -= 1
-        if deg[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    return rank
-
-
 @lru_cache(maxsize=1)
 def relabel_slots(n: int) -> tuple[bytes, ...]:
     """Slot-map table: byte p of column k is the slot that edge slot k moves to
     under the p-th permutation of the n vertices (``itertools.permutations``
     order).
 
-    n! bytes per slot: 15 x 720 at n = 6, 21 x 5040 at n = 7, 36 x 9! (13 MB)
-    at n = 9.  Only the table of the last n asked for is kept.
+    n! bytes per slot: 15 x 720 at n = 6, 21 x 5040 at n = 7, the largest
+    order the graph dedup walk serves.  Only the table of the last n asked
+    for is kept.
     """
     ei, ej = edge_table(n)
     slot = [[0] * n for _ in range(n)]
@@ -275,6 +242,17 @@ def _pair_names(pairs) -> tuple[str, ...]:
     return tuple(f"pair({a},{b})" for a, b in sorted(pairs))
 
 
+def _min_edge_term(pairs) -> tuple[int, int]:
+    """(ab, a^2 + b^2) of the pair (a, b) with the smallest edge term ab/(a^2+b^2),
+    compared by cross-multiplication; the first such pair on ties."""
+    it = iter(pairs)
+    ma, mb = next(it)
+    for a, b in it:
+        if a * b * (ma * ma + mb * mb) < ma * mb * (a * a + b * b):
+            ma, mb = a, b
+    return ma * mb, ma * ma + mb * mb
+
+
 def check_pair_stats(
     n: int,
     m: int,
@@ -315,17 +293,13 @@ def check_pair_stats(
             inum += cnt * a * b * (d_common // (a * a + b * b))
 
     if sel.edge_min and has_min_deg:
-        # min edge term over present pairs, tracked by cross-multiplication
-        ma, mb = next(iter(pc))
-        for a, b in pc:
-            if a * b * (ma * ma + mb * mb) < ma * mb * (a * a + b * b):
-                ma, mb = a, b
-        lhs_cmp = ma * mb * q1
-        rhs_cmp = p1 * (ma * ma + mb * mb)
+        pe, qe = _min_edge_term(pc)
+        lhs_cmp = pe * q1
+        rhs_cmp = p1 * qe
         if lhs_cmp < rhs_cmp:
             violations.append(
                 (g6_fn(), "EDGE_MIN",
-                 fraction_str(Fraction(ma * mb, ma * ma + mb * mb)),
+                 fraction_str(Fraction(pe, qe)),
                  fraction_str(Fraction(p1, q1)))
             )
         elif lhs_cmp == rhs_cmp and sel.check_classes and connected:
@@ -341,16 +315,13 @@ def check_pair_stats(
 
     if sel.edge_second_min and has_min_deg and m > ell:
         off = [(a, b) for a, b in pc if (a, b) != (dmax, dmin)]
-        ma, mb = off[0]
-        for a, b in off:
-            if a * b * (ma * ma + mb * mb) < ma * mb * (a * a + b * b):
-                ma, mb = a, b
-        lhs_cmp = ma * mb * q2
-        rhs_cmp = p2 * (ma * ma + mb * mb)
+        pe, qe = _min_edge_term(off)
+        lhs_cmp = pe * q2
+        rhs_cmp = p2 * qe
         if lhs_cmp < rhs_cmp:
             violations.append(
                 (g6_fn(), "EDGE_SECOND_MIN",
-                 fraction_str(Fraction(ma * mb, ma * ma + mb * mb)),
+                 fraction_str(Fraction(pe, qe)),
                  fraction_str(Fraction(p2, q2)))
             )
         elif lhs_cmp == rhs_cmp and sel.check_classes and connected:
@@ -370,14 +341,11 @@ def check_pair_stats(
         tn, td = n - 2, (n - 2) * (n - 2) + 1
         applicable = [(a, b) for a, b in pc if (a, b) != (n - 1, 1)]
         if applicable:
-            ma, mb = applicable[0]
-            for a, b in applicable:
-                if a * b * (ma * ma + mb * mb) < ma * mb * (a * a + b * b):
-                    ma, mb = a, b
-            if ma * mb * td < tn * (ma * ma + mb * mb):
+            pe, qe = _min_edge_term(applicable)
+            if pe * td < tn * qe:
                 violations.append(
                     (g6_fn(), "TREE_EDGE",
-                     fraction_str(Fraction(ma * mb, ma * ma + mb * mb)),
+                     fraction_str(Fraction(pe, qe)),
                      fraction_str(Fraction(tn, td)))
                 )
 

@@ -291,15 +291,10 @@ def cmd_sweep(args) -> int:
             max_graphs=args.max_graphs,
             trees=args.trees,
         )
-        if not args.stdin_graph6:
-            cfg.validate()
+        if args.stdin_graph6:
+            cfg.validate_stream()
         else:
-            cfg.validate_common()
-            if cfg.dedup:
-                raise ValueError("--dedup does not apply to --stdin-graph6")
-            if cfg.trees:
-                raise ValueError("tree mode (--trees or the trees subcommand) does not "
-                                 "apply to --stdin-graph6")
+            cfg.validate()
         jobs = _resolve_jobs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ them.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import multiprocessing
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -17,6 +17,7 @@ import pytest
 
 from isdd_lab.bounds import BoundId, BoundReport, claim1_chain, evaluate_all
 from isdd_lab.classify import classify, edge_ratio_constant, in_gamma1, in_gamma2, in_gamma3
+from isdd_lab.cli import _resolve_jobs
 from isdd_lab.enumeration import SweepConfig, labeled_graphs, run_sweep
 from isdd_lab.graphs import Graph, is_connected, parse_graph6, write_graph6
 from isdd_lab.indices import index_vector, isdd
@@ -33,7 +34,8 @@ from helpers import (
 )
 
 GA_TOL = 1e-9
-JOBS = int(os.environ.get("ISDD_LAB_JOBS", "0")) or (os.cpu_count() or 1)
+# the CLI's rule: ISDD_LAB_JOBS if it is an integer >= 1, else the usable CPUs
+JOBS = _resolve_jobs(argparse.Namespace(jobs=None))
 
 CONNECTED_LABELED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 EQUALITY_BOUNDS = (BoundId.LOWER_ELL, BoundId.UPPER_K, BoundId.UPPER_NDELTA, BoundId.M1_F)

@@ -87,7 +87,6 @@ class TestLabeledTrees:
             seqs = itertools.product(range(n), repeat=n - 2)
             for rank, seq in enumerate(seqs):
                 assert _kernel.prufer_sequence(rank, n) == seq
-                assert _kernel.prufer_rank(_kernel.prufer_edges(seq, n), n) == rank
 
     @given(st.integers(min_value=2, max_value=9), st.data())
     @settings(max_examples=100, deadline=None)
@@ -95,7 +94,6 @@ class TestLabeledTrees:
         rank = data.draw(st.integers(0, n ** (n - 2) - 1))
         seq = _kernel.prufer_sequence(rank, n)
         assert seq == tuple(rank // n ** (n - 3 - i) % n for i in range(n - 2))
-        assert _kernel.prufer_rank(_kernel.prufer_edges(seq, n), n) == rank
 
     @given(st.integers(min_value=3, max_value=9), st.data())
     @settings(max_examples=100, deadline=None)
@@ -626,6 +624,12 @@ class TestRunSweep:
                 run_sweep(cfg, graphs=iter([]))
         assert run_sweep(SweepConfig(n_min=2, n_max=40), graphs=iter([])).graphs_seen == 0
 
+    @pytest.mark.parametrize("flag", ["dedup", "trees"])
+    def test_stream_rejects_enumeration_modes(self, flag):
+        cfg = SweepConfig(n_min=2, n_max=6, **{flag: True})
+        with pytest.raises(ValueError, match="stdin-graph6"):
+            run_sweep(cfg, graphs=stream_graph6(["Ch\n", "Ch\n", "C^\n"]))
+
     def test_bounds_as_list(self):
         # the kernel caches its check selection by the bounds, which a list
         # cannot key as it is
@@ -673,11 +677,12 @@ def _dedup_oracle(cfg: SweepConfig) -> dict:
 # OEIS A000088 (graphs), A001349 (connected graphs), A000055 (trees), by n
 GRAPH_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-TREE_CLASSES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+TREE_CLASSES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 
 
 class TestDedupSweep:
-    """The orbit-flagging walk checks exactly the first graph of each class."""
+    """The orbit-flagging walk (graphs) and the tree-form walk (trees) check
+    exactly the first graph of each class."""
 
     def test_graphs_match_oracle(self):
         for connected_only in (True, False):
@@ -694,6 +699,9 @@ class TestDedupSweep:
                         max_graphs=2 + 8 + 64 + 300),
             SweepConfig(n_min=2, n_max=6, dedup=True, trees=True,
                         max_graphs=1 + 1 + 3 + 16 + 125 + 500),
+            # the last tree class on 7 vertices turns up at rank 466, so this
+            # cut ends the tree walk before it has met every class
+            SweepConfig(n_min=6, n_max=7, dedup=True, trees=True, max_graphs=6 ** 4 + 400),
         )
         for cfg in cases:
             rep = run_sweep(cfg)
