@@ -9,9 +9,9 @@ over the lcm of a^2 + b^2 for the degree pairs (a, b) present, so the same
 code serves every graph order.
 
 The enumerating scans go further and check each degree-pair signature once
-per chunk.  A signature packs the edge count of every degree pair (a, b),
-a >= b, with a connected flag.  Within one vertex count it fixes every input
-of :func:`check_pair_stats`:
+per chunk, the graph scan once per process.  A signature packs the edge
+count of every degree pair (a, b), a >= b, with a connected flag.  Within
+one vertex count it fixes every input of :func:`check_pair_stats`:
 
 - m is the sum of the counts;
 - M1 = sum_v d_v^2 = sum over edges of (a + b), and
@@ -54,11 +54,12 @@ graph6 text of a record.
 Most tree orders need no scan at all.  A signature is an isomorphism
 invariant, so the signatures of the labeled trees on n vertices are those of
 the free trees on n vertices (:func:`free_trees`, one per isomorphism class:
-47 at n = 9 against 4,782,969 labeled trees).  An order is *silent* for a
-selection when the template of each of those signatures emits nothing
-(:func:`silent_tree_order`); a sweep then counts its Pruefer rank range as
-checked without decoding it.  A signature whose template re-checks graph by
-graph (gamma3) counts as loud, so silence never rests on a graph.
+47 at n = 9 against 4,782,969 labeled trees, generated directly as level
+sequences rooted at a centre, with no isomorphism test).  An order is
+*silent* for a selection when the template of each of those signatures emits
+nothing (:func:`silent_tree_order`); a sweep then counts its Pruefer rank
+range as checked without decoding it.  A signature whose template re-checks
+graph by graph (gamma3) counts as loud, so silence never rests on a graph.
 
 Everything here is cross-validated against the reference path by the test
 suite (exhaustively for small n); any divergence is a bug, not a policy.
@@ -109,17 +110,15 @@ def edge_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(ei), tuple(ej)
 
 
+# six mask bits, slot q lowest -> the graph6 character of slots q..q+5, slot q
+# its most significant bit
+_MASK_CHARS = tuple(chr(63 + int(f"{bits:06b}"[::-1], 2)) for bits in range(64))
+
+
 def mask_to_graph6(n: int, mask: int) -> str:
     """graph6 text for an edge bitmask (bit k = slot k of the bit stream)."""
-    nbits = n * (n - 1) // 2
-    out = [chr(63 + n)]
-    for q in range(0, nbits, 6):
-        v = 0
-        for r in range(6):
-            t = q + r
-            v = (v << 1) | ((mask >> t) & 1 if t < nbits else 0)
-        out.append(chr(63 + v))
-    return "".join(out)
+    return chr(63 + n) + "".join([_MASK_CHARS[mask >> q & 63]
+                                  for q in range(0, n * (n - 1) // 2, 6)])
 
 
 def edges_to_mask(edges) -> int:
@@ -633,25 +632,101 @@ def _tree_form(g: Graph) -> str:
 
 @lru_cache(maxsize=None)
 def free_trees(n: int) -> tuple[Graph, ...]:
-    """One tree on n vertices per isomorphism class.
+    """One tree on n vertices per isomorphism class, by the walk of Wright,
+    Richmond, Odlyzko and McKay ("Constant time generation of free trees",
+    SIAM J. Comput. 15 (1986)).
 
-    Every tree on n >= 2 vertices is a tree on n - 1 vertices with a leaf
-    added, so growing each class of order n - 1 by a leaf at every vertex
-    meets every class of order n; :func:`_tree_form` keeps the first tree of
-    each (Wright, Richmond, Odlyzko and McKay, "Constant time generation of
-    free trees", SIAM J. Comput. 15 (1986), and McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26 (1998), by their idea, not their
-    constant-time walk).  The counts are OEIS A000055, from the single
-    (empty) tree on 0 vertices.
+    A rooted tree is written as its level sequence: the depth of each vertex
+    in preorder, root first at depth 0, with the children of every vertex
+    ordered so that the sequence is as large as it can be; a vertex hangs
+    from the last vertex before it one level up.  Beyer and Hedetniemi's
+    successor (:func:`_next_rooted_tree`) runs through these sequences in
+    decreasing order.  Each free tree has exactly one of them that passes
+    :func:`_rooted_at_centre`, rooted at a centre; the walk goes from the
+    path to the star through those, jumping over the runs of sequences that
+    would fail the test, so the trees come out distinct without an
+    isomorphism test.  The counts are OEIS A000055, from the single (empty)
+    tree on 0 vertices.
     """
-    if n <= 1:
-        return (Graph(n),)
-    forms: dict = {}
-    for tree in free_trees(n - 1):
-        for v in range(n - 1):
-            grown = Graph.from_edges(n, tree.edges + ((v, n - 1),))
-            forms.setdefault(_tree_form(grown), grown)
-    return tuple(forms.values())
+    if n <= 2:
+        return (Graph(n, ((0, 1),) if n == 2 else ()),)
+    trees = []
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path, centre first
+    while True:
+        split = _second_subtree(levels)
+        if not _rooted_at_centre(levels, split):
+            # every successor that keeps the root's first subtree fails too,
+            # since the rest only gets smaller and no deeper: change that
+            # subtree.  With p deeper than 2 the copy never returns to depth 1
+            # and fills every later vertex, so the rest becomes a path as
+            # deep as the new first subtree
+            p = split - 1
+            deep = levels[p] > 2
+            levels = _next_rooted_tree(levels, p)
+            if deep:
+                depth = max(levels[1:_second_subtree(levels)])
+                levels[n - depth:] = range(1, depth + 1)
+            continue
+        last = [0] * n  # last[d]: the latest vertex at depth d
+        edges = []
+        for v in range(1, n):
+            edges.append((last[levels[v] - 1], v))
+            last[levels[v]] = v
+        trees.append(Graph._make((n, tuple(sorted(edges)))))
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:  # the star, the last tree
+            return tuple(trees)
+        levels = _next_rooted_tree(levels, p)
+
+
+def _second_subtree(levels: list[int]) -> int:
+    """Where the root's second subtree starts in a level sequence of three or
+    more vertices; its length when the root has one child."""
+    try:
+        return levels.index(1, 2)
+    except ValueError:
+        return len(levels)
+
+
+def _rooted_at_centre(levels: list[int], split: int) -> bool:
+    """Whether the free tree walk keeps this level sequence.
+
+    Let A be the root's first subtree, ``levels[1:split]``, which is its
+    deepest, and B the rest of the tree, root included.  The root is a centre
+    exactly when B reaches as deep as A or one level less.  In the second
+    case the root and its first child are both centres, and the edge between
+    them cuts the tree into A and B.  So that one of the two rootings is
+    kept, the sequence is kept when B has more vertices than A, or as many
+    and a level sequence no smaller than A's.
+    """
+    depth_a = max(levels[1:split])
+    depth_b = max(levels[split:], default=0)
+    if depth_b == depth_a:
+        return True
+    if depth_b != depth_a - 1:
+        return False
+    a = [d - 1 for d in levels[1:split]]
+    b = [0] + levels[split:]
+    return (len(a), a) <= (len(b), b)
+
+
+def _next_rooted_tree(levels: list[int], p: int) -> list[int]:
+    """Beyer and Hedetniemi's successor of a level sequence, changed from
+    vertex p on (``levels[p] >= 2``).
+
+    The subtree of p's parent q, as far as it goes before p, is copied again
+    and again over p and every vertex after it.  With p the last vertex
+    deeper than 1, this gives the next sequence in decreasing order.
+    """
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for v in range(p, len(levels)):
+        out.append(out[v - p + q])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -854,6 +929,13 @@ def _mask_degrees(n: int, mask: int) -> list[int]:
     return deg
 
 
+@lru_cache(maxsize=None)
+def _graph_templates(n: int, connected_only: bool, sel: Selection) -> dict:
+    """Signature -> :func:`_template` of the graph scans on n vertices with these
+    settings; filled by :func:`scan_graph_masks` as it meets signatures."""
+    return {}
+
+
 def scan_graph_masks(
     n: int,
     lo: int,
@@ -868,7 +950,9 @@ def scan_graph_masks(
     c = min(n, CORE_ORDER) vertices, ``high`` the rest.  For each ``high`` one
     table of code weights is built (:func:`_code_weights`); the signature of
     every mask of that block is then the sum of the weights of its core
-    graph's codes (:func:`core_table`), negative for a skipped mask.
+    graph's codes (:func:`core_table`), negative for a skipped mask.  The
+    templates of the signatures met are kept for the rest of the process
+    (:func:`_graph_templates`), so the chunks a worker scans share them.
     """
     c = min(n, CORE_ORDER)
     slots = c * (c - 1) // 2
@@ -878,8 +962,7 @@ def scan_graph_masks(
     checked = 0
     violations: list = []
     discrepancies: list = []
-    templates: dict = {}
-    loud = set()  # the keys whose templates emit records
+    templates = _graph_templates(n, connected_only, sel)
     first = max(lo, 1)  # the edgeless graph is never checked
     for high in range(first >> slots, (hi - 1 >> slots) + 1 if hi > first else 0):
         offset = high << slots
@@ -888,14 +971,14 @@ def scan_graph_masks(
         table = _code_weights(n, c, high, weights, connected_only)
         keys = list(map(sum, map(map, repeat(table.__getitem__), codes[start:stop])))
         checked += sum(map((0).__le__, keys))
-        for key in set(keys) - templates.keys():
+        distinct = set(keys)
+        for key in distinct - templates.keys():
             if key < 0:
                 templates[key] = ()
                 continue
             deg = _mask_degrees(n, offset | start + keys.index(key))
             templates[key] = _template(n, sum(deg) // 2, deg, key, sel)
-            if templates[key]:
-                loud.add(key)
+        loud = {key for key in distinct if templates[key]}  # the keys that emit records
         if loud:
             for core in compress(range(start, stop), map(loud.__contains__, keys)):
                 templates[keys[core - start]](mask_to_graph6(n, offset | core),

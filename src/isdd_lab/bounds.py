@@ -23,7 +23,7 @@ Identifiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -51,23 +51,19 @@ class BoundId(str, Enum):
 ALL_BOUND_IDS: tuple[str, ...] = tuple(b.value for b in BoundId)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    bound_id: BoundId
-    lhs: Fraction | float
-    rhs: Fraction | float
-    holds: bool
-    equality: bool
-    arithmetic: str  # "exact" | "approximate"
-    context: dict
+class BoundReport(namedtuple("BoundReport",
+                             "bound_id lhs rhs holds equality arithmetic context")):
+    """One evaluated bound: its BoundId, both sides (Fraction, or float when
+    ``arithmetic`` is "approximate" rather than "exact"), the verdict and the
+    graph's context dict."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SkippedBound:
+class SkippedBound(namedtuple("SkippedBound", "bound_id reason")):
     """Precondition of one bound not met; carried instead of a report."""
 
-    bound_id: BoundId
-    reason: str
+    __slots__ = ()
 
 
 def approx_ge(lhs: float, rhs: float) -> bool:

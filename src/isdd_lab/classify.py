@@ -10,24 +10,20 @@ regular / semiregular bipartite / gamma3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graphs import Graph, GraphError, bipartition, degree_data, degree_pair_counts, is_connected
 from .indices import _degrees
 
 
-@dataclass(frozen=True)
-class GraphClassLabel:
-    regular: bool
-    regular_degree: int | None
-    semiregular_bipartite: bool
-    semiregular_pair: tuple[int, int] | None
-    gamma1: bool
-    gamma2: bool
-    gamma3: bool
-    constant_edge_ratio: bool
-    edge_ratio: Fraction | None
+class GraphClassLabel(namedtuple("GraphClassLabel", (
+        "regular regular_degree semiregular_bipartite semiregular_pair "
+        "gamma1 gamma2 gamma3 constant_edge_ratio edge_ratio"))):
+    """Family verdicts of one graph; ``regular_degree``, ``semiregular_pair``
+    (r, s) and ``edge_ratio`` (a Fraction) are None outside their family."""
+
+    __slots__ = ()
 
 
 def is_regular(g: Graph) -> int | None:

@@ -7,7 +7,10 @@ Subcommands: ``compute`` (index values), ``check`` (bound reports),
 Exit codes: 0 success; 1 unreadable input, an unwritable report path or an
 invalid configuration; 2 parse errors in the input; 3 at least one bound
 violation (a falsified claim, which CI must be able to tell apart from bad
-input).  When the reader of stdout goes away (``isdd-lab compute | head -1``,
+input).  ``check`` skips an edgeless graph, which has no bound to check,
+with a stderr line: exit 0 and, with ``--json``, an empty ``bounds`` list,
+as a sweep counts such a graph seen but not checked.  When the reader of
+stdout goes away (``isdd-lab compute | head -1``,
 ``isdd-lab sweep | head -1``), every command stops writing quietly: compute,
 check and classify stop reading graphs and exit with the code of the graphs
 read so far; a sweep still completes its ``--report`` file and exits with
@@ -38,7 +41,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import os
 import sys
 
@@ -52,6 +54,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VIOLATION = 3
+
+
+def _json_line(record: dict) -> str:
+    """The text of one ``--json`` object; json is imported only when asked for."""
+    import json
+
+    return json.dumps(record)
 
 
 def _index_vector_json(g: Graph) -> dict:
@@ -160,7 +169,7 @@ def _each_graph(args, render) -> int:
             if isinstance(item, str):
                 print(f"parse error at {input_id}: {item}", file=sys.stderr)
                 code = EXIT_PARSE
-                out = json.dumps({"input_id": input_id, "error": item}) if args.json else None
+                out = _json_line({"input_id": input_id, "error": item}) if args.json else None
             else:
                 code, out = render(input_id, item)
             status = max(status, code)
@@ -172,7 +181,8 @@ def _each_graph(args, render) -> int:
 def cmd_compute(args) -> int:
     def render(input_id: str, g: Graph):
         if args.json:
-            return EXIT_OK, json.dumps({"input_id": input_id, "index_vector": _index_vector_json(g)})
+            return EXIT_OK, _json_line({"input_id": input_id,
+                                        "index_vector": _index_vector_json(g)})
         return EXIT_OK, _human_indices(input_id, g)
 
     return _each_graph(args, render)
@@ -188,12 +198,13 @@ def cmd_check(args) -> int:
     def render(input_id: str, g: Graph):
         if g.m == 0:
             print(f"skipping {input_id}: no edges, nothing to check", file=sys.stderr)
-            return EXIT_PARSE, None
+            out = _json_line({"input_id": input_id, "bounds": []}) if args.json else None
+            return EXIT_OK, out
         entries = [e for e in evaluate_all(g) if e.bound_id.value in selected]
         violated = any(isinstance(e, BoundReport) and not e.holds for e in entries)
         code = EXIT_VIOLATION if violated else EXIT_OK
         if args.json:
-            return code, json.dumps({
+            return code, _json_line({
                 "input_id": input_id,
                 "bounds": [_bound_json(e) for e in entries],
             })
@@ -216,7 +227,7 @@ def cmd_classify(args) -> int:
     def render(input_id: str, g: Graph):
         label = classify(g)
         if args.json:
-            return EXIT_OK, json.dumps({"input_id": input_id, "classes": _classes_json(label)})
+            return EXIT_OK, _json_line({"input_id": input_id, "classes": _classes_json(label)})
         parts = []
         if label.regular:
             parts.append(f"regular(r={label.regular_degree})")

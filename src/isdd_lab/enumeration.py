@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
-import multiprocessing
 import operator
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
@@ -35,20 +33,16 @@ CHUNK_BITS = 15  # mask-range chunk size 2**15; small enough for even balance
 EXPECTED_EQUALITY_CLASSES = _kernel.EXPECTED_EQUALITY_CLASSES
 
 
-@dataclass(frozen=True)
-class StreamError:
+class StreamError(namedtuple("StreamError", "line_no message")):
     """One unparseable line of a graph6 stream."""
 
-    line_no: int
-    message: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Violation:
-    graph6: str
-    bound_id: str
-    lhs: str
-    rhs: str
+class Violation(namedtuple("Violation", "graph6 bound_id lhs rhs")):
+    """A bound that fails on a graph; both sides as text."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The record as the report lists it."""
@@ -60,13 +54,13 @@ class Violation:
         return f"VIOLATION {self.bound_id} {self.graph6} lhs={self.lhs} rhs={self.rhs}"
 
 
-@dataclass(frozen=True)
-class EqualityDiscrepancy:
-    graph6: str
-    bound_id: str
-    expected_classes: tuple[str, ...]
-    actual_classification: tuple[str, ...]
-    equality: bool
+class EqualityDiscrepancy(namedtuple(
+        "EqualityDiscrepancy",
+        "graph6 bound_id expected_classes actual_classification equality")):
+    """A check whose equality verdict disagrees with the graph's classes;
+    the two class fields are tuples of names."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The record as the report lists it."""
@@ -85,10 +79,15 @@ class EqualityDiscrepancy:
                 f"expected_one_of={','.join(self.expected_classes)} actual={actual}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple(
+        "SweepConfig",
+        "n_min n_max connected_only dedup bounds max_graphs trees check_classes",
+        defaults=(True, False, ALL_BOUND_IDS, None, False, True))):
     """What to enumerate and which checks to run.
 
+    ``n_min``..``n_max`` is the range of vertex counts.  ``connected_only``
+    skips disconnected graphs; ``bounds`` holds the selected bound ids;
+    ``max_graphs`` (None for no limit) cuts the walk after that many graphs.
     ``trees`` switches from all-edge-subset enumeration to labeled trees.
     ``dedup`` checks one graph per isomorphism class, the first of the class
     in enumeration order; the walk is serial, flags each checked graph's
@@ -99,14 +98,7 @@ class SweepConfig:
     they never affect the violation list.
     """
 
-    n_min: int
-    n_max: int
-    connected_only: bool = True
-    dedup: bool = False
-    bounds: tuple[str, ...] = ALL_BOUND_IDS
-    max_graphs: int | None = None
-    trees: bool = False
-    check_classes: bool = True
+    __slots__ = ()
 
     def validate_common(self):
         """Raise ValueError for a configuration no sweep mode accepts."""
@@ -137,25 +129,28 @@ class SweepConfig:
             raise ValueError("graph sweeps enumerate internally only for 1 <= n <= 7")
 
 
-@dataclass
 class SweepReport:
-    graphs_seen: int = 0
-    graphs_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    equality_discrepancies: list[EqualityDiscrepancy] = field(default_factory=list)
-    wall_time: float = 0.0
+    """Counts and records of a sweep; partial reports merge into it."""
+
+    def __init__(self, graphs_seen: int = 0, graphs_checked: int = 0, violations=None,
+                 equality_discrepancies=None, wall_time: float = 0.0):
+        self.graphs_seen = graphs_seen
+        self.graphs_checked = graphs_checked
+        self.violations: list[Violation] = [] if violations is None else violations
+        self.equality_discrepancies: list[EqualityDiscrepancy] = (
+            [] if equality_discrepancies is None else equality_discrepancies)
+        self.wall_time = wall_time
 
     def merge(self, partial: dict):
         self.graphs_seen += partial["seen"]
         self.graphs_checked += partial["checked"]
-        self.violations.extend(Violation(*v) for v in partial["violations"])
+        self.violations.extend(map(Violation._make, partial["violations"]))
         self.equality_discrepancies.extend(
-            EqualityDiscrepancy(*d) for d in partial["discrepancies"]
-        )
+            map(EqualityDiscrepancy._make, partial["discrepancies"]))
 
     def finalize(self):
-        self.violations.sort(key=lambda v: (v.graph6, v.bound_id, v.lhs, v.rhs))
-        self.equality_discrepancies.sort(key=lambda d: (d.graph6, d.bound_id))
+        self.violations.sort(key=_VIOLATION_ORDER)
+        self.equality_discrepancies.sort(key=_DISCREPANCY_ORDER)
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -181,7 +176,9 @@ class SweepReport:
         ``json.dump``, which the tests hold it to; ``to_dict`` stays the
         definition of the content.
         """
-        counts = replace(self, violations=[], equality_discrepancies=[])
+        import json
+
+        counts = SweepReport(self.graphs_seen, self.graphs_checked, wall_time=self.wall_time)
         top = {"config": config, **counts.to_dict()}
         top["violations"] = top["equality_discrepancies"] = _SLOT
         head, middle, tail = json.dumps(top, indent=2).split(json.dumps(_SLOT))
@@ -223,11 +220,15 @@ def until_reader_leaves(out):
 
 _SLOT = "\x00"  # stands in for a graph6 or a record list while a template is formatted
 WRITE_BLOCK = 1024  # records per write call, so that no whole output is held in memory
-_GRAPH6 = operator.attrgetter("graph6")
+_GRAPH6 = operator.itemgetter(0)
+_VIOLATION_ORDER = operator.itemgetter(0, 1, 2, 3)  # graph6, bound_id, lhs, rhs
+_DISCREPANCY_ORDER = operator.itemgetter(0, 1)  # graph6, bound_id
 
 
 def _report_text(record) -> str:
     """The record as ``json.dump(indent=2)`` lays it out two levels deep in the report."""
+    import json
+
     return "    " + json.dumps(record.as_dict(), indent=2).replace("\n", "\n    ")
 
 
@@ -247,7 +248,7 @@ class _Templates(dict):
     def __init__(self, cls, text, escape):
         super().__init__()
         self.cls, self.text, self.escape = cls, text, escape
-        self.kind_of = operator.attrgetter(*(f.name for f in fields(cls)[1:]))
+        self.kind_of = operator.itemgetter(*range(1, len(cls._fields)))
 
     def __missing__(self, kind):
         text = self.text(self.cls(_SLOT, *kind))
@@ -268,6 +269,8 @@ def _record_blocks(records, text, escape):
 
 
 def _write_json_list(fh, records):
+    import json
+
     if not records:
         fh.write("[]")
         return
@@ -652,6 +655,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
             report.merge({"seen": settled, "checked": settled, "violations": [],
                           "discrepancies": []})
             if jobs > 1 and len(chunk_jobs) > 1:
+                import multiprocessing  # only here: most runs open no pool
+
                 with multiprocessing.Pool(min(jobs, len(chunk_jobs))) as pool:
                     for partial in pool.imap_unordered(_dispatch_chunk, chunk_jobs, chunksize=1):
                         report.merge(partial)

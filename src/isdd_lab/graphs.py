@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import io
 import re
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import itemgetter
@@ -60,26 +59,29 @@ class EdgeListError(GraphError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph; safe to share between worker processes."""
+class Graph(namedtuple("Graph", "n edges")):
+    """Immutable simple graph; safe to share between worker processes.
 
-    n: int
-    edges: tuple[tuple[int, int], ...] = ()
+    ``Graph(n, edges)`` validates; ``Graph._make((n, edges))`` does not, for
+    callers whose edge tuple is canonical by construction.
+    """
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphError(f"vertex count must be non-negative, got {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: tuple[tuple[int, int], ...] = ()):
+        if n < 0:
+            raise GraphError(f"vertex count must be non-negative, got {n}")
         prev = None
-        for e in self.edges:
+        for e in edges:
             i, j = e
             if i == j:
                 raise GraphError(f"loop at vertex {i}")
-            if not (0 <= i < j < self.n):
-                raise GraphError(f"edge {e} outside canonical range for n={self.n}")
+            if not (0 <= i < j < n):
+                raise GraphError(f"edge {e} outside canonical range for n={n}")
             if prev is not None and e <= prev:
                 raise GraphError(f"edges not sorted/unique at {e}")
             prev = e
+        return tuple.__new__(cls, (n, edges))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -104,18 +106,14 @@ class Graph:
         return tuple(tuple(a) for a in adj)
 
 
-@dataclass(frozen=True)
-class DegreeData:
-    degrees: tuple[int, ...]
-    max_degree: int
-    min_degree: int
+class DegreeData(namedtuple("DegreeData", "degrees max_degree min_degree")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(namedtuple("Bipartition", "side_of")):
     """Two-coloring of the vertices; every edge joins side 0 (U) to side 1 (W)."""
 
-    side_of: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def u(self) -> tuple[int, ...]:
@@ -252,8 +250,9 @@ def parse_graph6(text: str) -> Graph:
             f"expected {nbytes} data bytes for n={n}, found {found}",
             pos + min(found, nbytes),
         )
+    # the edge tuples below are canonical by construction: no re-validation
     if not nbits:
-        return Graph(n)
+        return Graph._make((n, ()))
     body = b[pos:]
     bits = bytearray(6 * nbytes)
     for shift, table in enumerate(_G6_BITS):
@@ -262,11 +261,11 @@ def parse_graph6(text: str) -> Graph:
         # the padding lies in the last byte
         raise Graph6Error("trailing padding bits not zero", len(b) - 1)
     if n > SLOT_TABLE_MAX_N:
-        return Graph(n, tuple(_matrix_edges(n, bits)))
+        return Graph._make((n, tuple(_matrix_edges(n, bits))))
     select, pairs = _graph6_slots(n)
     # through a list: tuple() of an iterator grows by resizing, which is
     # slower and raised peak RSS by about 0.5 MB on a 20,000-graph stream
-    return Graph(n, tuple(list(compress(pairs, select(bits)))))
+    return Graph._make((n, tuple(list(compress(pairs, select(bits))))))
 
 
 def write_graph6(g: Graph) -> str:

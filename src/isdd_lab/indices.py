@@ -9,7 +9,7 @@ detection trustworthy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
@@ -95,16 +95,10 @@ def geometric_arithmetic(g: Graph) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class IndexVector:
+class IndexVector(namedtuple("IndexVector", "isdd sdd m1 m2 forgotten ga")):
     """The six index values of one graph (five exact, ga approximate)."""
 
-    isdd: Fraction
-    sdd: Fraction
-    m1: int
-    m2: int
-    forgotten: int
-    ga: float
+    __slots__ = ()
 
 
 def index_vector(g: Graph) -> IndexVector:

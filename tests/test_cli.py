@@ -177,6 +177,29 @@ class TestCheck:
         assert rec["bounds"][0]["holds"] is False
 
 
+    def test_edgeless_graph_is_skipped_with_exit_0(self, monkeypatch, capsys):
+        # nothing to check, as a sweep counts it seen but not checked; not a parse error
+        code, out, err = run_cli(["check"], "A?\n", monkeypatch, capsys)
+        assert (code, out) == (0, "")
+        assert err == "skipping A?: no edges, nothing to check\n"
+        code, out, err = run_cli(["check", "--format", "edgelist"], "3 0\n", monkeypatch,
+                                 capsys)
+        assert (code, out) == (0, "")
+        assert err == "skipping -: no edges, nothing to check\n"
+
+    def test_edgeless_graph_json(self, monkeypatch, capsys):
+        code, out, err = run_cli(["check", "--json"], "A?\nCh\n", monkeypatch, capsys)
+        assert code == 0
+        first, second = map(json.loads, out.splitlines())
+        assert first == {"input_id": "A?", "bounds": []}
+        assert second["input_id"] == "Ch" and second["bounds"]
+        assert "skipping A?" in err
+
+    def test_edgeless_graph_keeps_other_exit_codes(self, monkeypatch, capsys):
+        code, _, _ = run_cli(["check"], "A?\nC~~\n", monkeypatch, capsys)
+        assert code == 2
+
+
 class TestClassify:
     def test_k23(self, monkeypatch, capsys):
         g6 = write_graph6(complete_bipartite(2, 3))

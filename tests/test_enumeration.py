@@ -1,5 +1,6 @@
 import io
 import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -487,7 +488,7 @@ class TestSilentTreeOrders:
         def refuse(*args, **kwargs):
             raise AssertionError("started work for a silent selection")
 
-        monkeypatch.setattr(enumeration.multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
         monkeypatch.setattr(_kernel, "scan_tree_ranks", refuse)
         cfg = SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",))
         rep = run_sweep(cfg, jobs=8)
@@ -520,7 +521,7 @@ class TestRunSweep:
             def imap_unordered(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(enumeration.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         cfg = SweepConfig(n_min=2, n_max=4)  # one chunk per order
         report = run_sweep(cfg, jobs=8)
         assert sizes == [3]

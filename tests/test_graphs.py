@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from isdd_lab.graphs import (
     GRAPH6_MAX_N,
+    SLOT_TABLE_MAX_N,
     EdgeListError,
     Graph,
     Graph6Error,
@@ -317,7 +318,7 @@ class TestGraph6AgainstOracle:
         texts = _graph6_error_shapes()
         outcomes = [_outcome(parse_graph6, t) for t in texts]
         assert outcomes == [_outcome(oracle_parse_graph6, t) for t in texts]
-        messages = [o[1] for o in outcomes if isinstance(o, tuple)]
+        messages = [o[1] for o in outcomes if not isinstance(o, Graph)]
         for kind in ("empty graph6 string", "character ", "truncated long size header",
                      f"order above {GRAPH6_MAX_N} is not supported",
                      "non-canonical long size header", "expected ",
@@ -345,6 +346,53 @@ class TestGraph6AgainstOracle:
         for text in cli_decodings(data):
             for line in text.split("\n"):
                 assert _outcome(parse_graph6, line) == _outcome(oracle_parse_graph6, line)
+
+
+def assert_canonical(g: Graph):
+    """``g`` is what the validating constructor builds from its own fields."""
+    assert type(g) is Graph
+    assert type(g.edges) is tuple and all(type(e) is tuple for e in g.edges)
+    assert Graph(g.n, g.edges) == g  # raises GraphError for a non-canonical edge tuple
+
+
+class TestDecodedGraphsAreCanonical:
+    """parse_graph6 builds its graphs without validating them; each must be
+    the graph ``Graph(n, edges)`` validates."""
+
+    def test_every_graph_small(self):
+        for n in range(0, 7):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                assert_canonical(parse_graph6(write_graph6(mask_graph(n, mask))))
+
+    def test_slot_and_matrix_orders(self):
+        rng = random.Random(62)
+        for n in (SLOT_TABLE_MAX_N - 1, SLOT_TABLE_MAX_N, SLOT_TABLE_MAX_N + 1, 64, 100):
+            for p in (0.0, 0.05, 0.5, 1.0):
+                g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                   if rng.random() < p))
+                decoded = parse_graph6(write_graph6(g))
+                assert_canonical(decoded)
+                assert decoded == g
+
+    @given(st.one_of(st.text(), _GRAPH6_LIKE))
+    @settings(max_examples=500, deadline=None)
+    def test_text(self, text):
+        try:
+            g = parse_graph6(text)
+        except GraphError:
+            return
+        assert_canonical(g)
+
+    @given(_BYTES)
+    @settings(max_examples=500, deadline=None)
+    def test_bytes(self, data):
+        for text in cli_decodings(data):
+            for line in text.split("\n"):
+                try:
+                    g = parse_graph6(line)
+                except GraphError:
+                    continue
+                assert_canonical(g)
 
 
 class TestConnectivityAgainstOracle:
