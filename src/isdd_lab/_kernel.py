@@ -9,29 +9,22 @@ over the lcm of a^2 + b^2 for the degree pairs (a, b) present, so the same
 code serves every graph order.
 
 The enumerating scans go further and check each degree-pair signature once
-per chunk, the graph scan once per process.  A signature packs the edge
-count of every degree pair (a, b), a >= b, with a connected flag.  Within
-one vertex count it fixes every input of :func:`check_pair_stats`:
+per process (:func:`_template`).  A signature packs the edge count of every
+degree pair (a, b), a >= b, with a connected flag.  Within one vertex count
+it fixes every input of :func:`check_pair_stats`:
 
 - m is the sum of the counts;
-- M1 = sum_v d_v^2 = sum over edges of (a + b), and
-  F = sum_v d_v^3 = sum over edges of (a^2 + b^2), since vertex v adds d_v to
-  each of its d_v edges;
-- Delta is the largest a present, and delta is 0 when a vertex is isolated,
-  else the smallest b present (every other vertex ends some edge); whether
-  one is isolated is fixed too, since the vertices of degree d >= 1 number
-  (the edge ends at degree d) / d, which the counts give;
+- the degrees are fixed (:func:`signature_degrees`): the vertices of degree
+  d >= 1 number (the edge ends at degree d) / d, and the rest are isolated;
+  so are M1 = sum_v d_v^2, F = sum_v d_v^3, Delta and delta;
 - the index, GA, M2, ell, k, the edge-term minima and the labels regular,
   semiregular bipartite, gamma1, gamma2 and constant edge ratio are sums,
-  minima or tests over the pairs and these degrees.
+  minima or tests over the pairs and these degrees;
+- so is gamma3 for a connected graph (:func:`_lazy_gamma3`).
 
-The one exception is gamma3, which parses the graph.  It is tested only with
-class checks on, for a connected graph with a constant edge ratio that is
-neither regular nor semiregular, i.e. one with two or more distinct pairs;
-signatures of that kind are re-checked graph by graph.  Otherwise the scan
-keeps the records of the first graph of a signature without their graph6
-field and, for each later graph of it, renders graph6 once and only when there
-are records.  The float GA sums then run in pair order, not edge order; they
+So every verdict, every record but its graph6 field, is a function of
+(n, signature).  A scan renders graph6 once for each graph whose signature
+has records.  The float GA sums run in pair order, not edge order; they
 may differ in the last bits, far inside the 1e-9 tolerance of those checks.
 
 Neither scan decodes a graph edge by edge.  The graph scan walks two
@@ -56,10 +49,9 @@ invariant, so the signatures of the labeled trees on n vertices are those of
 the free trees on n vertices (:func:`free_trees`, one per isomorphism class:
 47 at n = 9 against 4,782,969 labeled trees, generated directly as level
 sequences rooted at a centre, with no isomorphism test).  An order is
-*silent* for a selection when the template of each of those signatures emits
-nothing (:func:`silent_tree_order`); a sweep then counts its Pruefer rank
-range as checked without decoding it.  A signature whose template re-checks
-graph by graph (gamma3) counts as loud, so silence never rests on a graph.
+*silent* for a selection when the template of each of those signatures is
+empty (:func:`silent_tree_order`); a sweep then counts its Pruefer rank
+range as checked without decoding it.
 
 Everything here is cross-validated against the reference path by the test
 suite (exhaustively for small n); any divergence is a bug, not a policy.
@@ -77,7 +69,6 @@ from math import sqrt
 
 from . import graphs
 from .bounds import REL_TOL, STRICT_MARGIN, ga_m2_rhs, ga_simple_rhs
-from .classify import in_gamma3
 from .graphs import Graph, degree_pair_counts, degrees
 from .indices import fraction_str
 
@@ -188,7 +179,7 @@ def relabel_slots(n: int) -> tuple[bytes, ...]:
 class Selection:
     """Which checks a sweep runs; hoisted out of the per-graph loop."""
 
-    def __init__(self, bounds: tuple[str, ...], check_classes: bool):
+    def __init__(self, bounds: tuple[str, ...]):
         sel = frozenset(bounds)
         self.edge_min = "EDGE_MIN" in sel
         self.edge_second_min = "EDGE_SECOND_MIN" in sel
@@ -201,7 +192,6 @@ class Selection:
         self.m1_f = "M1_F" in sel
         self.claim1 = "CLAIM1" in sel
         self.remark_order = "REMARK_ORDER" in sel
-        self.check_classes = check_classes
         self.needs_isdd = (
             self.lower_ell or self.upper_k or self.upper_ndelta
             or self.ga_simple or self.ga_m2 or self.m1_f
@@ -209,13 +199,13 @@ class Selection:
 
 
 @lru_cache(maxsize=16)
-def selection(bounds: tuple[str, ...], check_classes: bool) -> Selection:
+def selection(bounds: tuple[str, ...]) -> Selection:
     """The Selection of these arguments, built once and shared; never mutated.
 
     Callers pass ``tuple(bounds)``, so that any sequence of bound ids keys
     the cache (``tuple`` of a tuple is that tuple).
     """
-    return Selection(bounds, check_classes)
+    return Selection(bounds)
 
 
 def _actual_class_names(regular, semireg, consecutive, g1, g2, g3, ratio_const):
@@ -259,18 +249,18 @@ def check_pair_stats(
     pc: dict[tuple[int, int], int],
     connected: bool,
     sel: Selection,
-    g6_fn,
-    violations: list,
-    discrepancies: list,
-) -> None:
+) -> tuple[list, list]:
     """Run every selected check on one graph given its degree-pair counts.
 
-    Appends (graph6, check_id, lhs, rhs) violation records and
-    (graph6, check_id, expected_classes, actual, equality) discrepancy records.
+    Returns (violations, discrepancies): (check_id, lhs, rhs) violation
+    records and (check_id, expected_classes, actual, equality) discrepancy
+    records, without the graph6 field that leads each record of a report.
     Identical verdict semantics to the reference path built on the public API.
     The exact index is inum / d_common, d_common the lcm of a^2 + b^2 over
     the pairs in ``pc``.
     """
+    violations: list = []
+    discrepancies: list = []
     dmax = max(deg)
     dmin = min(deg)
     has_min_deg = dmin >= 1
@@ -297,18 +287,18 @@ def check_pair_stats(
         rhs_cmp = p1 * qe
         if lhs_cmp < rhs_cmp:
             violations.append(
-                (g6_fn(), "EDGE_MIN",
+                ("EDGE_MIN",
                  fraction_str(Fraction(pe, qe)),
                  fraction_str(Fraction(p1, q1)))
             )
-        elif lhs_cmp == rhs_cmp and sel.check_classes and connected:
+        elif lhs_cmp == rhs_cmp and connected:
             bad = [
                 (a, b) for a, b in pc
                 if (a, b) != (dmax, dmin) and a * b * q1 == p1 * (a * a + b * b)
             ]
             if bad:
                 discrepancies.append(
-                    (g6_fn(), "EDGE_MIN", EXPECTED_EQUALITY_CLASSES["EDGE_MIN"],
+                    ("EDGE_MIN", EXPECTED_EQUALITY_CLASSES["EDGE_MIN"],
                      _pair_names(bad), True)
                 )
 
@@ -319,11 +309,11 @@ def check_pair_stats(
         rhs_cmp = p2 * qe
         if lhs_cmp < rhs_cmp:
             violations.append(
-                (g6_fn(), "EDGE_SECOND_MIN",
+                ("EDGE_SECOND_MIN",
                  fraction_str(Fraction(pe, qe)),
                  fraction_str(Fraction(p2, q2)))
             )
-        elif lhs_cmp == rhs_cmp and sel.check_classes and connected:
+        elif lhs_cmp == rhs_cmp and connected:
             want = (dm1, dmin) if dm1 >= dmin else (dmin, dm1)
             bad = [
                 (a, b) for a, b in off
@@ -331,7 +321,7 @@ def check_pair_stats(
             ]
             if bad:
                 discrepancies.append(
-                    (g6_fn(), "EDGE_SECOND_MIN",
+                    ("EDGE_SECOND_MIN",
                      EXPECTED_EQUALITY_CLASSES["EDGE_SECOND_MIN"],
                      _pair_names(bad), True)
                 )
@@ -343,7 +333,7 @@ def check_pair_stats(
             pe, qe = _min_edge_term(applicable)
             if pe * td < tn * qe:
                 violations.append(
-                    (g6_fn(), "TREE_EDGE",
+                    ("TREE_EDGE",
                      fraction_str(Fraction(pe, qe)),
                      fraction_str(Fraction(tn, td)))
                 )
@@ -359,7 +349,7 @@ def check_pair_stats(
         right = rnum * d_common
         if left < right:
             violations.append(
-                (g6_fn(), "LOWER_ELL",
+                ("LOWER_ELL",
                  fraction_str(Fraction(inum, d_common)),
                  fraction_str(Fraction(rnum, rden)))
             )
@@ -377,7 +367,7 @@ def check_pair_stats(
         right = rnum * d_common
         if left > right:
             violations.append(
-                (g6_fn(), "UPPER_K",
+                ("UPPER_K",
                  fraction_str(Fraction(inum, d_common)),
                  fraction_str(Fraction(rnum, rden)))
             )
@@ -389,7 +379,7 @@ def check_pair_stats(
         right = rnum * d_common
         if left > right:
             violations.append(
-                (g6_fn(), "UPPER_NDELTA",
+                ("UPPER_NDELTA",
                  fraction_str(Fraction(inum, d_common)),
                  fraction_str(Fraction(rnum, rden)))
             )
@@ -405,7 +395,7 @@ def check_pair_stats(
         right = rnum * d_common
         if left < right:
             violations.append(
-                (g6_fn(), "M1_F",
+                ("M1_F",
                  fraction_str(Fraction(inum, d_common)),
                  fraction_str(Fraction(rnum, rden)))
             )
@@ -418,7 +408,7 @@ def check_pair_stats(
         isdd_f = inum / d_common if sel.needs_isdd else 0.0
         rhs_simple = ga_simple_rhs(ga, m)
         if sel.ga_simple and isdd_f < rhs_simple - REL_TOL * max(1.0, abs(rhs_simple)):
-            violations.append((g6_fn(), "GA_SIMPLE", repr(isdd_f), repr(rhs_simple)))
+            violations.append(("GA_SIMPLE", repr(isdd_f), repr(rhs_simple)))
         if sel.ga_m2 or sel.remark_order:
             m2 = 0
             for (a, b), cnt in pc.items():
@@ -426,10 +416,10 @@ def check_pair_stats(
             rhs_m2 = ga_m2_rhs(ga, m, dmax, m2)
             if sel.ga_m2:
                 if isdd_f < rhs_m2 - REL_TOL * max(1.0, abs(rhs_m2)):
-                    violations.append((g6_fn(), "GA_M2", repr(isdd_f), repr(rhs_m2)))
+                    violations.append(("GA_M2", repr(isdd_f), repr(rhs_m2)))
                 gam2_eq = abs(isdd_f - rhs_m2) <= REL_TOL * max(1.0, abs(rhs_m2))
             if sel.remark_order and not (rhs_m2 - rhs_simple > STRICT_MARGIN):
-                violations.append((g6_fn(), "REMARK_ORDER", repr(rhs_m2), repr(rhs_simple)))
+                violations.append(("REMARK_ORDER", repr(rhs_m2), repr(rhs_simple)))
 
     if sel.claim1 and has_min_deg and dmax >= dmin + 1:
         pm = dmax * (dmin + 1)
@@ -441,13 +431,13 @@ def check_pair_stats(
             ok = pm * qr <= pr * qm
         if not ok:
             violations.append(
-                (g6_fn(), "CLAIM1",
+                ("CLAIM1",
                  fraction_str(Fraction(p2, q2)),
                  fraction_str(Fraction(pm, qm)))
             )
 
-    if not (sel.check_classes and connected and has_min_deg):
-        return
+    if not (connected and has_min_deg):
+        return violations, discrepancies
 
     regular = dmax == dmin
     semireg = False
@@ -475,58 +465,53 @@ def check_pair_stats(
         (a + b) * rd0 == rn0 * (a * a + b * b) for a, b in pc
     )
 
-    gamma3 = None  # computed lazily; only reachable via constant-ratio graphs
-
-    def actual():
-        nonlocal gamma3
-        if gamma3 is None:
-            gamma3 = _lazy_gamma3(n, g6_fn(), ratio_const, regular, semireg)
-        return _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const)
-
-    if sel.lower_ell and el_eq != (regular or semireg or g1):
-        discrepancies.append(
-            (g6_fn(), "LOWER_ELL", EXPECTED_EQUALITY_CLASSES["LOWER_ELL"], actual(), el_eq)
-        )
-    if sel.upper_k and uk_eq != (regular or (semireg and consecutive) or g2):
-        discrepancies.append(
-            (g6_fn(), "UPPER_K", EXPECTED_EQUALITY_CLASSES["UPPER_K"], actual(), uk_eq)
-        )
-    if sel.upper_ndelta and und_eq != regular:
-        discrepancies.append(
-            (g6_fn(), "UPPER_NDELTA", EXPECTED_EQUALITY_CLASSES["UPPER_NDELTA"], actual(), und_eq)
-        )
-    if sel.ga_m2 and gam2_eq != regular:
-        discrepancies.append(
-            (g6_fn(), "GA_M2", EXPECTED_EQUALITY_CLASSES["GA_M2"], actual(), gam2_eq)
-        )
-    if sel.m1_f and m1f_eq != ratio_const:
-        discrepancies.append(
-            (g6_fn(), "M1_F", EXPECTED_EQUALITY_CLASSES["M1_F"], actual(), m1f_eq)
-        )
-    if ratio_const:
-        if gamma3 is None:
-            gamma3 = _lazy_gamma3(n, g6_fn(), ratio_const, regular, semireg)
-        if not (regular or semireg or gamma3):
-            discrepancies.append(
-                (g6_fn(), "RATIO_CONSTANT",
-                 EXPECTED_EQUALITY_CLASSES["RATIO_CONSTANT"], actual(), True)
-            )
     # a non-constant ratio rules out all three families: regular/semiregular
     # force constancy directly, and gamma3 membership forces the common value
     # (max+min)/(max^2+min^2) on both edge types
-    elif regular or semireg:
+    gamma3 = ratio_const and not (regular or semireg) and _lazy_gamma3(pc, dmax, dmin)
+    actual = _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const)
+
+    if sel.lower_ell and el_eq != (regular or semireg or g1):
         discrepancies.append(
-            (g6_fn(), "RATIO_CONSTANT",
-             EXPECTED_EQUALITY_CLASSES["RATIO_CONSTANT"], actual(), False)
+            ("LOWER_ELL", EXPECTED_EQUALITY_CLASSES["LOWER_ELL"], actual, el_eq)
         )
+    if sel.upper_k and uk_eq != (regular or (semireg and consecutive) or g2):
+        discrepancies.append(
+            ("UPPER_K", EXPECTED_EQUALITY_CLASSES["UPPER_K"], actual, uk_eq)
+        )
+    if sel.upper_ndelta and und_eq != regular:
+        discrepancies.append(
+            ("UPPER_NDELTA", EXPECTED_EQUALITY_CLASSES["UPPER_NDELTA"], actual, und_eq)
+        )
+    if sel.ga_m2 and gam2_eq != regular:
+        discrepancies.append(
+            ("GA_M2", EXPECTED_EQUALITY_CLASSES["GA_M2"], actual, gam2_eq)
+        )
+    if sel.m1_f and m1f_eq != ratio_const:
+        discrepancies.append(
+            ("M1_F", EXPECTED_EQUALITY_CLASSES["M1_F"], actual, m1f_eq)
+        )
+    if ratio_const != (regular or semireg or gamma3):
+        discrepancies.append(
+            ("RATIO_CONSTANT", EXPECTED_EQUALITY_CLASSES["RATIO_CONSTANT"], actual, ratio_const)
+        )
+    return violations, discrepancies
 
 
-def _lazy_gamma3(n: int, g6: str, ratio_const: bool, regular: bool, semireg: bool) -> bool:
-    if not ratio_const or regular or semireg:
-        return False
-    from .graphs import parse_graph6
+def _lazy_gamma3(pc: dict[tuple[int, int], int], dmax: int, dmin: int) -> bool:
+    """Gamma3 membership of a connected graph from its degree-pair counts.
 
-    return in_gamma3(parse_graph6(g6))
+    Gamma3 asks for a bipartition with every vertex of one side at degree
+    dmax and the degrees of the other side exactly dmin and the middle
+    degree dmax(dmax - dmin)/(dmax + dmin), so its pairs are (dmax, dmin) and
+    (dmax, mid).  Conversely, when those are the pairs, every edge joins a
+    dmax-vertex to a smaller one: the two vertex sets are the bipartition,
+    the only one of a connected graph, and the small side's degrees are the
+    second entries of the pairs.  (mid never equals dmin, since
+    dmax/dmin = 1 + sqrt(2) would.)
+    """
+    mid, rem = divmod(dmax * (dmax - dmin), dmax + dmin)
+    return not rem and pc.keys() == {(dmax, dmin), (dmax, mid)}
 
 
 @lru_cache(maxsize=None)
@@ -561,45 +546,38 @@ def signature_pairs(n: int, key: int) -> dict[tuple[int, int], int]:
     return pc
 
 
-def _template(n: int, m: int, deg, key: int, sel: Selection):
-    """The verdicts of one signature, as a function that emits them for a graph.
+def signature_degrees(n: int, pc: dict[tuple[int, int], int]) -> list[int]:
+    """The degrees, in increasing order, of any graph on n vertices with these
+    degree-pair counts: degree d >= 1 has (the edge ends at degree d) / d
+    vertices, and the vertices left over are isolated."""
+    ends: dict[int, int] = {}
+    for (a, b), cnt in pc.items():
+        ends[a] = ends.get(a, 0) + cnt
+        ends[b] = ends.get(b, 0) + cnt
+    deg = [d for d in sorted(ends) for _ in range(ends[d] // d)]
+    return [0] * (n - len(deg)) + deg
 
-    Runs :func:`check_pair_stats` once on the pair counts rebuilt from ``key``
-    (``deg`` is any graph with that signature; only its maximum, minimum and
-    power sums are read, which the key fixes).  Returns ``()`` when the
-    signature yields no records, else ``emit(g6, violations, discrepancies)``
-    appending the records with ``g6`` as their graph6 field.  A connected
-    signature with two or more pairs and a constant edge ratio keeps the one
-    graph-dependent verdict (gamma3), so with class checks on its emit
-    re-checks every graph.
+
+@lru_cache(maxsize=None)
+def _template(n: int, key: int, sel: Selection) -> tuple:
+    """The records of every graph on n vertices with signature ``key`` >= 0.
+
+    ``()`` when there are none, else the pair (violations, discrepancies)
+    that :func:`check_pair_stats` returns for the pair counts and degrees
+    the key fixes, shared and never mutated.  :func:`_add_records` gives a
+    graph its copies.
     """
     pc = signature_pairs(n, key)
-    connected = bool(key & 1)
-    if sel.check_classes and connected and len(pc) > 1 and _ratio_constant(pc):
-        def emit_checked(g6, violations, discrepancies):
-            check_pair_stats(n, m, deg, pc, connected, sel, lambda: g6,
-                             violations, discrepancies)
-        return emit_checked
-    violations: list = []
-    discrepancies: list = []
-    check_pair_stats(n, m, deg, pc, connected, sel, lambda: None,
-                     violations, discrepancies)
-    if not (violations or discrepancies):
-        return ()
-    viol = [rec[1:] for rec in violations]
-    disc = [rec[1:] for rec in discrepancies]
-
-    def emit(g6, violations, discrepancies):
-        violations.extend([(g6, *rec) for rec in viol])
-        discrepancies.extend([(g6, *rec) for rec in disc])
-    return emit
+    records = check_pair_stats(n, sum(pc.values()), signature_degrees(n, pc), pc,
+                               bool(key & 1), sel)
+    return records if records[0] or records[1] else ()
 
 
-def _ratio_constant(pc) -> bool:
-    """Whether (a+b)/(a^2+b^2) takes one value over the pairs present."""
-    (a0, b0), *rest = pc
-    rn0, rd0 = a0 + b0, a0 * a0 + b0 * b0
-    return all((a + b) * rd0 == rn0 * (a * a + b * b) for a, b in rest)
+def _add_records(g6: str, records: tuple, violations: list, discrepancies: list) -> None:
+    """Append the records of a non-empty :func:`_template` (or of
+    :func:`check_pair_stats`) with ``g6`` as their graph6 field."""
+    violations += [(g6, *rec) for rec in records[0]]
+    discrepancies += [(g6, *rec) for rec in records[1]]
 
 
 def _tree_form(g: Graph) -> str:
@@ -730,39 +708,26 @@ def _next_rooted_tree(levels: list[int], p: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def tree_signatures(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(signature, degrees) per distinct signature of the trees on n >= 2 vertices.
-
-    The signatures are packed as :func:`signature_table` packs them, with the
-    connected bit set; the degrees are those of the first free tree with that
-    signature.
-    """
+def tree_signatures(n: int) -> tuple[int, ...]:
+    """The distinct signatures of the trees on n >= 2 vertices, packed as
+    :func:`signature_table` packs them, with the connected bit set."""
     weights = signature_table(n)[0]
-    out: dict = {}
-    for tree in free_trees(n):
-        deg = degrees(tree)
-        key = 1 + sum(cnt * weights[a * n + b]
-                      for (a, b), cnt in degree_pair_counts(tree, deg).items())
-        out.setdefault(key, tuple(deg))
-    return tuple(out.items())
+    return tuple(dict.fromkeys(
+        1 + sum(cnt * weights[a * n + b] for (a, b), cnt in degree_pair_counts(tree).items())
+        for tree in free_trees(n)
+    ))
 
 
-def silent_tree_order(n: int, bounds: tuple[str, ...], check_classes: bool) -> bool:
+def silent_tree_order(n: int, bounds: tuple[str, ...]) -> bool:
     """Whether no labeled tree on n >= 2 vertices yields a record under these checks.
 
     Every labeled tree is isomorphic to one of :func:`free_trees`, so its
     signature is one of :func:`tree_signatures`, and :func:`scan_tree_ranks`
     emits its records by the :func:`_template` of that signature.  The order
-    is silent when every such template is empty; a template that re-checks
-    graph by graph is not, so it makes the order loud.  Decided once per
-    order and selection.
+    is silent when every such template is empty.
     """
-    return _silent_tree_order(n, selection(tuple(bounds), check_classes))
-
-
-@lru_cache(maxsize=None)
-def _silent_tree_order(n: int, sel: Selection) -> bool:
-    return not any(_template(n, n - 1, deg, key, sel) for key, deg in tree_signatures(n))
+    sel = selection(tuple(bounds))
+    return not any(_template(n, key, sel) for key in tree_signatures(n))
 
 
 CORE_ORDER = 5  # core vertices of the graph scan: 2^10 core graphs
@@ -916,33 +881,12 @@ def _code_weights(n: int, c: int, high: int, weights, connected_only: bool) -> l
     return table
 
 
-def _mask_degrees(n: int, mask: int) -> list[int]:
-    ei, ej = edge_table(n)
-    deg = [0] * n
-    k = 0
-    while mask:
-        if mask & 1:
-            deg[ei[k]] += 1
-            deg[ej[k]] += 1
-        mask >>= 1
-        k += 1
-    return deg
-
-
-@lru_cache(maxsize=None)
-def _graph_templates(n: int, connected_only: bool, sel: Selection) -> dict:
-    """Signature -> :func:`_template` of the graph scans on n vertices with these
-    settings; filled by :func:`scan_graph_masks` as it meets signatures."""
-    return {}
-
-
 def scan_graph_masks(
     n: int,
     lo: int,
     hi: int,
     bounds: tuple[str, ...],
     connected_only: bool,
-    check_classes: bool,
 ) -> dict:
     """Check every edge-bitmask graph in [lo, hi) on n vertices.
 
@@ -950,19 +894,17 @@ def scan_graph_masks(
     c = min(n, CORE_ORDER) vertices, ``high`` the rest.  For each ``high`` one
     table of code weights is built (:func:`_code_weights`); the signature of
     every mask of that block is then the sum of the weights of its core
-    graph's codes (:func:`core_table`), negative for a skipped mask.  The
-    templates of the signatures met are kept for the rest of the process
-    (:func:`_graph_templates`), so the chunks a worker scans share them.
+    graph's codes (:func:`core_table`), negative for a skipped mask.
     """
     c = min(n, CORE_ORDER)
     slots = c * (c - 1) // 2
     codes = core_table(c)[0]
     weights = signature_table(n)[0]
-    sel = selection(tuple(bounds), check_classes)
+    sel = selection(tuple(bounds))
     checked = 0
     violations: list = []
     discrepancies: list = []
-    templates = _graph_templates(n, connected_only, sel)
+    templates: dict = {}  # signature -> _template, () for a skipped mask
     first = max(lo, 1)  # the edgeless graph is never checked
     for high in range(first >> slots, (hi - 1 >> slots) + 1 if hi > first else 0):
         offset = high << slots
@@ -973,16 +915,12 @@ def scan_graph_masks(
         checked += sum(map((0).__le__, keys))
         distinct = set(keys)
         for key in distinct - templates.keys():
-            if key < 0:
-                templates[key] = ()
-                continue
-            deg = _mask_degrees(n, offset | start + keys.index(key))
-            templates[key] = _template(n, sum(deg) // 2, deg, key, sel)
+            templates[key] = _template(n, key, sel) if key >= 0 else ()
         loud = {key for key in distinct if templates[key]}  # the keys that emit records
         if loud:
             for core in compress(range(start, stop), map(loud.__contains__, keys)):
-                templates[keys[core - start]](mask_to_graph6(n, offset | core),
-                                              violations, discrepancies)
+                _add_records(mask_to_graph6(n, offset | core), templates[keys[core - start]],
+                             violations, discrepancies)
     return {
         "seen": max(hi - lo, 0),
         "checked": checked,
@@ -996,7 +934,6 @@ def scan_tree_ranks(
     lo: int,
     hi: int,
     bounds: tuple[str, ...],
-    check_classes: bool,
 ) -> dict:
     """Check the labeled trees with Pruefer-sequence ranks in [lo, hi).
 
@@ -1007,10 +944,10 @@ def scan_tree_ranks(
     """
     weights = signature_table(n)[0]
     row = [weights[d * n:(d + 1) * n] for d in range(n)]
-    sel = selection(tuple(bounds), check_classes)
+    sel = selection(tuple(bounds))
     violations: list = []
     discrepancies: list = []
-    templates: dict = {}
+    templates: dict = {}  # signature -> _template
     get = templates.get
     length = max(n - 2, 0)
     tail = min(length, 4)
@@ -1040,12 +977,12 @@ def scan_tree_ranks(
                 else:
                     leaf = ptr = left.index(1, ptr + 1)
             key += row[deg[leaf]][deg[last]]
-            emit = get(key)
-            if emit is None:
-                emit = templates[key] = _template(n, n - 1, deg, key, sel)
-            if emit:
-                edges = prufer_edges(seq, n)
-                emit(mask_to_graph6(n, edges_to_mask(edges)), violations, discrepancies)
+            records = get(key)
+            if records is None:
+                records = templates[key] = _template(n, key, sel)
+            if records:
+                g6 = mask_to_graph6(n, edges_to_mask(prufer_edges(seq, n)))
+                _add_records(g6, records, violations, discrepancies)
     count = max(hi - lo, 0)
     return {
         "seen": count,
@@ -1055,8 +992,7 @@ def scan_tree_ranks(
     }
 
 
-def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool,
-                       check_classes: bool) -> dict:
+def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool) -> dict:
     """Kernel checks for one graph, whatever its order."""
     connected = g.n >= 1 and graphs.is_connected(g)
     if (connected_only and not connected) or g.m == 0:
@@ -1064,9 +1000,8 @@ def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool,
     violations: list = []
     discrepancies: list = []
     deg = degrees(g)
-    check_pair_stats(
-        g.n, g.m, deg, degree_pair_counts(g, deg), connected,
-        selection(tuple(bounds), check_classes), lambda: graphs.write_graph6(g),
-        violations, discrepancies,
-    )
+    records = check_pair_stats(g.n, g.m, deg, degree_pair_counts(g, deg), connected,
+                               selection(tuple(bounds)))
+    if records[0] or records[1]:
+        _add_records(graphs.write_graph6(g), records, violations, discrepancies)
     return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}

@@ -5,11 +5,12 @@ Subcommands: ``compute`` (index values), ``check`` (bound reports),
 ``trees`` (tree-mode sweep).  Records go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success; 1 unreadable input, an unwritable report path or an
-invalid configuration; 2 parse errors in the input; 3 at least one bound
-violation (a falsified claim, which CI must be able to tell apart from bad
-input).  ``check`` skips an edgeless graph, which has no bound to check,
-with a stderr line: exit 0 and, with ``--json``, an empty ``bounds`` list,
-as a sweep counts such a graph seen but not checked.  When the reader of
+invalid configuration (an unknown bound id, or no bound id at all); 2 parse
+errors in the input; 3 at least one bound violation (a falsified claim,
+which CI must be able to tell apart from bad input).  ``check`` skips an
+edgeless graph, which has no bound to check, with a stderr line: exit 0
+and, with ``--json``, an empty ``bounds`` list, as a sweep counts such a
+graph seen but not checked.  When the reader of
 stdout goes away (``isdd-lab compute | head -1``,
 ``isdd-lab sweep | head -1``), every command stops writing quietly: compute,
 check and classify stop reading graphs and exit with the code of the graphs
@@ -140,6 +141,8 @@ def _parse_bounds(text: str) -> tuple[str, ...]:
     unknown = set(chosen) - set(ALL_BOUND_IDS)
     if unknown:
         raise ValueError(f"unknown bound ids: {sorted(unknown)} (known: {', '.join(ALL_BOUND_IDS)})")
+    if not chosen:
+        raise ValueError(f"no bound ids given (known: {', '.join(ALL_BOUND_IDS)})")
     return chosen
 
 

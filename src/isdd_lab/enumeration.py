@@ -20,6 +20,7 @@ import operator
 import os
 import time
 from collections import namedtuple
+from itertools import compress
 
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
@@ -81,21 +82,22 @@ class EqualityDiscrepancy(namedtuple(
 
 class SweepConfig(namedtuple(
         "SweepConfig",
-        "n_min n_max connected_only dedup bounds max_graphs trees check_classes",
-        defaults=(True, False, ALL_BOUND_IDS, None, False, True))):
+        "n_min n_max connected_only dedup bounds max_graphs trees",
+        defaults=(True, False, ALL_BOUND_IDS, None, False))):
     """What to enumerate and which checks to run.
 
     ``n_min``..``n_max`` is the range of vertex counts.  ``connected_only``
-    skips disconnected graphs; ``bounds`` holds the selected bound ids;
-    ``max_graphs`` (None for no limit) cuts the walk after that many graphs.
+    skips disconnected graphs; ``bounds`` holds the selected bound ids, at
+    least one; ``max_graphs`` (None for no limit) cuts the walk after that
+    many graphs.
     ``trees`` switches from all-edge-subset enumeration to labeled trees.
     ``dedup`` checks one graph per isomorphism class, the first of the class
     in enumeration order; the walk is serial, flags each checked graph's
     relabelings for graphs and keys trees by their tree form (see
     :func:`_run_dedup_sweep`).  Neither applies to a stream
     (:meth:`validate_stream`).
-    ``check_classes`` controls the equality-characterization cross-checks;
-    they never affect the violation list.
+    The equality-characterization cross-checks run on every connected graph
+    checked, for the selected bounds; they never affect the violation list.
     """
 
     __slots__ = ()
@@ -104,6 +106,8 @@ class SweepConfig(namedtuple(
         """Raise ValueError for a configuration no sweep mode accepts."""
         if self.n_min > self.n_max:
             raise ValueError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
+        if not self.bounds:
+            raise ValueError("no bound ids selected")
         unknown = set(self.bounds) - set(ALL_BOUND_IDS)
         if unknown:
             raise ValueError(f"unknown bound ids: {sorted(unknown)}")
@@ -282,18 +286,21 @@ def _write_json_list(fh, records):
     fh.write("\n  ]")
 
 
+def _sorted_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The vertex pairs (i, j), i < j < n, in sorted order, and the mask bit
+    of each, so that ``tuple(compress(pairs, map(mask.__and__, bits)))`` is
+    the sorted edge tuple of an edge mask."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    return pairs, tuple(1 << (j * (j - 1) // 2 + i) for i, j in pairs)
+
+
 def labeled_graphs(n: int):
     """Every graph on vertices 0..n-1, one per edge subset, in bitmask order."""
     if not 1 <= n <= 7:
         raise ValueError(f"labeled enumeration supports 1 <= n <= 7, got {n}")
-    ei, ej = _kernel.edge_table(n)
-    nbits = n * (n - 1) // 2
-    pairs = tuple(zip(ei, ej))
-    for mask in range(1 << nbits):
-        edges = tuple(sorted(
-            pairs[k] for k in range(nbits) if (mask >> k) & 1
-        ))
-        yield Graph(n, edges)
+    pairs, bits = _sorted_pairs(n)
+    for mask in range(1 << len(bits)):
+        yield Graph._make((n, tuple(compress(pairs, map(mask.__and__, bits)))))
 
 
 def labeled_trees(n: int):
@@ -301,8 +308,8 @@ def labeled_trees(n: int):
     if not 2 <= n <= 9:
         raise ValueError(f"tree enumeration supports 2 <= n <= 9, got {n}")
     for seq in itertools.product(range(n), repeat=n - 2):
-        edges = _kernel.prufer_edges(seq, n)
-        yield Graph(n, tuple(sorted(edges)))
+        # each decoded edge is (smaller, larger); the decoding order is not sorted
+        yield Graph._make((n, tuple(sorted(_kernel.prufer_edges(seq, n)))))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -373,8 +380,7 @@ def stream_graph6(lines):
             yield StreamError(line_no, str(exc))
 
 
-def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: bool,
-                          check_classes: bool) -> dict:
+def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: bool) -> dict:
     """Reference per-graph checking built on the public bound/classify API.
 
     Produces records identical to the kernel path.  It is the oracle the
@@ -399,7 +405,7 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
         if bid in sel and not rep.holds:
             violations.append((g6, bid, fmt(rep.lhs), fmt(rep.rhs)))
 
-    if check_classes and connected:
+    if connected:
         label = classify(g)
         deg = degrees(g)
         pairs = degree_pair_counts(g, deg)
@@ -499,12 +505,12 @@ def _chunk_jobs(cfg: SweepConfig):
     chunk = 1 << CHUNK_BITS
     if cfg.trees:
         worker = _tree_chunk_worker
-        extra = (cfg.bounds, cfg.check_classes)
+        extra = (cfg.bounds,)
     else:
         worker = _graph_chunk_worker
-        extra = (cfg.bounds, cfg.connected_only, cfg.check_classes)
+        extra = (cfg.bounds, cfg.connected_only)
     for n, total in _enumerated_counts(cfg):
-        if cfg.trees and _kernel.silent_tree_order(n, cfg.bounds, cfg.check_classes):
+        if cfg.trees and _kernel.silent_tree_order(n, cfg.bounds):
             settled += total
             continue
         for lo in range(0, total, chunk):
@@ -536,15 +542,14 @@ def _first_of_each_class(n: int, count: int):
 
     See :func:`_run_dedup_sweep` for why the flags find exactly these.
     """
-    ei, ej = _kernel.edge_table(n)
+    pairs, pair_bits = _sorted_pairs(n)
     columns = _kernel.relabel_slots(n)
-    bits = [1 << k for k in range(len(ei))]
-    flags = bytearray(1 << len(ei))
+    bits = [1 << k for k in range(len(pairs))]
+    flags = bytearray(1 << len(pairs))
     pos = flags.find(0, 0, count)
     while pos >= 0:
-        slots = _mask_slots(pos)
-        yield Graph(n, tuple(sorted((ei[k], ej[k]) for k in slots)))
-        for mask in _relabelings(slots, columns, bits):
+        yield Graph._make((n, tuple(compress(pairs, map(pos.__and__, pair_bits)))))
+        for mask in _relabelings(_mask_slots(pos), columns, bits):
             flags[mask] = 1
         pos = flags.find(0, pos + 1, count)
 
@@ -605,14 +610,14 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
     seen = checked = 0
     violations: list = []
     discrepancies: list = []
-    bounds, connected_only, check_classes = cfg.bounds, cfg.connected_only, cfg.check_classes
+    bounds, connected_only = cfg.bounds, cfg.connected_only
     for item in graphs:
         if seen == budget:
             break
         seen += 1
         if isinstance(item, StreamError):
             continue
-        partial = check(item, bounds, connected_only, check_classes)
+        partial = check(item, bounds, connected_only)
         checked += partial["checked"]
         violations += partial["violations"]
         discrepancies += partial["discrepancies"]

@@ -210,7 +210,7 @@ def tree_scan_report(cfg, jobs: int = 1) -> SweepReport:
     ``_kernel.scan_tree_ranks``; ``jobs`` > 1 scans the chunks in a pool.
     """
     step = 1 << CHUNK_BITS
-    chunks = [(n, lo, min(lo + step, total), cfg.bounds, cfg.check_classes)
+    chunks = [(n, lo, min(lo + step, total), cfg.bounds)
               for n, total in _enumerated_counts(cfg) for lo in range(0, total, step)]
     report = SweepReport()
     if jobs > 1:

@@ -160,6 +160,12 @@ class TestCheck:
         assert code == 1
         assert "unknown bound ids" in err
 
+    @pytest.mark.parametrize("bounds", ["", ",", " , "])
+    def test_empty_bounds_exit_1(self, monkeypatch, capsys, bounds):
+        code, out, err = run_cli(["check", "--bounds", bounds], "Ch\n", monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no bound ids given")
+
     def test_violation_exits_3(self, monkeypatch, capsys):
         # no real graph violates a bound, so force one to cover the exit path
         import isdd_lab.cli as cli_mod
@@ -243,6 +249,20 @@ class TestClassify:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n-min", "2", "--n-max", "4"],
+        ["trees", "--n-min", "4", "--n-max", "5"],
+        ["sweep", "--stdin-graph6"],
+    ])
+    def test_empty_bounds_exit_1(self, monkeypatch, capsys, tmp_path, argv):
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(argv + ["--bounds", "", "--jobs", "1",
+                                         "--report", str(report_path)],
+                                 "Ch\n", monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no bound ids given")
+        assert not report_path.exists()
+
     def test_small_sweep_report(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main([
@@ -324,7 +344,7 @@ class TestSweep:
     def test_stdin_violation_outranks_parse_error(self, monkeypatch, capsys):
         from isdd_lab import _kernel
 
-        def fake_kernel(g, bounds, connected_only, check_classes):
+        def fake_kernel(g, bounds, connected_only):
             return {"seen": 1, "checked": 1, "violations": [("Ch", "LOWER_ELL", "0", "1")],
                     "discrepancies": []}
 
@@ -586,7 +606,7 @@ class _ClosedPipe(io.TextIOBase):
 def _force_violation(monkeypatch):
     from isdd_lab import _kernel
 
-    def fake_kernel(g, bounds, connected_only, check_classes):
+    def fake_kernel(g, bounds, connected_only):
         return {"seen": 1, "checked": 1, "violations": [("Ch", "LOWER_ELL", "0", "1")],
                 "discrepancies": []}
 

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from isdd_lab import _kernel
 from isdd_lab.classify import (edge_ratio_constant, in_gamma1, in_gamma2, in_gamma3, is_regular,
                                is_semiregular_bipartite)
 from isdd_lab.enumeration import labeled_graphs
 from isdd_lab.graphs import (Graph, count_degree_pair_edges, degree_pair_counts, degrees,
-                             parse_graph6)
+                             is_connected, parse_graph6)
 from helpers import (
     complete_bipartite,
     h1_graph,
@@ -36,7 +37,28 @@ def _random_graphs():
     return out
 
 
+def _gamma3_realization(sides: int, neighbourhoods) -> Graph:
+    """The bipartite graph joining W vertex ``sides + t`` to the U vertices
+    0..sides-1 in ``neighbourhoods[t]``."""
+    return Graph.from_edges(sides + len(neighbourhoods),
+                            [(u, sides + t) for t, nb in enumerate(neighbourhoods) for u in nb])
+
+
+def _one_edge_off(g: Graph):
+    """Every graph one edge toggled away from ``g``."""
+    edges = set(g.edges)
+    for j in range(g.n):
+        for i in range(j):
+            yield Graph(g.n, tuple(sorted(edges ^ {(i, j)})))
+
+
 SMALL = [g for n in range(1, 7) for g in labeled_graphs(n)]
+# gamma3 members with (max, min, middle degree) = (6, 2, 3) and (12, 4, 6):
+# U all at the largest degree, W at the two others
+GAMMA3 = [
+    _gamma3_realization(3, [(0, 1, 2)] * 4 + [(0, 1), (1, 2), (0, 2)]),
+    _gamma3_realization(6, [range(6)] * 4 + [[(t + k) % 6 for k in range(4)] for t in range(12)]),
+]
 RANDOM = _random_graphs()
 # every graph on n <= 6 vertices, the figure graphs and a gamma3 graph on 10
 NAMED = SMALL + [h1_graph(), h2_graph(), h3_graph(), parse_graph6("IBjFFB_w?")]
@@ -98,3 +120,30 @@ def test_small_graphs_reach_every_verdict():
     assert {oracle_edge_ratio_constant(g) is None for g in SMALL if g.m} == {True, False}
     # a single cross pair with no equal-degree edge is not gamma2
     assert not in_gamma2(complete_bipartite(2, 3))
+
+
+def test_gamma3_from_pair_counts():
+    """The kernel's gamma3 test, on degree-pair counts alone, agrees with the
+    graph-based predicate on every connected graph: exhaustively on n <= 6
+    (no member there), on random graphs and on members with their one-edge
+    near misses."""
+    near = [h for g in GAMMA3 for h in _one_edge_off(g)]
+    graphs = SMALL + RANDOM + [parse_graph6("IBjFFB_w?")] + GAMMA3 + near
+    verdicts = []
+    for g in graphs:
+        if g.m == 0 or not is_connected(g):
+            continue
+        deg = degrees(g)
+        verdict = _kernel._lazy_gamma3(degree_pair_counts(g, deg), max(deg), min(deg))
+        assert verdict == in_gamma3(g), g
+        verdicts.append(verdict)
+    assert all(map(in_gamma3, GAMMA3))
+    assert set(verdicts) == {True, False}
+
+
+def test_signature_degrees_match_degrees():
+    """Degrees rebuilt from the pair counts alone, disconnected graphs and
+    isolated vertices included."""
+    for g in SMALL:
+        deg = degrees(g)
+        assert _kernel.signature_degrees(g.n, degree_pair_counts(g, deg)) == sorted(deg), g

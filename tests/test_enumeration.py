@@ -191,8 +191,8 @@ class TestKernelAgainstReference:
         # record order within one graph is not contractual (reports sort at
         # finalize), so compare sorted partials
         for g in graphs:
-            fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only, True)
-            ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only, True)
+            fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only)
+            ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only)
             assert _sorted_partial(fast) == _sorted_partial(ref), \
                 f"diverges on {write_graph6(g)} (n={g.n})"
 
@@ -236,10 +236,10 @@ def _sorted_partial(part):
             "discrepancies": sorted(part["discrepancies"])}
 
 
-def _per_graph_kernel(graphs, bounds, connected_only, check_classes):
+def _per_graph_kernel(graphs, bounds, connected_only):
     out = {"seen": 0, "checked": 0, "violations": [], "discrepancies": []}
     for g in graphs:
-        part = _kernel.check_graph_kernel(g, bounds, connected_only, check_classes)
+        part = _kernel.check_graph_kernel(g, bounds, connected_only)
         for key in out:
             out[key] += part[key]
     return _sorted_partial(out)
@@ -250,32 +250,28 @@ class TestSignatureScans:
 
     def test_graph_masks_exhaustive(self):
         cases = (
-            (ALL_BOUND_IDS, True, True),
-            (ALL_BOUND_IDS, False, True),
-            (ALL_BOUND_IDS, True, False),
-            (("TREE_EDGE",), True, True),
+            (ALL_BOUND_IDS, True),
+            (ALL_BOUND_IDS, False),
+            (("EDGE_MIN", "EDGE_SECOND_MIN"), False),
+            (("TREE_EDGE",), True),
         )
         for n in range(1, 7):
             graphs = list(labeled_graphs(n))
-            for bounds, connected_only, check_classes in cases:
-                scan = _kernel.scan_graph_masks(n, 0, len(graphs), bounds, connected_only,
-                                                check_classes)
+            for bounds, connected_only in cases:
+                scan = _kernel.scan_graph_masks(n, 0, len(graphs), bounds, connected_only)
                 assert _sorted_partial(scan) == _per_graph_kernel(
-                    graphs, bounds, connected_only, check_classes
-                ), f"diverges at n={n} bounds={bounds} connected_only={connected_only} " \
-                   f"check_classes={check_classes}"
+                    graphs, bounds, connected_only
+                ), f"diverges at n={n} bounds={bounds} connected_only={connected_only}"
 
     def test_tree_ranks_exhaustive(self):
-        # trees are connected, so connected_only does not apply; the class-check
-        # and bound-selection axes share one case to keep n = 8 affordable
-        cases = ((ALL_BOUND_IDS, True), (("TREE_EDGE",), False))
+        # trees are connected, so connected_only does not apply
         for n in range(2, 9):
             trees = list(labeled_trees(n))
-            for bounds, check_classes in cases:
-                scan = _kernel.scan_tree_ranks(n, 0, len(trees), bounds, check_classes)
+            for bounds in (ALL_BOUND_IDS, ("TREE_EDGE",)):
+                scan = _kernel.scan_tree_ranks(n, 0, len(trees), bounds)
                 assert _sorted_partial(scan) == _per_graph_kernel(
-                    trees, bounds, True, check_classes
-                ), f"diverges at n={n} bounds={bounds} check_classes={check_classes}"
+                    trees, bounds, True
+                ), f"diverges at n={n} bounds={bounds}"
 
     def test_graph_ranges_inside_core_blocks(self):
         # the scan walks 2^10-mask blocks (one per setting of the edges that
@@ -289,10 +285,9 @@ class TestSignatureScans:
                 hi = (first + rng.randrange(1, 3)) * block + rng.randrange(1, block)
                 graphs = [_graph_from_mask(n, mask) for mask in range(lo, hi)]
                 for connected_only in (True, False):
-                    scan = _kernel.scan_graph_masks(n, lo, hi, ALL_BOUND_IDS, connected_only,
-                                                    True)
+                    scan = _kernel.scan_graph_masks(n, lo, hi, ALL_BOUND_IDS, connected_only)
                     assert _sorted_partial(scan) == _per_graph_kernel(
-                        graphs, ALL_BOUND_IDS, connected_only, True
+                        graphs, ALL_BOUND_IDS, connected_only
                     ), f"diverges on [{lo}, {hi}) at n={n} connected_only={connected_only}"
 
     def test_single_masks_beyond_enumeration(self):
@@ -320,9 +315,9 @@ class TestSignatureScans:
                 kinds.add((is_connected(g), isolated))
                 for connected_only in (True, False):
                     scan = _kernel.scan_graph_masks(n, mask, mask + 1, ALL_BOUND_IDS,
-                                                    connected_only, True)
+                                                    connected_only)
                     assert _sorted_partial(scan) == _per_graph_kernel(
-                        [g], ALL_BOUND_IDS, connected_only, True
+                        [g], ALL_BOUND_IDS, connected_only
                     ), f"diverges on {write_graph6(g)} connected_only={connected_only}"
         assert kinds == {(True, False), (False, False), (False, True)}
 
@@ -337,7 +332,7 @@ class TestSignatureScans:
             return Graph.from_edges(n, _kernel.prufer_edges(_kernel.prufer_sequence(rank, n), n))
 
         def recorded(n, rank):
-            part = _kernel.check_graph_kernel(tree(n, rank), ALL_BOUND_IDS, True, True)
+            part = _kernel.check_graph_kernel(tree(n, rank), ALL_BOUND_IDS, True)
             return bool(part["violations"] or part["discrepancies"])
 
         def end_near(n, rank, step):
@@ -356,26 +351,30 @@ class TestSignatureScans:
                 lo, hi = end_near(n, lo, -1), end_near(n, hi, 1)
                 assert lo % block and hi % block and lo // block < hi // block
                 trees = [tree(n, rank) for rank in range(lo, hi)]
-                scan = _kernel.scan_tree_ranks(n, lo, hi, ALL_BOUND_IDS, True)
+                scan = _kernel.scan_tree_ranks(n, lo, hi, ALL_BOUND_IDS)
                 assert _sorted_partial(scan) == _per_graph_kernel(
-                    trees, ALL_BOUND_IDS, True, True
+                    trees, ALL_BOUND_IDS, True
                 ), f"diverges on ranks [{lo}, {hi}) at n={n}"
 
-    def test_gamma3_signature_checked_per_graph(self):
+    def test_gamma3_signature_decided_from_pairs(self, monkeypatch):
         # K_{3,7} minus a 3-edge matching: gamma3 with edge ratio 1/5 on the two
-        # pairs (6,2) and (6,3), so the verdict of its signature needs the graph
+        # pairs (6,2) and (6,3).  Its template, from the pair counts alone, is
+        # empty as the reference path's records are; a gamma3 verdict of False
+        # would give it a RATIO_CONSTANT discrepancy
         g = parse_graph6("IBjFFB_w?")
         deg = [sum(v in e for e in g.edges) for v in range(g.n)]
         assert {(deg[i], deg[j]) if deg[i] >= deg[j] else (deg[j], deg[i])
                 for i, j in g.edges} == {(6, 2), (6, 3)}
         assert in_gamma3(g)
         mask = _kernel.edges_to_mask(g.edges)
-        for check_classes in (True, False):
-            scan = _kernel.scan_graph_masks(10, mask, mask + 1, ALL_BOUND_IDS, True,
-                                            check_classes)
-            assert _sorted_partial(scan) == _per_graph_kernel(
-                [g], ALL_BOUND_IDS, True, check_classes
-            )
+        want = _sorted_partial(check_graph_reference(g, ALL_BOUND_IDS, True))
+        assert want == _per_graph_kernel([g], ALL_BOUND_IDS, True)
+        assert want == _sorted_partial(
+            _kernel.scan_graph_masks(10, mask, mask + 1, ALL_BOUND_IDS, True))
+        assert not want["discrepancies"]
+        monkeypatch.setattr(_kernel, "_lazy_gamma3", lambda *args: False)
+        part = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True)
+        assert [rec[1] for rec in part["discrepancies"]] == ["RATIO_CONSTANT"]
 
 
 def _graph_from_mask(n, mask):
@@ -387,7 +386,7 @@ def _graph_from_mask(n, mask):
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
                     11: 235, 12: 551}
 # every selection the silence decision is held to: each bound alone, and all
-SELECTIONS = [(ALL_BOUND_IDS, True)] + [((bound,), True) for bound in ALL_BOUND_IDS]
+SELECTIONS = [ALL_BOUND_IDS] + [(bound,) for bound in ALL_BOUND_IDS]
 
 
 def _prufer_signatures(n):
@@ -422,9 +421,10 @@ class TestFreeTrees:
     def test_signatures_match_every_labeled_tree(self):
         for n in range(2, 9):
             got = {}
-            for key, deg in _kernel.tree_signatures(n):
+            for key in _kernel.tree_signatures(n):
                 assert key & 1, (n, key)
-                got[frozenset(_kernel.signature_pairs(n, key).items())] = tuple(sorted(deg))
+                pc = _kernel.signature_pairs(n, key)
+                got[frozenset(pc.items())] = tuple(_kernel.signature_degrees(n, pc))
             assert got == _prufer_signatures(n), n
         assert [len(_kernel.tree_signatures(n)) for n in range(2, 10)] == [
             1, 1, 2, 3, 6, 11, 21, 40]
@@ -435,31 +435,37 @@ class TestSilentTreeOrders:
 
     def test_silent_exactly_when_the_scan_emits_nothing(self):
         verdicts = set()
-        for bounds, check_classes in SELECTIONS:
+        for bounds in SELECTIONS:
             for n in range(2, 9):
-                scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds, check_classes)
+                scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds)
                 quiet = not (scan["violations"] or scan["discrepancies"])
-                assert _kernel.silent_tree_order(n, bounds, check_classes) == quiet, \
-                    f"n={n} bounds={bounds} check_classes={check_classes}"
+                assert _kernel.silent_tree_order(n, bounds) == quiet, f"n={n} bounds={bounds}"
                 verdicts.add(quiet)
         assert verdicts == {True, False}
 
-    def test_per_graph_template_is_loud(self, monkeypatch):
+    def test_silence_follows_the_templates(self, monkeypatch):
         # no tree on <= 9 vertices has a constant edge ratio over two or more
-        # pairs; given such a signature (that of the gamma3 graph IBjFFB_w?),
-        # the order must be loud whatever that graph's verdicts, since the
-        # template re-checks graph by graph
-        g = parse_graph6("IBjFFB_w?")
-        weights = _kernel.signature_table(g.n)[0]
-        deg = [sum(v in e for e in g.edges) for v in range(g.n)]
-        key = 1 + sum(weights[deg[i] * g.n + deg[j]] for i, j in g.edges)
-        monkeypatch.setattr(_kernel, "tree_signatures", lambda n: ((key, tuple(deg)),))
-        _kernel._silent_tree_order.cache_clear()
-        try:
-            assert not _kernel.silent_tree_order(g.n, ("EDGE_MIN",), True)
-            assert _kernel.silent_tree_order(g.n, ("EDGE_MIN",), False)
-        finally:
-            _kernel._silent_tree_order.cache_clear()
+        # pairs.  Given such a signature (that of the gamma3 graph IBjFFB_w?),
+        # alone or with that of a path, an order is silent exactly for the
+        # selections under which checks of those graphs give no record
+        gamma3 = parse_graph6("IBjFFB_w?")
+        path = path_graph(gamma3.n)
+        weights = _kernel.signature_table(gamma3.n)[0]
+
+        def key(g):
+            deg = [sum(v in e for e in g.edges) for v in range(g.n)]
+            return 1 + sum(weights[deg[i] * g.n + deg[j]] for i, j in g.edges)
+
+        verdicts = set()
+        for graphs in ([gamma3], [gamma3, path]):
+            monkeypatch.setattr(_kernel, "tree_signatures",
+                                lambda n, graphs=graphs: tuple(map(key, graphs)))
+            for bounds in SELECTIONS:
+                part = _per_graph_kernel(graphs, bounds, True)
+                quiet = not (part["violations"] or part["discrepancies"])
+                assert _kernel.silent_tree_order(gamma3.n, bounds) == quiet, bounds
+                verdicts.add(quiet)
+        assert verdicts == {True, False}
 
     def test_sweep_equals_scan(self):
         cases = (
@@ -567,8 +573,8 @@ class TestRunSweep:
             for _ in range(150):
                 seq = tuple(rng.randrange(n) for _ in range(n - 2))
                 g = Graph.from_edges(n, _kernel.prufer_edges(seq, n))
-                fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True, True)
-                ref = check_graph_reference(g, ALL_BOUND_IDS, True, True)
+                fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True)
+                ref = check_graph_reference(g, ALL_BOUND_IDS, True)
                 for part in (fast, ref):
                     part["violations"] = sorted(part["violations"])
                     part["discrepancies"] = sorted(part["discrepancies"])
@@ -618,9 +624,13 @@ class TestRunSweep:
             run_sweep(SweepConfig(n_min=2, n_max=10, trees=True))
         with pytest.raises(ValueError):
             run_sweep(SweepConfig(n_min=2, n_max=4, bounds=("NOT_A_BOUND",)))
+        for trees in (False, True):
+            with pytest.raises(ValueError, match="no bound ids"):
+                run_sweep(SweepConfig(n_min=2, n_max=4, bounds=(), trees=trees))
         # a stream skips only the enumeration range checks
         for cfg in (SweepConfig(n_min=5, n_max=4), SweepConfig(n_min=2, n_max=4, max_graphs=-1),
-                    SweepConfig(n_min=2, n_max=4, bounds=("NOT_A_BOUND",))):
+                    SweepConfig(n_min=2, n_max=4, bounds=("NOT_A_BOUND",)),
+                    SweepConfig(n_min=2, n_max=4, bounds=[])):
             with pytest.raises(ValueError):
                 run_sweep(cfg, graphs=iter([]))
         assert run_sweep(SweepConfig(n_min=2, n_max=40), graphs=iter([])).graphs_seen == 0
@@ -668,8 +678,7 @@ def _dedup_oracle(cfg: SweepConfig) -> dict:
         form = canonical_form(g)
         if form not in forms:
             forms.add(form)
-            partial = check_graph_reference(g, cfg.bounds, cfg.connected_only,
-                                            cfg.check_classes)
+            partial = check_graph_reference(g, cfg.bounds, cfg.connected_only)
             report.merge({**partial, "seen": 0})
     report.finalize()
     return report_dict(report)

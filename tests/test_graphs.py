@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isdd_lab.enumeration import _first_of_each_class, labeled_graphs, labeled_trees
 from isdd_lab.graphs import (
     GRAPH6_MAX_N,
     SLOT_TABLE_MAX_N,
@@ -356,8 +357,25 @@ def assert_canonical(g: Graph):
 
 
 class TestDecodedGraphsAreCanonical:
-    """parse_graph6 builds its graphs without validating them; each must be
-    the graph ``Graph(n, edges)`` validates."""
+    """parse_graph6 and the enumerators build their graphs without validating
+    them; each must be the graph ``Graph(n, edges)`` validates."""
+
+    def test_labeled_graphs(self):
+        # every edge mask in mask order, and the first graph of each class
+        for n in range(1, 7):
+            graphs = list(labeled_graphs(n))
+            assert len(graphs) == 1 << (n * (n - 1) // 2)
+            for mask, g in enumerate(graphs):
+                assert_canonical(g)
+                assert g == mask_graph(n, mask)
+            for g in _first_of_each_class(n, len(graphs)):
+                assert_canonical(g)
+
+    def test_labeled_trees(self):
+        for n in range(2, 8):
+            for g in labeled_trees(n):
+                assert_canonical(g)
+                assert g.m == n - 1 and is_connected(g)
 
     def test_every_graph_small(self):
         for n in range(0, 7):
