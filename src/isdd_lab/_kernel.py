@@ -53,6 +53,13 @@ sequences rooted at a centre, with no isomorphism test).  An order is
 empty (:func:`silent_tree_order`); a sweep then counts its Pruefer rank
 range as checked without decoding it.
 
+Each engine reaches its verdicts its own way, but both turn them into
+records with the helpers here: :func:`violation` (both sides through
+:func:`bounds.side_text`), :func:`pair_discrepancy` for EDGE_MIN and
+EDGE_SECOND_MIN, and :func:`class_discrepancies`, the class rule driven by
+:data:`EXPECTED_EQUALITY_CLASSES`.  The reference path
+(:func:`enumeration.check_graph_reference`) calls the same three.
+
 Everything here is cross-validated against the reference path by the test
 suite (exhaustively for small n); any divergence is a bug, not a policy.
 """
@@ -68,9 +75,9 @@ from itertools import compress, islice, product, repeat
 from math import sqrt
 
 from . import graphs
-from .bounds import REL_TOL, STRICT_MARGIN, ga_m2_rhs, ga_simple_rhs
+from .bounds import STRICT_MARGIN, approx_eq, approx_ge, ga_m2_rhs, ga_simple_rhs, side_text
 from .graphs import Graph, degree_pair_counts, degrees
-from .indices import fraction_str
+from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
 
 # Classes whose membership is expected to coincide with equality, per check id.
 # RATIO_CONSTANT is the classification-equivalence check (not a numeric bound):
@@ -87,7 +94,55 @@ EXPECTED_EQUALITY_CLASSES: dict[str, tuple[str, ...]] = {
     "EDGE_SECOND_MIN": ("attaining_pair_maxminus1_min",),
 }
 
+# the bounds under the class rule (:func:`class_discrepancies`), besides RATIO_CONSTANT
 CLASS_CHECK_IDS = ("LOWER_ELL", "UPPER_K", "UPPER_NDELTA", "GA_M2", "M1_F")
+
+# the names a discrepancy record gives a graph's classes, in record order
+CLASS_NAMES = ("regular", "semiregular_bipartite", "semiregular_bipartite_consecutive",
+               "gamma1", "gamma2", "gamma3", "constant_edge_ratio")
+
+
+def _actual_class_names(*flags) -> tuple[str, ...]:
+    """The names of the classes whose flags, in :data:`CLASS_NAMES` order, are set."""
+    return tuple(compress(CLASS_NAMES, flags))
+
+
+def class_discrepancies(equalities: dict[str, bool], classes: tuple[str, ...]) -> list:
+    """The discrepancy records of the class rule, without their graph6 field.
+
+    ``equalities`` maps each check that ran, of :data:`CLASS_CHECK_IDS` and
+    RATIO_CONSTANT, to its equality flag; ``classes`` names the graph's
+    classes (:func:`_actual_class_names`).  A check gives the record
+    (check_id, expected_classes, classes, equality) exactly when its flag
+    differs from membership in one of its :data:`EXPECTED_EQUALITY_CLASSES`.
+    """
+    members = _memberships(classes)
+    if equalities == members:  # every check of the rule ran, and none differs
+        return []
+    return [(check_id, EXPECTED_EQUALITY_CLASSES[check_id], classes, equality)
+            for check_id, equality in equalities.items() if equality != members[check_id]]
+
+
+@lru_cache(maxsize=None)
+def _memberships(classes: tuple[str, ...]) -> dict[str, bool]:
+    """Per check of the class rule: whether a graph of these classes is in
+    one of the check's expected classes.  At most 2^7 class tuples occur."""
+    return {check_id: not set(EXPECTED_EQUALITY_CLASSES[check_id]).isdisjoint(classes)
+            for check_id in (*CLASS_CHECK_IDS, "RATIO_CONSTANT")}
+
+
+def pair_discrepancy(check_id: str, pairs) -> tuple:
+    """The EDGE_MIN or EDGE_SECOND_MIN discrepancy record, without its graph6
+    field, of a graph whose edges on the degree pairs ``pairs`` attain the
+    bound though the equality condition names another pair."""
+    return (check_id, EXPECTED_EQUALITY_CLASSES[check_id],
+            tuple(f"pair({a},{b})" for a, b in sorted(pairs)), True)
+
+
+def violation(check_id: str, lhs, rhs) -> tuple:
+    """The violation record, without its graph6 field, of a bound failing
+    with sides ``lhs`` and ``rhs`` (see :func:`bounds.side_text`)."""
+    return check_id, side_text(lhs), side_text(rhs)
 
 
 @lru_cache(maxsize=None)
@@ -208,29 +263,6 @@ def selection(bounds: tuple[str, ...]) -> Selection:
     return Selection(bounds)
 
 
-def _actual_class_names(regular, semireg, consecutive, g1, g2, g3, ratio_const):
-    names = []
-    if regular:
-        names.append("regular")
-    if semireg:
-        names.append("semiregular_bipartite")
-    if consecutive:
-        names.append("semiregular_bipartite_consecutive")
-    if g1:
-        names.append("gamma1")
-    if g2:
-        names.append("gamma2")
-    if g3:
-        names.append("gamma3")
-    if ratio_const:
-        names.append("constant_edge_ratio")
-    return tuple(names)
-
-
-def _pair_names(pairs) -> tuple[str, ...]:
-    return tuple(f"pair({a},{b})" for a, b in sorted(pairs))
-
-
 def _min_edge_term(pairs) -> tuple[int, int]:
     """(ab, a^2 + b^2) of the pair (a, b) with the smallest edge term ab/(a^2+b^2),
     compared by cross-multiplication; the first such pair on ties."""
@@ -257,10 +289,13 @@ def check_pair_stats(
     records, without the graph6 field that leads each record of a report.
     Identical verdict semantics to the reference path built on the public API.
     The exact index is inum / d_common, d_common the lcm of a^2 + b^2 over
-    the pairs in ``pc``.
+    the pairs in ``pc``.  The records come from the helpers the reference
+    path shares: :func:`violation` (sides built as Fractions only for a
+    violated bound), :func:`pair_discrepancy` and :func:`class_discrepancies`.
     """
     violations: list = []
     discrepancies: list = []
+    equalities: dict = {}  # check id -> equality flag, for the class rule
     dmax = max(deg)
     dmin = min(deg)
     has_min_deg = dmin >= 1
@@ -286,21 +321,14 @@ def check_pair_stats(
         lhs_cmp = pe * q1
         rhs_cmp = p1 * qe
         if lhs_cmp < rhs_cmp:
-            violations.append(
-                ("EDGE_MIN",
-                 fraction_str(Fraction(pe, qe)),
-                 fraction_str(Fraction(p1, q1)))
-            )
+            violations.append(violation("EDGE_MIN", Fraction(pe, qe), Fraction(p1, q1)))
         elif lhs_cmp == rhs_cmp and connected:
             bad = [
                 (a, b) for a, b in pc
                 if (a, b) != (dmax, dmin) and a * b * q1 == p1 * (a * a + b * b)
             ]
             if bad:
-                discrepancies.append(
-                    ("EDGE_MIN", EXPECTED_EQUALITY_CLASSES["EDGE_MIN"],
-                     _pair_names(bad), True)
-                )
+                discrepancies.append(pair_discrepancy("EDGE_MIN", bad))
 
     if sel.edge_second_min and has_min_deg and m > ell:
         off = [(a, b) for a, b in pc if (a, b) != (dmax, dmin)]
@@ -308,11 +336,7 @@ def check_pair_stats(
         lhs_cmp = pe * q2
         rhs_cmp = p2 * qe
         if lhs_cmp < rhs_cmp:
-            violations.append(
-                ("EDGE_SECOND_MIN",
-                 fraction_str(Fraction(pe, qe)),
-                 fraction_str(Fraction(p2, q2)))
-            )
+            violations.append(violation("EDGE_SECOND_MIN", Fraction(pe, qe), Fraction(p2, q2)))
         elif lhs_cmp == rhs_cmp and connected:
             want = (dm1, dmin) if dm1 >= dmin else (dmin, dm1)
             bad = [
@@ -320,11 +344,7 @@ def check_pair_stats(
                 if (a, b) != want and a * b * q2 == p2 * (a * a + b * b)
             ]
             if bad:
-                discrepancies.append(
-                    ("EDGE_SECOND_MIN",
-                     EXPECTED_EQUALITY_CLASSES["EDGE_SECOND_MIN"],
-                     _pair_names(bad), True)
-                )
+                discrepancies.append(pair_discrepancy("EDGE_SECOND_MIN", bad))
 
     if sel.tree_edge and connected and m == n - 1 and n >= 4:
         tn, td = n - 2, (n - 2) * (n - 2) + 1
@@ -332,13 +352,7 @@ def check_pair_stats(
         if applicable:
             pe, qe = _min_edge_term(applicable)
             if pe * td < tn * qe:
-                violations.append(
-                    ("TREE_EDGE",
-                     fraction_str(Fraction(pe, qe)),
-                     fraction_str(Fraction(tn, td)))
-                )
-
-    el_eq = uk_eq = und_eq = m1f_eq = gam2_eq = False
+                violations.append(violation("TREE_EDGE", Fraction(pe, qe), Fraction(tn, td)))
 
     if sel.lower_ell and has_min_deg:
         if m == ell:
@@ -348,12 +362,9 @@ def check_pair_stats(
         left = inum * rden
         right = rnum * d_common
         if left < right:
-            violations.append(
-                ("LOWER_ELL",
-                 fraction_str(Fraction(inum, d_common)),
-                 fraction_str(Fraction(rnum, rden)))
-            )
-        el_eq = left == right
+            violations.append(violation("LOWER_ELL", Fraction(inum, d_common),
+                                        Fraction(rnum, rden)))
+        equalities["LOWER_ELL"] = left == right
 
     k = 0
     if sel.upper_k or sel.upper_ndelta:
@@ -366,24 +377,18 @@ def check_pair_stats(
         left = inum * rden
         right = rnum * d_common
         if left > right:
-            violations.append(
-                ("UPPER_K",
-                 fraction_str(Fraction(inum, d_common)),
-                 fraction_str(Fraction(rnum, rden)))
-            )
-        uk_eq = left == right
+            violations.append(violation("UPPER_K", Fraction(inum, d_common),
+                                        Fraction(rnum, rden)))
+        equalities["UPPER_K"] = left == right
 
     if sel.upper_ndelta:
         rnum, rden = k * qk + pk * (n * dmax - 2 * k), 2 * qk
         left = inum * rden
         right = rnum * d_common
         if left > right:
-            violations.append(
-                ("UPPER_NDELTA",
-                 fraction_str(Fraction(inum, d_common)),
-                 fraction_str(Fraction(rnum, rden)))
-            )
-        und_eq = left == right
+            violations.append(violation("UPPER_NDELTA", Fraction(inum, d_common),
+                                        Fraction(rnum, rden)))
+        equalities["UPPER_NDELTA"] = left == right
 
     m1 = f = 0
     if sel.m1_f:
@@ -394,12 +399,9 @@ def check_pair_stats(
         left = inum * rden
         right = rnum * d_common
         if left < right:
-            violations.append(
-                ("M1_F",
-                 fraction_str(Fraction(inum, d_common)),
-                 fraction_str(Fraction(rnum, rden)))
-            )
-        m1f_eq = left == right
+            violations.append(violation("M1_F", Fraction(inum, d_common),
+                                        Fraction(rnum, rden)))
+        equalities["M1_F"] = left == right
 
     if sel.ga_simple or sel.ga_m2 or sel.remark_order:
         ga = 0.0
@@ -407,19 +409,19 @@ def check_pair_stats(
             ga += cnt * (2.0 * sqrt(a * b) / (a + b))
         isdd_f = inum / d_common if sel.needs_isdd else 0.0
         rhs_simple = ga_simple_rhs(ga, m)
-        if sel.ga_simple and isdd_f < rhs_simple - REL_TOL * max(1.0, abs(rhs_simple)):
-            violations.append(("GA_SIMPLE", repr(isdd_f), repr(rhs_simple)))
+        if sel.ga_simple and not approx_ge(isdd_f, rhs_simple):
+            violations.append(violation("GA_SIMPLE", isdd_f, rhs_simple))
         if sel.ga_m2 or sel.remark_order:
             m2 = 0
             for (a, b), cnt in pc.items():
                 m2 += cnt * a * b
             rhs_m2 = ga_m2_rhs(ga, m, dmax, m2)
             if sel.ga_m2:
-                if isdd_f < rhs_m2 - REL_TOL * max(1.0, abs(rhs_m2)):
-                    violations.append(("GA_M2", repr(isdd_f), repr(rhs_m2)))
-                gam2_eq = abs(isdd_f - rhs_m2) <= REL_TOL * max(1.0, abs(rhs_m2))
+                if not approx_ge(isdd_f, rhs_m2):
+                    violations.append(violation("GA_M2", isdd_f, rhs_m2))
+                equalities["GA_M2"] = approx_eq(isdd_f, rhs_m2)
             if sel.remark_order and not (rhs_m2 - rhs_simple > STRICT_MARGIN):
-                violations.append(("REMARK_ORDER", repr(rhs_m2), repr(rhs_simple)))
+                violations.append(violation("REMARK_ORDER", rhs_m2, rhs_simple))
 
     if sel.claim1 and has_min_deg and dmax >= dmin + 1:
         pm = dmax * (dmin + 1)
@@ -430,11 +432,7 @@ def check_pair_stats(
             qr = dm1 * dm1 + (dmin + 1) * (dmin + 1)
             ok = pm * qr <= pr * qm
         if not ok:
-            violations.append(
-                ("CLAIM1",
-                 fraction_str(Fraction(p2, q2)),
-                 fraction_str(Fraction(pm, qm)))
-            )
+            violations.append(violation("CLAIM1", Fraction(p2, q2), Fraction(pm, qm)))
 
     if not (connected and has_min_deg):
         return violations, discrepancies
@@ -469,32 +467,10 @@ def check_pair_stats(
     # force constancy directly, and gamma3 membership forces the common value
     # (max+min)/(max^2+min^2) on both edge types
     gamma3 = ratio_const and not (regular or semireg) and _lazy_gamma3(pc, dmax, dmin)
-    actual = _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const)
-
-    if sel.lower_ell and el_eq != (regular or semireg or g1):
-        discrepancies.append(
-            ("LOWER_ELL", EXPECTED_EQUALITY_CLASSES["LOWER_ELL"], actual, el_eq)
-        )
-    if sel.upper_k and uk_eq != (regular or (semireg and consecutive) or g2):
-        discrepancies.append(
-            ("UPPER_K", EXPECTED_EQUALITY_CLASSES["UPPER_K"], actual, uk_eq)
-        )
-    if sel.upper_ndelta and und_eq != regular:
-        discrepancies.append(
-            ("UPPER_NDELTA", EXPECTED_EQUALITY_CLASSES["UPPER_NDELTA"], actual, und_eq)
-        )
-    if sel.ga_m2 and gam2_eq != regular:
-        discrepancies.append(
-            ("GA_M2", EXPECTED_EQUALITY_CLASSES["GA_M2"], actual, gam2_eq)
-        )
-    if sel.m1_f and m1f_eq != ratio_const:
-        discrepancies.append(
-            ("M1_F", EXPECTED_EQUALITY_CLASSES["M1_F"], actual, m1f_eq)
-        )
-    if ratio_const != (regular or semireg or gamma3):
-        discrepancies.append(
-            ("RATIO_CONSTANT", EXPECTED_EQUALITY_CLASSES["RATIO_CONSTANT"], actual, ratio_const)
-        )
+    equalities["RATIO_CONSTANT"] = ratio_const
+    discrepancies += class_discrepancies(
+        equalities,
+        _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const))
     return violations, discrepancies
 
 

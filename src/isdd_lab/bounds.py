@@ -28,7 +28,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .graphs import Graph, GraphError, degree_pair_counts, degrees, is_connected
-from .indices import edge_term_isdd, geometric_arithmetic, isdd, zagreb1, zagreb2, forgotten
+from .indices import (edge_term_isdd, fraction_str, geometric_arithmetic, isdd, zagreb1, zagreb2,
+                      forgotten)
 
 REL_TOL = 1e-9
 STRICT_MARGIN = 1e-9
@@ -64,6 +65,11 @@ class SkippedBound(namedtuple("SkippedBound", "bound_id reason")):
     """Precondition of one bound not met; carried instead of a report."""
 
     __slots__ = ()
+
+
+def side_text(x: Fraction | float) -> str:
+    """The text of one side of a bound: ``repr`` of a float, "p/q" of a Fraction."""
+    return repr(x) if isinstance(x, float) else fraction_str(x)
 
 
 def approx_ge(lhs: float, rhs: float) -> bool:

@@ -45,7 +45,7 @@ import io
 import os
 import sys
 
-from .bounds import ALL_BOUND_IDS, BoundReport, SkippedBound, evaluate_all
+from .bounds import ALL_BOUND_IDS, BoundReport, SkippedBound, evaluate_all, side_text
 from .classify import GraphClassLabel, classify
 from .enumeration import StreamError, SweepConfig, run_sweep, stream_graph6, until_reader_leaves
 from .graphs import Graph, GraphError, input_lines, parse_edge_list, parse_graph6
@@ -216,11 +216,10 @@ def cmd_check(args) -> int:
             if isinstance(e, SkippedBound):
                 lines.append(f"  {e.bound_id.value}: skipped ({e.reason})")
                 continue
-            lhs = e.lhs if isinstance(e.lhs, float) else fraction_str(e.lhs)
-            rhs = e.rhs if isinstance(e.rhs, float) else fraction_str(e.rhs)
             verdict = "HOLDS" if e.holds else "VIOLATED"
             eq = " equality" if e.equality else ""
-            lines.append(f"  {e.bound_id.value}: {verdict}{eq} lhs={lhs} rhs={rhs}")
+            lines.append(f"  {e.bound_id.value}: {verdict}{eq} "
+                         f"lhs={side_text(e.lhs)} rhs={side_text(e.rhs)}")
         return code, "\n".join(lines)
 
     return _each_graph(args, render)

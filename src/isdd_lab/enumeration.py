@@ -27,11 +27,10 @@ from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
 from .classify import classify
 from .graphs import (Graph, GraphError, degree_pair_counts, degrees, input_lines, parse_graph6,
                      write_graph6)
-from .indices import edge_term_isdd, fraction_str
+from .indices import edge_term_isdd
+from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
 
 CHUNK_BITS = 15  # mask-range chunk size 2**15; small enough for even balance
-
-EXPECTED_EQUALITY_CLASSES = _kernel.EXPECTED_EQUALITY_CLASSES
 
 
 class StreamError(namedtuple("StreamError", "line_no message")):
@@ -385,25 +384,22 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
 
     Produces records identical to the kernel path.  It is the oracle the
     test suite holds the kernel to, and the engine of
-    ``run_sweep(engine="reference")``.
+    ``run_sweep(engine="reference")``.  Verdicts come from
+    :func:`evaluate_all` and :func:`classify` in Fraction arithmetic; the
+    records from the helpers the kernel shares: :func:`_kernel.violation`,
+    :func:`_kernel.pair_discrepancy` and :func:`_kernel.class_discrepancies`.
     """
     from .graphs import is_connected
 
-    violations: list = []
-    discrepancies: list = []
     connected = g.n >= 1 and is_connected(g)
     if (connected_only and not connected) or g.m == 0:
         return {"seen": 1, "checked": 0, "violations": [], "discrepancies": []}
     sel = set(bounds)
-    g6 = write_graph6(g)
-    reports = {r.bound_id.value: r for r in evaluate_all(g) if not isinstance(r, SkippedBound)}
-
-    def fmt(x):
-        return repr(x) if isinstance(x, float) else fraction_str(x)
-
-    for bid, rep in reports.items():
-        if bid in sel and not rep.holds:
-            violations.append((g6, bid, fmt(rep.lhs), fmt(rep.rhs)))
+    reports = {r.bound_id.value: r for r in evaluate_all(g)
+               if not isinstance(r, SkippedBound) and r.bound_id.value in sel}
+    violations = [_kernel.violation(bid, rep.lhs, rep.rhs)
+                  for bid, rep in reports.items() if not rep.holds]
+    discrepancies: list = []
 
     if connected:
         label = classify(g)
@@ -414,53 +410,25 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
             label.semiregular_bipartite
             and label.semiregular_pair[0] - label.semiregular_pair[1] == 1
         )
-        actual = _kernel._actual_class_names(
+        equalities = {bid: reports[bid].equality for bid in _kernel.CLASS_CHECK_IDS
+                      if bid in reports}
+        equalities["RATIO_CONSTANT"] = label.constant_edge_ratio
+        discrepancies += _kernel.class_discrepancies(equalities, _kernel._actual_class_names(
             label.regular, label.semiregular_bipartite, consecutive,
             label.gamma1, label.gamma2, label.gamma3, label.constant_edge_ratio,
-        )
-        expectations = {
-            "LOWER_ELL": label.regular or label.semiregular_bipartite or label.gamma1,
-            "UPPER_K": label.regular or (label.semiregular_bipartite and consecutive)
-            or label.gamma2,
-            "UPPER_NDELTA": label.regular,
-            "GA_M2": label.regular,
-            "M1_F": label.constant_edge_ratio,
-        }
-        for bid in _kernel.CLASS_CHECK_IDS:
-            if bid in sel and bid in reports:
-                eq = reports[bid].equality
-                if eq != expectations[bid]:
-                    discrepancies.append(
-                        (g6, bid, EXPECTED_EQUALITY_CLASSES[bid], actual, eq)
-                    )
-        families = label.regular or label.semiregular_bipartite or label.gamma3
-        if label.constant_edge_ratio != families:
-            discrepancies.append(
-                (g6, "RATIO_CONSTANT", EXPECTED_EQUALITY_CLASSES["RATIO_CONSTANT"],
-                 actual, label.constant_edge_ratio)
-            )
-        if "EDGE_MIN" in sel and "EDGE_MIN" in reports and reports["EDGE_MIN"].equality:
-            bound = reports["EDGE_MIN"].rhs
-            bad = [p for p in pairs if p != (dmax, dmin) and edge_term_isdd(*p) == bound]
-            if bad:
-                discrepancies.append(
-                    (g6, "EDGE_MIN", EXPECTED_EQUALITY_CLASSES["EDGE_MIN"],
-                     _kernel._pair_names(bad), True)
-                )
-        if ("EDGE_SECOND_MIN" in sel and "EDGE_SECOND_MIN" in reports
-                and reports["EDGE_SECOND_MIN"].equality):
-            bound = reports["EDGE_SECOND_MIN"].rhs
-            want = (dmax - 1, dmin) if dmax - 1 >= dmin else (dmin, dmax - 1)
-            bad = [
-                p for p in pairs
-                if p != (dmax, dmin) and p != want and edge_term_isdd(*p) == bound
-            ]
-            if bad:
-                discrepancies.append(
-                    (g6, "EDGE_SECOND_MIN", EXPECTED_EQUALITY_CLASSES["EDGE_SECOND_MIN"],
-                     _kernel._pair_names(bad), True)
-                )
-    return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}
+        ))
+        # an attained edge minimum on a degree pair other than the named ones
+        want = (dmax - 1, dmin) if dmax - 1 >= dmin else (dmin, dmax - 1)
+        for bid, named in (("EDGE_MIN", ((dmax, dmin),)),
+                           ("EDGE_SECOND_MIN", ((dmax, dmin), want))):
+            if bid in reports and reports[bid].equality:
+                bad = [p for p in pairs
+                       if p not in named and edge_term_isdd(*p) == reports[bid].rhs]
+                if bad:
+                    discrepancies.append(_kernel.pair_discrepancy(bid, bad))
+    g6 = write_graph6(g)
+    return {"seen": 1, "checked": 1, "violations": [(g6, *rec) for rec in violations],
+            "discrepancies": [(g6, *rec) for rec in discrepancies]}
 
 
 def _graph_chunk_worker(args):

@@ -6,8 +6,10 @@ import multiprocessing
 from fractions import Fraction
 
 from isdd_lab import _kernel
+from isdd_lab.bounds import BoundReport, evaluate_all
+from isdd_lab.classify import classify
 from isdd_lab.enumeration import CHUNK_BITS, SweepReport, _enumerated_counts, _tree_chunk_worker
-from isdd_lab.graphs import GRAPH6_MAX_N, Graph, Graph6Error, is_connected
+from isdd_lab.graphs import GRAPH6_MAX_N, Graph, Graph6Error, is_connected, write_graph6
 
 
 def path_graph(n: int) -> Graph:
@@ -386,3 +388,58 @@ def oracle_in_gamma3(g: Graph) -> bool:
         return False
     return any(_split_degrees(g, deg, u) == ({dmax}, {dmin, mid})
                for u in _side_splits(g, deg))
+
+
+# The class rule written out check by check, as the reference engine had it
+# before both engines shared ``_kernel.class_discrepancies``: each check's
+# expected classes as its records name them, and the membership test in
+# terms of the ``classify`` label.
+ORACLE_EXPECTED_CLASSES = {
+    "LOWER_ELL": ("regular", "semiregular_bipartite", "gamma1"),
+    "UPPER_K": ("regular", "semiregular_bipartite_consecutive", "gamma2"),
+    "UPPER_NDELTA": ("regular",),
+    "GA_M2": ("regular",),
+    "M1_F": ("constant_edge_ratio",),
+    "RATIO_CONSTANT": ("regular", "semiregular_bipartite", "gamma3"),
+}
+
+
+def oracle_class_verdicts(g: Graph) -> tuple[tuple[str, ...], dict, dict]:
+    """(class names, equality flags, expected memberships) of a connected
+    graph with edges, per check of ``ORACLE_EXPECTED_CLASSES`` that
+    ``evaluate_all`` does not skip; RATIO_CONSTANT always runs, with the
+    constant edge ratio as its flag."""
+    label = classify(g)
+    consecutive = (label.semiregular_bipartite
+                   and label.semiregular_pair[0] - label.semiregular_pair[1] == 1)
+    actual = tuple(name for name, flag in (
+        ("regular", label.regular),
+        ("semiregular_bipartite", label.semiregular_bipartite),
+        ("semiregular_bipartite_consecutive", consecutive),
+        ("gamma1", label.gamma1),
+        ("gamma2", label.gamma2),
+        ("gamma3", label.gamma3),
+        ("constant_edge_ratio", label.constant_edge_ratio),
+    ) if flag)
+    expectations = {
+        "LOWER_ELL": label.regular or label.semiregular_bipartite or label.gamma1,
+        "UPPER_K": label.regular or consecutive or label.gamma2,
+        "UPPER_NDELTA": label.regular,
+        "GA_M2": label.regular,
+        "M1_F": label.constant_edge_ratio,
+        "RATIO_CONSTANT": label.regular or label.semiregular_bipartite or label.gamma3,
+    }
+    equalities = {r.bound_id.value: r.equality for r in evaluate_all(g)
+                  if isinstance(r, BoundReport)}
+    equalities["RATIO_CONSTANT"] = label.constant_edge_ratio
+    return actual, {bid: equalities[bid] for bid in expectations if bid in equalities}, expectations
+
+
+def oracle_class_discrepancies(g: Graph) -> list[tuple]:
+    """The sorted (graph6, check_id, expected_classes, actual_classification,
+    equality) records of the checks whose equality flag differs from the
+    graph's membership in the check's families (:func:`oracle_class_verdicts`)."""
+    actual, equalities, expectations = oracle_class_verdicts(g)
+    g6 = write_graph6(g)
+    return sorted((g6, bid, ORACLE_EXPECTED_CLASSES[bid], actual, eq)
+                  for bid, eq in equalities.items() if eq != expectations[bid])

@@ -183,6 +183,70 @@ class TestCheck:
         assert rec["bounds"][0]["holds"] is False
 
 
+    def test_plain_text_lines(self, monkeypatch, capsys):
+        # P4, K3 with an isolated vertex and the diamond: exact sides as p/q
+        # (plain p for an integer), GA sides as repr of the float, skipped
+        # bounds with their reasons
+        code, out, err = run_cli(["check"], "Ch\nCw\nC}\n", monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "Ch:\n"
+            "  EDGE_MIN: HOLDS equality lhs=2/5 rhs=2/5\n"
+            "  EDGE_SECOND_MIN: HOLDS equality lhs=1/2 rhs=1/2\n"
+            "  TREE_EDGE: HOLDS equality lhs=2/5 rhs=2/5\n"
+            "  LOWER_ELL: HOLDS equality lhs=13/10 rhs=13/10\n"
+            "  UPPER_K: HOLDS equality lhs=13/10 rhs=13/10\n"
+            "  UPPER_NDELTA: HOLDS lhs=13/10 rhs=17/10\n"
+            "  GA_SIMPLE: HOLDS lhs=1.3 rhs=0.6938993101569843\n"
+            "  GA_M2: HOLDS lhs=1.3 rhs=1.0408489652354764\n"
+            "  M1_F: HOLDS lhs=13/10 rhs=23/18\n"
+            "  CLAIM1: HOLDS equality lhs=1/2 rhs=1/2\n"
+            "  REMARK_ORDER: HOLDS lhs=1.0408489652354764 rhs=0.6938993101569843\n"
+            "Cw:\n"
+            "  EDGE_MIN: skipped (isolated vertex (min degree 0))\n"
+            "  EDGE_SECOND_MIN: skipped (isolated vertex (min degree 0))\n"
+            "  TREE_EDGE: skipped (not a tree of order >= 4)\n"
+            "  LOWER_ELL: skipped (isolated vertex (min degree 0))\n"
+            "  UPPER_K: HOLDS equality lhs=3/2 rhs=3/2\n"
+            "  UPPER_NDELTA: HOLDS lhs=3/2 rhs=19/10\n"
+            "  GA_SIMPLE: HOLDS lhs=1.5 rhs=0.75\n"
+            "  GA_M2: HOLDS equality lhs=1.5 rhs=1.5\n"
+            "  M1_F: HOLDS equality lhs=3/2 rhs=3/2\n"
+            "  CLAIM1: skipped (isolated vertex (min degree 0))\n"
+            "  REMARK_ORDER: HOLDS lhs=1.5 rhs=0.75\n"
+            "C}:\n"
+            "  EDGE_MIN: HOLDS equality lhs=6/13 rhs=6/13\n"
+            "  EDGE_SECOND_MIN: HOLDS equality lhs=1/2 rhs=1/2\n"
+            "  TREE_EDGE: skipped (not a tree of order >= 4)\n"
+            "  LOWER_ELL: HOLDS equality lhs=61/26 rhs=61/26\n"
+            "  UPPER_K: HOLDS equality lhs=61/26 rhs=61/26\n"
+            "  UPPER_NDELTA: HOLDS lhs=61/26 rhs=73/26\n"
+            "  GA_SIMPLE: HOLDS lhs=2.3461538461538463 rhs=1.2099183588453084\n"
+            "  GA_M2: HOLDS lhs=2.3461538461538463 rhs=1.9103974087031188\n"
+            "  M1_F: HOLDS lhs=61/26 rhs=163/70\n"
+            "  CLAIM1: HOLDS equality lhs=1/2 rhs=1/2\n"
+            "  REMARK_ORDER: HOLDS lhs=1.9103974087031188 rhs=1.2099183588453084\n"
+        )
+
+    def test_plain_text_violated_lines(self, monkeypatch, capsys):
+        # no real graph violates a bound: a forged exact and a forged
+        # approximate report pin the VIOLATED lines and the exit code
+        import isdd_lab.cli as cli_mod
+        from isdd_lab.bounds import BoundId, BoundReport
+        from fractions import Fraction
+
+        def fake_evaluate_all(g):
+            return [BoundReport(BoundId.LOWER_ELL, Fraction(7, 3), Fraction(5), False, True,
+                                "exact", {}),
+                    BoundReport(BoundId.GA_M2, 0.1, 2.0, False, False, "approximate", {})]
+
+        monkeypatch.setattr(cli_mod, "evaluate_all", fake_evaluate_all)
+        code, out, _ = run_cli(["check"], "Ch\n", monkeypatch, capsys)
+        assert code == 3
+        assert out == ("Ch:\n"
+                       "  LOWER_ELL: VIOLATED equality lhs=7/3 rhs=5\n"
+                       "  GA_M2: VIOLATED lhs=0.1 rhs=2.0\n")
+
     def test_edgeless_graph_is_skipped_with_exit_0(self, monkeypatch, capsys):
         # nothing to check, as a sweep counts it seen but not checked; not a parse error
         code, out, err = run_cli(["check"], "A?\n", monkeypatch, capsys)

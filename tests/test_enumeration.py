@@ -377,6 +377,49 @@ class TestSignatureScans:
         assert [rec[1] for rec in part["discrepancies"]] == ["RATIO_CONSTANT"]
 
 
+class TestClassRule:
+    """Both engines' class-rule records against the rule written out by hand.
+
+    The engines share ``_kernel.class_discrepancies`` and its table, so the
+    kernel-vs-reference tests cannot see a wrong table entry; this oracle can.
+    """
+
+    @staticmethod
+    def _graphs():
+        # one connected graph per isomorphism class on 2..6 vertices, every
+        # labeled P4, the three family exemplars and the gamma3 graph
+        graphs = [g for n in range(2, 7)
+                  for g in enumeration._first_of_each_class(n, 1 << n * (n - 1) // 2)
+                  if is_connected(g)]
+        assert len(graphs) == 1 + 2 + 6 + 21 + 112  # OEIS A001349
+        graphs += [Graph.from_edges(4, list(zip(perm, perm[1:])))
+                   for perm in itertools.permutations(range(4)) if perm[0] < perm[-1]]
+        return graphs + [h1_graph(), h2_graph(), h3_graph(), parse_graph6("IBjFFB_w?")]
+
+    def test_engines_match_hand_written_rule(self):
+        for g in self._graphs():
+            want = helpers.oracle_class_discrepancies(g)
+            for check in (_kernel.check_graph_kernel, check_graph_reference):
+                records = check(g, ALL_BOUND_IDS, True)["discrepancies"]
+                got = sorted(rec for rec in records if rec[1] in helpers.ORACLE_EXPECTED_CLASSES)
+                assert got == want, f"{check.__name__} diverges on {write_graph6(g)}"
+
+    def test_every_expected_class_is_reached(self):
+        # for each check and each class it names, some graph of the set is at
+        # equality in that class and in no other class the check names: a
+        # rule that left the class out would give it a record the oracle
+        # does not
+        expected = helpers.ORACLE_EXPECTED_CLASSES
+        reached = set()
+        for g in self._graphs():
+            actual, equalities, _ = helpers.oracle_class_verdicts(g)
+            for bid, eq in equalities.items():
+                named = set(expected[bid]).intersection(actual)
+                if eq and len(named) == 1:
+                    reached.add((bid, named.pop()))
+        assert reached == {(bid, name) for bid, names in expected.items() for name in names}
+
+
 def _graph_from_mask(n, mask):
     pairs = [(i, j) for j in range(n) for i in range(j)]
     return Graph(n, tuple(sorted(p for k, p in enumerate(pairs) if (mask >> k) & 1)))
