@@ -6,7 +6,13 @@ full 2^21 edge subsets at n=7 (and up to 4.8M labeled trees) needs something
 leaner: this module re-derives the same verdicts from degree-pair counts with
 plain integer cross-multiplication.  The exact index value is one integer
 over the lcm of a^2 + b^2 for the degree pairs (a, b) present, so the same
-code serves every graph order.
+code serves every graph order.  :func:`check_pair_stats` walks the pairs
+once: one fold gathers the index (as a running lcm), GA, M2, k, the
+edge-term minima and the constant-ratio test, each pair's terms (ab,
+a^2 + b^2, the GA term, a + b) read from a table, :data:`PAIR_TERMS`,
+filled on first use and cleared at :data:`TERMS_BOUND` entries.  That fold
+is most of what a graph6 stream pays per graph, since its signatures
+almost never repeat.
 
 The enumerating scans go further and check each degree-pair signature once
 per process (:func:`_template`).  A signature packs the edge count of every
@@ -67,12 +73,11 @@ suite (exhaustively for small n); any divergence is a bug, not a policy.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice, product, repeat
-from math import sqrt
+from math import gcd, sqrt
 
 from . import graphs
 from .bounds import STRICT_MARGIN, approx_eq, approx_ge, ga_m2_rhs, ga_simple_rhs, side_text
@@ -274,6 +279,25 @@ def _min_edge_term(pairs) -> tuple[int, int]:
     return ma * mb, ma * ma + mb * mb
 
 
+TERMS_BOUND = 1 << 16  # entries of PAIR_TERMS before it is cleared
+
+
+class _TermTable(dict):
+    """Degree pair (a, b) -> (ab, a^2 + b^2, the GA term, a + b), filled on
+    first use and cleared once it holds :data:`TERMS_BOUND` entries, so that
+    a stream of large graphs cannot grow it without limit."""
+
+    def __missing__(self, pair):
+        if len(self) >= TERMS_BOUND:
+            self.clear()
+        a, b = pair
+        terms = self[pair] = (a * b, a * a + b * b, 2.0 * sqrt(a * b) / (a + b), a + b)
+        return terms
+
+
+PAIR_TERMS = _TermTable()
+
+
 def check_pair_stats(
     n: int,
     m: int,
@@ -288,8 +312,14 @@ def check_pair_stats(
     records and (check_id, expected_classes, actual, equality) discrepancy
     records, without the graph6 field that leads each record of a report.
     Identical verdict semantics to the reference path built on the public API.
-    The exact index is inum / d_common, d_common the lcm of a^2 + b^2 over
-    the pairs in ``pc``.  The records come from the helpers the reference
+
+    One fold over ``pc.items()`` gathers every sum, minimum and test over
+    the pairs, each pair's terms read from :data:`PAIR_TERMS`: the exact
+    index inum / d_common, d_common the lcm of a^2 + b^2 over the pairs (a
+    running lcm, inum scaled with it), GA summed in pair order, M2, k, the
+    smallest edge term over the pairs other than (Delta, delta) and the
+    constant-ratio test.  Only an attained edge minimum and the tree bound
+    walk the pairs again.  The records come from the helpers the reference
     path shares: :func:`violation` (sides built as Fractions only for a
     violated bound), :func:`pair_discrepancy` and :func:`class_discrepancies`.
     """
@@ -305,54 +335,77 @@ def check_pair_stats(
     dm1 = dmax - 1
     q2 = dm1 * dm1 + dmin * dmin
     p2 = dm1 * dmin
-    ell = pc.get((dmax, dmin), 0)
+    top = (dmax, dmin)
+    want = (dm1, dmin) if dm1 >= dmin else (dmin, dm1)
+    ell = pc.get(top, 0)
 
-    inum = 0
+    terms = PAIR_TERMS
+    _, rq, _, rs = terms[next(iter(pc))]  # the first pair's ratio (a + b)/(a^2 + b^2)
+    ratio_const = True
+    inum = m2 = k = 0
     d_common = 1
-    if sel.needs_isdd:
-        # folded pairwise, not math.lcm(*...): no argument tuple per graph
-        for a, b in pc:
-            d_common = math.lcm(d_common, a * a + b * b)
-        for (a, b), cnt in pc.items():
-            inum += cnt * a * b * (d_common // (a * a + b * b))
+    ga = 0.0
+    # the smallest edge term op/oq over the pairs other than (Delta, delta),
+    # 1/0 while there is none, and how many of those pairs attain it
+    op, oq, ties = 1, 0, 0
+    for pair, cnt in pc.items():
+        p, q, ga_term, s = terms[pair]
+        if d_common % q:
+            scale = q // gcd(d_common, q)
+            d_common *= scale
+            inum *= scale
+        cp = cnt * p
+        inum += cp * (d_common // q)
+        ga += cnt * ga_term
+        m2 += cp
+        if q == p + p:  # a == b
+            k += cnt
+        if p * oq <= op * q and pair != top:
+            if p * oq < op * q:
+                op, oq, ties = p, q, 1
+            else:
+                ties += 1
+        if ratio_const and s * rq != rs * q:
+            ratio_const = False
+    # the smallest edge term over all the pairs
+    pe, qe = (p1, q1) if ell and p1 * oq <= op * q1 else (op, oq)
 
     if sel.edge_min and has_min_deg:
-        pe, qe = _min_edge_term(pc)
         lhs_cmp = pe * q1
         rhs_cmp = p1 * qe
         if lhs_cmp < rhs_cmp:
             violations.append(violation("EDGE_MIN", Fraction(pe, qe), Fraction(p1, q1)))
-        elif lhs_cmp == rhs_cmp and connected:
+        elif connected and op * q1 == p1 * oq:  # a pair besides (Delta, delta) attains it
             bad = [
                 (a, b) for a, b in pc
-                if (a, b) != (dmax, dmin) and a * b * q1 == p1 * (a * a + b * b)
+                if (a, b) != top and a * b * q1 == p1 * (a * a + b * b)
             ]
-            if bad:
-                discrepancies.append(pair_discrepancy("EDGE_MIN", bad))
+            discrepancies.append(pair_discrepancy("EDGE_MIN", bad))
 
     if sel.edge_second_min and has_min_deg and m > ell:
-        off = [(a, b) for a, b in pc if (a, b) != (dmax, dmin)]
-        pe, qe = _min_edge_term(off)
-        lhs_cmp = pe * q2
-        rhs_cmp = p2 * qe
+        lhs_cmp = op * q2
+        rhs_cmp = p2 * oq
         if lhs_cmp < rhs_cmp:
-            violations.append(violation("EDGE_SECOND_MIN", Fraction(pe, qe), Fraction(p2, q2)))
-        elif lhs_cmp == rhs_cmp and connected:
-            want = (dm1, dmin) if dm1 >= dmin else (dmin, dm1)
+            violations.append(violation("EDGE_SECOND_MIN", Fraction(op, oq), Fraction(p2, q2)))
+        elif lhs_cmp == rhs_cmp and connected and ties > (want in pc):
+            # (Delta - 1, delta), when present, is one of the pairs at the
+            # minimum, its edge term being the bound: another pair attains it
             bad = [
-                (a, b) for a, b in off
-                if (a, b) != want and a * b * q2 == p2 * (a * a + b * b)
+                (a, b) for a, b in pc
+                if (a, b) != top and (a, b) != want and a * b * q2 == p2 * (a * a + b * b)
             ]
-            if bad:
-                discrepancies.append(pair_discrepancy("EDGE_SECOND_MIN", bad))
+            discrepancies.append(pair_discrepancy("EDGE_SECOND_MIN", bad))
 
     if sel.tree_edge and connected and m == n - 1 and n >= 4:
         tn, td = n - 2, (n - 2) * (n - 2) + 1
-        applicable = [(a, b) for a, b in pc if (a, b) != (n - 1, 1)]
-        if applicable:
-            pe, qe = _min_edge_term(applicable)
-            if pe * td < tn * qe:
-                violations.append(violation("TREE_EDGE", Fraction(pe, qe), Fraction(tn, td)))
+        star = (n - 1, 1)
+        if star not in pc:
+            least = pe, qe
+        else:  # only the star itself, unless the input is not a graph
+            applicable = [pair for pair in pc if pair != star]
+            least = _min_edge_term(applicable) if applicable else None
+        if least and least[0] * td < tn * least[1]:
+            violations.append(violation("TREE_EDGE", Fraction(*least), Fraction(tn, td)))
 
     if sel.lower_ell and has_min_deg:
         if m == ell:
@@ -366,12 +419,8 @@ def check_pair_stats(
                                         Fraction(rnum, rden)))
         equalities["LOWER_ELL"] = left == right
 
-    k = 0
-    if sel.upper_k or sel.upper_ndelta:
-        k = sum(cnt for (a, b), cnt in pc.items() if a == b)
-        qk = dmax * dmax + dm1 * dm1
-        pk = dmax * dm1
-
+    qk = dmax * dmax + dm1 * dm1
+    pk = dmax * dm1
     if sel.upper_k:
         rnum, rden = k * qk + 2 * pk * (m - k), 2 * qk
         left = inum * rden
@@ -404,17 +453,11 @@ def check_pair_stats(
         equalities["M1_F"] = left == right
 
     if sel.ga_simple or sel.ga_m2 or sel.remark_order:
-        ga = 0.0
-        for (a, b), cnt in pc.items():
-            ga += cnt * (2.0 * sqrt(a * b) / (a + b))
         isdd_f = inum / d_common if sel.needs_isdd else 0.0
         rhs_simple = ga_simple_rhs(ga, m)
         if sel.ga_simple and not approx_ge(isdd_f, rhs_simple):
             violations.append(violation("GA_SIMPLE", isdd_f, rhs_simple))
         if sel.ga_m2 or sel.remark_order:
-            m2 = 0
-            for (a, b), cnt in pc.items():
-                m2 += cnt * a * b
             rhs_m2 = ga_m2_rhs(ga, m, dmax, m2)
             if sel.ga_m2:
                 if not approx_ge(isdd_f, rhs_m2):
@@ -447,21 +490,13 @@ def check_pair_stats(
             consecutive = a - b == 1
     g1 = False
     if not regular:
-        want2 = (dm1, dmin) if dm1 >= dmin else (dmin, dm1)
-        c2 = pc.get(want2, 0)
+        c2 = pc.get(want, 0)
         g1 = ell > 0 and c2 > 0 and ell + c2 == m
     g2 = False
     k1 = pc.get((dmax, dmax), 0) + (pc.get((dm1, dm1), 0) if dm1 >= 1 else 0)
     cross = pc.get((dmax, dm1), 0)
     if k1 > 0 and cross > 0 and k1 + cross == m:
         g2 = True
-
-    first = next(iter(pc))
-    rn0 = first[0] + first[1]
-    rd0 = first[0] * first[0] + first[1] * first[1]
-    ratio_const = all(
-        (a + b) * rd0 == rn0 * (a * a + b * b) for a, b in pc
-    )
 
     # a non-constant ratio rules out all three families: regular/semiregular
     # force constancy directly, and gamma3 membership forces the common value
@@ -683,15 +718,19 @@ def _next_rooted_tree(levels: list[int], p: int) -> list[int]:
     return out
 
 
+def tree_signature(tree: Graph) -> int:
+    """The signature of a tree, packed as :func:`signature_table` packs it,
+    with the connected bit set."""
+    n = tree.n
+    weights = signature_table(n)[0]
+    deg = degrees(tree)
+    return 1 + sum([weights[deg[i] * n + deg[j]] for i, j in tree.edges])
+
+
 @lru_cache(maxsize=None)
 def tree_signatures(n: int) -> tuple[int, ...]:
-    """The distinct signatures of the trees on n >= 2 vertices, packed as
-    :func:`signature_table` packs them, with the connected bit set."""
-    weights = signature_table(n)[0]
-    return tuple(dict.fromkeys(
-        1 + sum(cnt * weights[a * n + b] for (a, b), cnt in degree_pair_counts(tree).items())
-        for tree in free_trees(n)
-    ))
+    """The distinct signatures of the trees on n >= 2 vertices (:func:`tree_signature`)."""
+    return tuple(dict.fromkeys(map(tree_signature, free_trees(n))))
 
 
 def silent_tree_order(n: int, bounds: tuple[str, ...]) -> bool:
@@ -969,14 +1008,20 @@ def scan_tree_ranks(
 
 
 def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool) -> dict:
-    """Kernel checks for one graph, whatever its order."""
-    connected = g.n >= 1 and graphs.is_connected(g)
-    if (connected_only and not connected) or g.m == 0:
+    """Kernel checks for one graph, whatever its order.
+
+    A graph with fewer than n - 1 edges is disconnected without the
+    union-find of :func:`graphs.is_connected`.
+    """
+    n, edges = g
+    m = len(edges)
+    connected = m > 0 and m >= n - 1 and graphs.is_connected(g)
+    if not m or (connected_only and not connected):
         return {"seen": 1, "checked": 0, "violations": [], "discrepancies": []}
     violations: list = []
     discrepancies: list = []
     deg = degrees(g)
-    records = check_pair_stats(g.n, g.m, deg, degree_pair_counts(g, deg), connected,
+    records = check_pair_stats(n, m, deg, degree_pair_counts(g, deg), connected,
                                selection(tuple(bounds)))
     if records[0] or records[1]:
         _add_records(graphs.write_graph6(g), records, violations, discrepancies)

@@ -19,7 +19,7 @@ import itertools
 import operator
 import os
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import compress
 
 from . import _kernel
@@ -527,14 +527,17 @@ def _first_tree_of_each_class(n: int, count: int):
 
     See :func:`_run_dedup_sweep`; the walk ends once it has met every class.
     """
-    classes = len(_kernel.free_trees(n))
-    forms = set()
+    free = _kernel.free_trees(n)
+    classes = Counter(map(_kernel.tree_signature, free))  # signature -> classes that have it
+    met = set()  # the signatures of one class, and the tree forms of the others, met so far
     for tree in itertools.islice(labeled_trees(n), count):
-        form = _kernel._tree_form(tree)
-        if form not in forms:
-            forms.add(form)
+        key = _kernel.tree_signature(tree)
+        if classes[key] > 1:
+            key = _kernel._tree_form(tree)
+        if key not in met:
+            met.add(key)
             yield tree
-            if len(forms) == classes:
+            if len(met) == len(free):
                 return
 
 
@@ -554,8 +557,12 @@ def _run_dedup_sweep(cfg: SweepConfig, report: SweepReport):
     generation", J. Algorithms 26 (1998), in its simplest form).
 
     Trees: the walk decodes the labeled trees in Pruefer rank order and checks
-    each whose tree form (:func:`_kernel._tree_form`, equal exactly for
-    isomorphic trees) it has not met yet.  There are
+    each whose class it has not met yet.  Isomorphic trees share their
+    degree-pair signature, and a signature that only one free tree
+    (:func:`_kernel.free_trees`) has names its class; only the trees of a
+    signature that several free trees share are told apart by their tree
+    form (:func:`_kernel._tree_form`, equal exactly for isomorphic trees):
+    at n = 9 the 47 classes have 40 signatures.  There are
     ``len(_kernel.free_trees(n))`` classes, so once it has met that many,
     every later tree belongs to a class already checked and the walk stops:
     at n = 9 the last class turns up at rank 74,733 of 4,782,969.

@@ -184,6 +184,15 @@ class TestKernelAgainstReference:
         masks = [rng.randrange(1 << 21) for _ in range(400)]
         self._compare_masks(7, masks)
 
+    def test_every_class_n6_n7(self):
+        # one graph per isomorphism class, disconnected ones included: every
+        # degree-pair signature that occurs on 6 or 7 vertices
+        for n, classes in ((6, 156), (7, 1044)):  # OEIS A000088
+            graphs = list(enumeration._first_of_each_class(n, 1 << n * (n - 1) // 2))
+            assert len(graphs) == classes
+            for connected_only in (True, False):
+                self._compare_graphs(graphs, connected_only)
+
     def _compare_masks(self, n, masks, connected_only=True):
         self._compare_graphs([_graph_from_mask(n, mask) for mask in masks], connected_only)
 
