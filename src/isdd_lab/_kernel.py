@@ -74,10 +74,12 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, islice, product, repeat
-from math import gcd, sqrt
+from math import factorial, gcd, sqrt
 
 from . import graphs
 from .bounds import STRICT_MARGIN, approx_eq, approx_ge, ga_m2_rhs, ga_simple_rhs, side_text
@@ -213,27 +215,56 @@ def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1)
-def relabel_slots(n: int) -> tuple[bytes, ...]:
-    """Slot-map table: byte p of column k is the slot that edge slot k moves to
-    under the p-th permutation of the n vertices (``itertools.permutations``
-    order).
+def orbit_table(n: int) -> tuple[int, ...]:
+    """Packed orbit table: entry k holds one field per permutation of the n
+    vertices, field p being ``1 << (the slot that edge slot k moves to under
+    the p-th permutation)``, in ``itertools.permutations`` order.
 
-    n! bytes per slot: 15 x 720 at n = 6, 21 x 5040 at n = 7, the largest
-    order the graph dedup walk serves.  Only the table of the last n asked
-    for is kept.
+    The fields are items of :func:`orbit_layout`'s format, packed in native
+    byte order, so ``to_bytes`` and ``memoryview.cast`` give them back in
+    order.  ORing the entries of a graph's edges ORs their images field by
+    field: field p becomes the edge mask of the graph under permutation p
+    (see :func:`orbit`).  n! fields per slot: 15 x 720 x 16 bits at n = 6,
+    21 x 5040 x 32 bits (20 kB each) at n = 7, the largest order the graph
+    dedup walk serves.  Only the table of the last n asked for is kept.
     """
+    from struct import pack
+
     ei, ej = edge_table(n)
-    slot = [[0] * n for _ in range(n)]
+    bit = [[0] * n for _ in range(n)]
     for k, (i, j) in enumerate(zip(ei, ej)):
-        slot[i][j] = slot[j][i] = k
+        bit[i][j] = bit[j][i] = 1 << k
     images = [bytearray() for _ in range(n)]  # images[v][p]: where p sends v
     for perm in itertools.permutations(range(n)):
         for column, v in zip(images, perm):
             column.append(v)
+    fields = f"{factorial(n)}{orbit_layout(n)[0]}"
     return tuple(
-        bytes(map(operator.getitem, map(slot.__getitem__, images[i]), images[j]))
+        int.from_bytes(pack(fields, *map(operator.getitem, map(bit.__getitem__, images[i]),
+                                         images[j])), sys.byteorder)
         for i, j in zip(ei, ej)
     )
+
+
+def orbit_layout(n: int) -> tuple[str, int]:
+    """The ``memoryview`` format of a field of :func:`orbit_table` and the
+    bytes of a packed orbit: 16-bit fields while the C(n, 2) slots fit, else
+    32 bits (n = 7)."""
+    fmt, width = ("H", 2) if n * (n - 1) // 2 <= 16 else ("I", 4)
+    return fmt, factorial(n) * width
+
+
+_SLOT_BITS = tuple(1 << k for k in range(21))  # 1 << k for each edge slot k at n <= 7
+
+
+def orbit(n: int, mask: int) -> memoryview:
+    """The edge mask of the graph ``mask`` on n <= 7 vertices under each of the
+    n! vertex permutations, repeats included, in ``itertools.permutations``
+    order: the OR of the :func:`orbit_table` entries of its edges, cut into
+    its fields."""
+    packed = reduce(operator.or_, compress(orbit_table(n), map(mask.__and__, _SLOT_BITS)), 0)
+    fmt, size = orbit_layout(n)
+    return memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt)
 
 
 class Selection:
@@ -725,6 +756,50 @@ def tree_signature(tree: Graph) -> int:
     weights = signature_table(n)[0]
     deg = degrees(tree)
     return 1 + sum([weights[deg[i] * n + deg[j]] for i, j in tree.edges])
+
+
+def neighbour_degrees(tree: Graph) -> tuple[tuple[int, ...], ...]:
+    """The sorted degrees of each vertex's neighbours, over all vertices, sorted.
+
+    An isomorphism invariant of any graph, finer than the signature, which it
+    fixes: each edge (a, b) shows up as a in the entry of its degree-b end
+    and as b in that of its degree-a end.
+    """
+    deg = degrees(tree)
+    around: list[list[int]] = [[] for _ in range(tree.n)]
+    for i, j in tree.edges:
+        around[i].append(deg[j])
+        around[j].append(deg[i])
+    return tuple(sorted(tuple(sorted(a)) for a in around))
+
+
+@lru_cache(maxsize=None)
+def tree_class_key(n: int):
+    """A function that keys each tree on n >= 2 vertices by its isomorphism class.
+
+    Isomorphic trees get equal keys, and trees of distinct classes distinct
+    ones.  The key is the tree's :func:`tree_signature` where only one free
+    tree (:func:`free_trees`) has that signature; else its
+    :func:`neighbour_degrees` where only one free tree of the signature has
+    those; else its :func:`_tree_form`.  An int, a tuple and a str never
+    compare equal, so the three kinds of key share one set.  At n <= 9 no
+    tree needs its tree form; at n = 10, 4 of the 106 free trees do.
+    """
+    free = free_trees(n)
+    signatures = Counter(map(tree_signature, free))
+    shared = {sig for sig, classes in signatures.items() if classes > 1}
+    forms = Counter(neighbour_degrees(tree) for tree in free if tree_signature(tree) in shared)
+    ambiguous = {form for form, classes in forms.items() if classes > 1}
+
+    def key(tree: Graph):
+        k = tree_signature(tree)
+        if k in shared:
+            k = neighbour_degrees(tree)
+            if k in ambiguous:
+                k = _tree_form(tree)
+        return k
+
+    return key
 
 
 @lru_cache(maxsize=None)

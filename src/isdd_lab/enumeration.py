@@ -19,8 +19,8 @@ import itertools
 import operator
 import os
 import time
-from collections import Counter, namedtuple
-from itertools import compress
+from collections import deque, namedtuple
+from itertools import compress, repeat
 
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
@@ -92,7 +92,7 @@ class SweepConfig(namedtuple(
     ``trees`` switches from all-edge-subset enumeration to labeled trees.
     ``dedup`` checks one graph per isomorphism class, the first of the class
     in enumeration order; the walk is serial, flags each checked graph's
-    relabelings for graphs and keys trees by their tree form (see
+    relabelings for graphs and keys trees by their class (see
     :func:`_run_dedup_sweep`).  Neither applies to a stream
     (:meth:`validate_stream`).
     The equality-characterization cross-checks run on every connected graph
@@ -486,39 +486,17 @@ def _chunk_jobs(cfg: SweepConfig):
     return settled, jobs
 
 
-def _mask_slots(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
-
-
-def _relabelings(slots: list[int], columns: tuple[bytes, ...], bits: list[int]):
-    """Edge mask of the graph on ``slots`` under every vertex permutation.
-
-    One mask per permutation, repeats included; ``columns`` is the slot-map
-    table of :func:`_kernel.relabel_slots` and ``bits[k]`` is ``1 << k``.
-    """
-    if not slots:
-        return (0,)
-    first, *rest = slots
-    masks = map(bits.__getitem__, columns[first])
-    for k in rest:
-        masks = map(operator.or_, masks, map(bits.__getitem__, columns[k]))
-    return masks
-
-
 def _first_of_each_class(n: int, count: int):
     """Yield the first graph of each isomorphism class met in masks [0, count).
 
     See :func:`_run_dedup_sweep` for why the flags find exactly these.
     """
     pairs, pair_bits = _sorted_pairs(n)
-    columns = _kernel.relabel_slots(n)
-    bits = [1 << k for k in range(len(pairs))]
     flags = bytearray(1 << len(pairs))
     pos = flags.find(0, 0, count)
     while pos >= 0:
         yield Graph._make((n, tuple(compress(pairs, map(pos.__and__, pair_bits)))))
-        for mask in _relabelings(_mask_slots(pos), columns, bits):
-            flags[mask] = 1
+        deque(map(flags.__setitem__, _kernel.orbit(n, pos), repeat(1)), 0)
         pos = flags.find(0, pos + 1, count)
 
 
@@ -527,17 +505,15 @@ def _first_tree_of_each_class(n: int, count: int):
 
     See :func:`_run_dedup_sweep`; the walk ends once it has met every class.
     """
-    free = _kernel.free_trees(n)
-    classes = Counter(map(_kernel.tree_signature, free))  # signature -> classes that have it
-    met = set()  # the signatures of one class, and the tree forms of the others, met so far
+    classes = len(_kernel.free_trees(n))
+    key = _kernel.tree_class_key(n)
+    met = set()
     for tree in itertools.islice(labeled_trees(n), count):
-        key = _kernel.tree_signature(tree)
-        if classes[key] > 1:
-            key = _kernel._tree_form(tree)
-        if key not in met:
-            met.add(key)
+        k = key(tree)
+        if k not in met:
+            met.add(k)
             yield tree
-            if len(met) == len(free):
+            if len(met) == classes:
                 return
 
 
@@ -548,24 +524,31 @@ def _run_dedup_sweep(cfg: SweepConfig, report: SweepReport):
     permutation of the vertices maps one onto the other, so a class is the
     orbit of any of its members under the n! relabelings.  The walk keeps one
     flag per edge bitmask and visits the masks in increasing order.  At the
-    first unflagged mask it checks the graph there and flags its whole orbit.
-    Relabeling preserves the class, so a flagged mask belongs to a class that
-    has been checked already; an unflagged one has no earlier member of its
-    class, since that member would have flagged it.  Each class is therefore
-    checked once, at its first graph in enumeration order, and every other
-    labeled graph costs one flag lookup (McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26 (1998), in its simplest form).
+    first unflagged mask it checks the graph there and flags its whole orbit
+    in one C-level pass: :func:`_kernel.orbit` ORs the packed
+    :func:`_kernel.orbit_table` entries of the graph's edges, each holding
+    that edge's image under every permutation in a field of its own, and cuts
+    the result into the n! relabeled masks.  Relabeling preserves the class,
+    so a flagged mask belongs to a class that has been checked already; an
+    unflagged one has no earlier member of its class, since that member
+    would have flagged it.  Each class is therefore checked once, at its
+    first graph in enumeration order, and every other labeled graph costs
+    one flag lookup (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26 (1998), in its simplest form).
 
     Trees: the walk decodes the labeled trees in Pruefer rank order and checks
-    each whose class it has not met yet.  Isomorphic trees share their
-    degree-pair signature, and a signature that only one free tree
-    (:func:`_kernel.free_trees`) has names its class; only the trees of a
-    signature that several free trees share are told apart by their tree
-    form (:func:`_kernel._tree_form`, equal exactly for isomorphic trees):
-    at n = 9 the 47 classes have 40 signatures.  There are
-    ``len(_kernel.free_trees(n))`` classes, so once it has met that many,
-    every later tree belongs to a class already checked and the walk stops:
-    at n = 9 the last class turns up at rank 74,733 of 4,782,969.
+    each whose class it has not met yet, by :func:`_kernel.tree_class_key`.
+    Isomorphic trees share their degree-pair signature, and a signature that
+    only one free tree (:func:`_kernel.free_trees`) has names its class: at
+    n = 9 the 47 classes have 40 signatures.  The trees of a signature that
+    several free trees share are told apart by their neighbours' degrees
+    (:func:`_kernel.neighbour_degrees`), which settle every class at n <= 9,
+    and only where free trees share those too by their tree form
+    (:func:`_kernel._tree_form`, equal exactly for isomorphic trees; 4 of
+    the 106 classes at n = 10).  There are ``len(_kernel.free_trees(n))``
+    classes, so once it has met that many, every later tree belongs to a
+    class already checked and the walk stops: at n = 9 the last class turns
+    up at rank 74,733 of 4,782,969.
     """
     first = _first_tree_of_each_class if cfg.trees else _first_of_each_class
     for n, count in _enumerated_counts(cfg):

@@ -482,6 +482,68 @@ class TestFreeTrees:
             1, 1, 2, 3, 6, 11, 21, 40]
 
 
+def _relabeled_mask(n, edges, perm):
+    """The edge mask of ``edges`` with each vertex v renamed perm[v]; slot
+    j(j-1)/2 + i holds the edge (i, j), i < j."""
+    mask = 0
+    for u, v in edges:
+        i, j = sorted((perm[u], perm[v]))
+        mask |= 1 << (j * (j - 1) // 2 + i)
+    return mask
+
+
+class TestOrbitTable:
+    """The packed orbit of a graph against its edge list relabeled under each
+    vertex permutation."""
+
+    def test_every_mask_small(self):
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(n)))
+            for mask in range(1 << n * (n - 1) // 2):
+                edges = _graph_from_mask(n, mask).edges
+                expected = [_relabeled_mask(n, edges, perm) for perm in perms]
+                assert list(_kernel.orbit(n, mask)) == expected, (n, mask)
+
+    def test_representatives_partition_the_masks(self):
+        # each representative is the least mask of its orbit; the orbits'
+        # sizes sum to the number of masks and together they cover every
+        # mask, so no two of them overlap
+        for n in (6, 7):
+            total = 1 << n * (n - 1) // 2
+            covered = bytearray(total)
+            sizes = 0
+            for g in enumeration._first_of_each_class(n, total):
+                mask = _relabeled_mask(n, g.edges, range(n))
+                orbit = set(_kernel.orbit(n, mask))
+                assert min(orbit) == mask, (n, mask)
+                assert set(map(int.bit_count, orbit)) == {g.m}, (n, mask)
+                sizes += len(orbit)
+                for image in orbit:
+                    covered[image] = 1
+            assert sizes == total, n
+            assert covered.count(1) == total, n
+
+
+class TestTreeClassKey:
+    def test_keys_separate_classes_and_ignore_labels(self):
+        rng = random.Random(20)
+        for n in range(2, 12):
+            trees = _kernel.free_trees(n)
+            key = _kernel.tree_class_key(n)
+            keys = [key(t) for t in trees]
+            assert len(set(keys)) == len(trees) == FREE_TREE_COUNTS[n], n
+            for tree, k in zip(trees, keys):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    relabeled = Graph(n, tuple(sorted(tuple(sorted((perm[i], perm[j])))
+                                                      for i, j in tree.edges)))
+                    assert key(relabeled) == k, (n, tree)
+            # the tree form settles only what neighbour degrees cannot
+            forms = sum(isinstance(k, str) for k in keys)
+            assert forms == {10: 4, 11: 18}.get(n, 0), n
+
+
 class TestSilentTreeOrders:
     """An order is silent exactly when a scan of all its labeled trees emits nothing."""
 
