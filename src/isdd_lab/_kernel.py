@@ -33,7 +33,7 @@ So every verdict, every record but its graph6 field, is a function of
 has records.  The float GA sums run in pair order, not edge order; they
 may differ in the last bits, far inside the 1e-9 tolerance of those checks.
 
-Neither scan decodes a graph edge by edge.  The graph scan walks two
+The graph scan never decodes a graph edge by edge.  It walks two
 levels, in mask order.  The low c(c-1)/2 bits of a mask are a graph L on the
 core vertices 0..c-1, c = min(n, CORE_ORDER); in column-major slot order
 every edge touching a vertex >= c lies above them, in the high part H.  A
@@ -45,19 +45,18 @@ mask costs one sum of table entries.  A core of 5 vertices has 2^10 graphs:
 its table takes about 10 ms and 0.2 MB to build, and a per-H table of about
 600 entries serves 1,024 masks.  A 4-vertex core would rebuild that table
 every 64 masks; a 6-vertex one takes about 250 ms and 12 MB per process.
-The tree scan fixes all Pruefer digits but the last four per block,
-iterates those with ``itertools.product`` and decodes each sequence
-straight into its signature; :func:`prufer_edges` runs only to render the
-graph6 text of a record.
 
-Most tree orders need no scan at all.  A signature is an isomorphism
-invariant, so the signatures of the labeled trees on n vertices are those of
-the free trees on n vertices (:func:`free_trees`, one per isomorphism class:
-47 at n = 9 against 4,782,969 labeled trees, generated directly as level
-sequences rooted at a centre, with no isomorphism test).  An order is
-*silent* for a selection when the template of each of those signatures is
-empty (:func:`silent_tree_order`); a sweep then counts its Pruefer rank
-range as checked without decoding it.
+The tree scan decodes only the trees that yield records.  A signature is an
+isomorphism invariant, so the signatures of the labeled trees on n vertices
+are those of the free trees on n vertices (:func:`free_trees`, one per
+isomorphism class: 47 at n = 9 against 4,782,969 labeled trees, generated
+directly as level sequences rooted at a centre, with no isomorphism test).
+A signature is *loud* for a selection when its template has records.  The
+scan lists the labeled trees of each loud signature's degrees straight from
+their Pruefer sequences (:func:`tree_sequences`) and decodes those alone;
+at n <= 9 only the path's signature is ever loud, so an order costs at most
+its n!/2 labeled paths, and an order with no loud signature (*silent*) costs
+no decode at all.
 
 Each engine reaches its verdicts its own way, but both turn them into
 records with the helpers here: :func:`violation` (both sides through
@@ -78,7 +77,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, islice, product, repeat
+from itertools import compress, repeat
 from math import factorial, gcd, sqrt
 
 from . import graphs
@@ -203,15 +202,6 @@ def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             leaf = ptr
     edges.append((leaf, n - 1))
     return edges
-
-
-def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
-    """The Pruefer sequence of a rank: its n-2 base-n digits, first most significant."""
-    digits = []
-    for _ in range(n - 2):
-        rank, digit = divmod(rank, n)
-        digits.append(digit)
-    return tuple(reversed(digits))
 
 
 @lru_cache(maxsize=1)
@@ -808,18 +798,6 @@ def tree_signatures(n: int) -> tuple[int, ...]:
     return tuple(dict.fromkeys(map(tree_signature, free_trees(n))))
 
 
-def silent_tree_order(n: int, bounds: tuple[str, ...]) -> bool:
-    """Whether no labeled tree on n >= 2 vertices yields a record under these checks.
-
-    Every labeled tree is isomorphic to one of :func:`free_trees`, so its
-    signature is one of :func:`tree_signatures`, and :func:`scan_tree_ranks`
-    emits its records by the :func:`_template` of that signature.  The order
-    is silent when every such template is empty.
-    """
-    sel = selection(tuple(bounds))
-    return not any(_template(n, key, sel) for key in tree_signatures(n))
-
-
 CORE_ORDER = 5  # core vertices of the graph scan: 2^10 core graphs
 
 
@@ -1019,60 +997,75 @@ def scan_graph_masks(
     }
 
 
+def arrangements(items):
+    """Each distinct arrangement of the multiset ``items`` once, as a tuple, in
+    increasing order: the next-permutation walk from the sorted arrangement."""
+    a = sorted(items)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
+def tree_sequences(n: int, multiset, hi: int):
+    """(deg, rank, seq) for each labeled tree on n >= 2 vertices whose degrees
+    form ``multiset`` and whose Pruefer rank is below ``hi``: ``seq`` its
+    Pruefer sequence, ``deg`` the degree of each vertex.
+
+    In the sequence of a tree a vertex of degree d appears d - 1 times
+    (Pruefer, 1918).  So the walk takes each assignment of the degrees to the
+    vertices, then each arrangement of the sequence with those
+    multiplicities.  It meets these in increasing order, which is rank order,
+    so each assignment's walk stops at ``hi``.
+    """
+    powers = [n ** e for e in range(n - 3, -1, -1)]
+    for deg in arrangements(multiset):
+        for seq in arrangements([v for v, d in enumerate(deg) for _ in range(d - 1)]):
+            rank = sum(map(operator.mul, seq, powers))
+            if rank >= hi:
+                break
+            yield deg, rank, seq
+
+
 def scan_tree_ranks(
     n: int,
     lo: int,
     hi: int,
     bounds: tuple[str, ...],
 ) -> dict:
-    """Check the labeled trees with Pruefer-sequence ranks in [lo, hi).
+    """Check the labeled trees on n >= 2 vertices with Pruefer ranks in [lo, hi).
 
-    The ranks are walked in blocks that share every digit but the last
-    (at most) four.  Each sequence is decoded straight into its signature:
-    the decoding pairs each removed leaf with the sequence entry, and the
-    final degrees (one plus the occurrences) weigh the pair.
+    Only the trees of a loud signature, one whose :func:`_template` has
+    records, can yield any.  For each degree multiset of a loud signature,
+    :func:`tree_sequences` lists the trees with those degrees; each in the
+    range is decoded (:func:`prufer_edges`) and keeps its records when its
+    own signature is loud.  Every rank in the range counts as seen and
+    checked.
     """
-    weights = signature_table(n)[0]
-    row = [weights[d * n:(d + 1) * n] for d in range(n)]
     sel = selection(tuple(bounds))
+    loud = {key: records for key in tree_signatures(n)
+            if (records := _template(n, key, sel))}
+    weights = signature_table(n)[0]
     violations: list = []
     discrepancies: list = []
-    templates: dict = {}  # signature -> _template
-    get = templates.get
-    length = max(n - 2, 0)
-    tail = min(length, 4)
-    head = length - tail
-    span = n ** tail
-    last = n - 1
-    for block in range(lo // span, (hi - 1) // span + 1 if hi > lo else 0):
-        start = max(lo - block * span, 0)
-        stop = min(hi - block * span, span)
-        prefix = prufer_sequence(block * span, n)[:head]
-        pdeg = [1] * n
-        for s in prefix:
-            pdeg[s] += 1
-        digits = [(s,) for s in prefix] + [range(n)] * tail
-        for seq in islice(product(*digits), start, stop):
-            deg = pdeg.copy()
-            for s in seq[head:]:
-                deg[s] += 1
-            left = deg.copy()  # degrees in the part not yet decoded
-            leaf = ptr = left.index(1)
-            key = 1
-            for s in seq:
-                key += row[deg[leaf]][deg[s]]
-                left[s] -= 1
-                if left[s] == 1 and s < ptr:
-                    leaf = s
-                else:
-                    leaf = ptr = left.index(1, ptr + 1)
-            key += row[deg[leaf]][deg[last]]
-            records = get(key)
-            if records is None:
-                records = templates[key] = _template(n, key, sel)
-            if records:
-                g6 = mask_to_graph6(n, edges_to_mask(prufer_edges(seq, n)))
-                _add_records(g6, records, violations, discrepancies)
+    for multiset in dict.fromkeys(tuple(signature_degrees(n, signature_pairs(n, key)))
+                                  for key in loud):
+        for deg, rank, seq in tree_sequences(n, multiset, hi):
+            if rank >= lo:
+                edges = prufer_edges(seq, n)
+                records = loud.get(1 + sum([weights[deg[i] * n + deg[j]] for i, j in edges]))
+                if records:
+                    _add_records(mask_to_graph6(n, edges_to_mask(edges)), records,
+                                 violations, discrepancies)
     count = max(hi - lo, 0)
     return {
         "seen": count,

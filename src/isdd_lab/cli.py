@@ -363,8 +363,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser, tree_defaults: bool):
                         "enumeration order (serial)")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers, at least 1 (default: ISDD_LAB_JOBS, else the number of "
-                        "CPUs this process may use)")
+                   help="parallel workers of a graph sweep, at least 1 (default: ISDD_LAB_JOBS, "
+                        "else the number of CPUs this process may use); tree sweeps run "
+                        "serially")
     p.add_argument("--report", default=None, help="write the JSON report to this path")
     p.add_argument("--stdin-graph6", action="store_true",
                    help="check graph6 lines from stdin instead of enumerating: every "

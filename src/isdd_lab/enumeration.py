@@ -3,11 +3,11 @@
 ``labeled_graphs`` walks every edge subset on n <= 7 vertices in bitmask
 order; ``labeled_trees`` decodes every Pruefer sequence for n <= 9.  The
 sweep runs every selected bound on every generated (or externally streamed)
-graph, recording violations and equality-characterization discrepancies; a
-tree order that no selected check can flag is counted without a scan
-(:func:`_chunk_jobs`).
-Work is partitioned into contiguous index chunks whose partial reports merge
-associatively, so the final report does not depend on the worker count.  A
+graph, recording violations and equality-characterization discrepancies.
+A graph sweep is partitioned into contiguous mask chunks whose partial
+reports merge associatively, so the final report does not depend on the
+worker count; a tree sweep scans each order serially, decoding only the
+trees whose signature has records (:func:`_kernel.scan_tree_ranks`).  A
 finalized report writes its JSON file and stdout lines itself
 (``SweepReport.write_json``, ``write_lines``), formatting each record kind once.
 """
@@ -435,10 +435,6 @@ def _graph_chunk_worker(args):
     return _kernel.scan_graph_masks(*args)
 
 
-def _tree_chunk_worker(args):
-    return _kernel.scan_tree_ranks(*args)
-
-
 def _enumerated_counts(cfg: SweepConfig):
     """(n, count) per vertex count: the sweep covers positions [0, count) of n.
 
@@ -456,34 +452,12 @@ def _enumerated_counts(cfg: SweepConfig):
         yield n, total
 
 
-def _chunk_jobs(cfg: SweepConfig):
-    """The positions settled without a scan, and the (worker, args) chunks for the rest.
-
-    The chunk list is deterministic.  A tree order that is silent for the
-    selection (:func:`_kernel.silent_tree_order`) gets no chunk: its rank
-    range, whole or cut by ``max_graphs``, counts as seen and checked with no
-    records.  The report is the scan's all the same.  Every labeled tree in
-    any rank range is isomorphic to some free tree of its order, so its
-    signature is one of that order's signatures, and for each of those the
-    scan's template is silent: the scan would count the same trees and emit
-    nothing.
-    """
-    jobs = []
-    settled = 0
+def _chunk_jobs(cfg: SweepConfig) -> list:
+    """The argument tuples of :func:`_graph_chunk_worker` that cover a graph
+    sweep, chunks of at most 2^CHUNK_BITS masks in a deterministic order."""
     chunk = 1 << CHUNK_BITS
-    if cfg.trees:
-        worker = _tree_chunk_worker
-        extra = (cfg.bounds,)
-    else:
-        worker = _graph_chunk_worker
-        extra = (cfg.bounds, cfg.connected_only)
-    for n, total in _enumerated_counts(cfg):
-        if cfg.trees and _kernel.silent_tree_order(n, cfg.bounds):
-            settled += total
-            continue
-        for lo in range(0, total, chunk):
-            jobs.append((worker, (n, lo, min(lo + chunk, total)) + extra))
-    return settled, jobs
+    return [(n, lo, min(lo + chunk, total), cfg.bounds, cfg.connected_only)
+            for n, total in _enumerated_counts(cfg) for lo in range(0, total, chunk)]
 
 
 def _first_of_each_class(n: int, count: int):
@@ -590,7 +564,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
     produced by :func:`stream_graph6`) replacing internal enumeration.  Each
     graph is checked serially whatever its order (``n_min``/``n_max`` and
     ``jobs`` do not apply, ``dedup`` and ``trees`` are rejected); stream
-    errors count as seen-but-unchecked.
+    errors count as seen-but-unchecked.  ``jobs`` > 1 runs the chunks of a
+    graph sweep in a pool of at most that many workers; tree and dedup
+    sweeps run serially.
     ``engine`` selects the fast kernel or the reference path ("reference");
     both produce identical reports and the test suite holds them to that.
     """
@@ -613,25 +589,21 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
                 source(n) for n in range(cfg.n_min, cfg.n_max + 1)
             )
             report.merge(_check_each(cfg, stream, check, cfg.max_graphs))
+        elif cfg.trees:
+            for n, count in _enumerated_counts(cfg):
+                report.merge(_kernel.scan_tree_ranks(n, 0, count, cfg.bounds))
         else:
-            settled, chunk_jobs = _chunk_jobs(cfg)
-            report.merge({"seen": settled, "checked": settled, "violations": [],
-                          "discrepancies": []})
-            if jobs > 1 and len(chunk_jobs) > 1:
+            chunks = _chunk_jobs(cfg)
+            if jobs > 1 and len(chunks) > 1:
                 import multiprocessing  # only here: most runs open no pool
 
-                with multiprocessing.Pool(min(jobs, len(chunk_jobs))) as pool:
-                    for partial in pool.imap_unordered(_dispatch_chunk, chunk_jobs, chunksize=1):
+                with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
+                    for partial in pool.imap_unordered(_graph_chunk_worker, chunks, chunksize=1):
                         report.merge(partial)
             else:
-                for job in chunk_jobs:
-                    report.merge(_dispatch_chunk(job))
+                for args in chunks:
+                    report.merge(_graph_chunk_worker(args))
 
     report.finalize()
     report.wall_time = time.perf_counter() - start
     return report
-
-
-def _dispatch_chunk(job):
-    worker, args = job
-    return worker(args)

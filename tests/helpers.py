@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import multiprocessing
 from fractions import Fraction
+from itertools import islice, product
 
 from isdd_lab import _kernel
 from isdd_lab.bounds import BoundReport, evaluate_all
 from isdd_lab.classify import classify
-from isdd_lab.enumeration import CHUNK_BITS, SweepReport, _enumerated_counts, _tree_chunk_worker
+from isdd_lab.enumeration import SweepReport, _enumerated_counts
 from isdd_lab.graphs import GRAPH6_MAX_N, Graph, Graph6Error, is_connected, write_graph6
 
 
@@ -204,24 +205,55 @@ def oracle_encode_prufer(g: Graph) -> list[int]:
     return seq
 
 
-def tree_scan_report(cfg, jobs: int = 1) -> SweepReport:
-    """A tree sweep's report with every order scanned rank by rank, silent or not.
+def _decode_ranks(args) -> dict:
+    """The partial report of the first ``count`` labeled trees on n vertices
+    whose Pruefer sequences start with ``prefix``, each decoded and checked
+    by its signature's template."""
+    n, prefix, count, bounds = args
+    sel = _kernel.selection(tuple(bounds))
+    weights = _kernel.signature_table(n)[0]
+    violations: list = []
+    discrepancies: list = []
+    for tail in islice(product(range(n), repeat=n - 2 - len(prefix)), count):
+        seq = prefix + tail
+        edges = _kernel.prufer_edges(seq, n)
+        deg = [1] * n
+        for s in seq:
+            deg[s] += 1
+        key = 1 + sum([weights[deg[i] * n + deg[j]] for i, j in edges])
+        records = _kernel._template(n, key, sel)
+        if records:
+            g6 = write_graph6(Graph.from_edges(n, edges))
+            violations += [(g6, *rec) for rec in records[0]]
+            discrepancies += [(g6, *rec) for rec in records[1]]
+    return {"seen": count, "checked": count, "violations": violations,
+            "discrepancies": discrepancies}
 
-    The oracle of the sweep's silent-order shortcut: the same positions as
-    ``run_sweep(cfg)``, each labeled tree decoded by
-    ``_kernel.scan_tree_ranks``; ``jobs`` > 1 scans the chunks in a pool.
+
+def tree_scan_report(cfg, jobs: int = 1) -> SweepReport:
+    """A tree sweep's report with every labeled tree decoded and checked.
+
+    The oracle of the sweep's loud-signature expansion: the same positions
+    as ``run_sweep(cfg)``, every Pruefer rank decoded in rank order, each
+    tree's signature looked up in ``_kernel._template``.  The ranks are
+    dealt out in blocks that share all digits but the last five; ``jobs`` > 1
+    checks the blocks in a pool.
     """
-    step = 1 << CHUNK_BITS
-    chunks = [(n, lo, min(lo + step, total), cfg.bounds)
-              for n, total in _enumerated_counts(cfg) for lo in range(0, total, step)]
+    blocks = []
+    for n, total in _enumerated_counts(cfg):
+        tail = min(n - 2, 5)
+        span = n ** tail
+        for start in range(0, total, span):
+            prefix = tuple(start // n ** (n - 3 - i) % n for i in range(n - 2 - tail))
+            blocks.append((n, prefix, min(span, total - start), cfg.bounds))
     report = SweepReport()
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            for partial in pool.imap_unordered(_tree_chunk_worker, chunks):
+            for partial in pool.imap_unordered(_decode_ranks, blocks):
                 report.merge(partial)
     else:
-        for chunk in chunks:
-            report.merge(_kernel.scan_tree_ranks(*chunk))
+        for block in blocks:
+            report.merge(_decode_ranks(block))
     report.finalize()
     return report
 

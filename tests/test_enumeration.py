@@ -1,6 +1,7 @@
 import io
 import itertools
 import multiprocessing
+import operator
 import random
 
 import pytest
@@ -84,17 +85,24 @@ class TestLabeledTrees:
             next(labeled_trees(10))
 
     def test_rank_inverts_decode_exhaustive(self):
+        # labeled_trees lists the trees in rank order: a sequence's rank is its
+        # base-n value, first digit most significant
         for n in range(2, 7):
-            seqs = itertools.product(range(n), repeat=n - 2)
-            for rank, seq in enumerate(seqs):
-                assert _kernel.prufer_sequence(rank, n) == seq
+            for rank, tree in enumerate(labeled_trees(n)):
+                seq = oracle_encode_prufer(tree)
+                assert sum(s * n ** (n - 3 - i) for i, s in enumerate(seq)) == rank, (n, rank)
 
-    @given(st.integers(min_value=2, max_value=9), st.data())
+    @given(st.integers(min_value=2, max_value=8), st.data())
     @settings(max_examples=100, deadline=None)
     def test_rank_inverts_decode(self, n, data):
+        # the expansion of a rank's degrees meets that rank once, with its
+        # base-n digits as the sequence
         rank = data.draw(st.integers(0, n ** (n - 2) - 1))
-        seq = _kernel.prufer_sequence(rank, n)
-        assert seq == tuple(rank // n ** (n - 3 - i) % n for i in range(n - 2))
+        seq = tuple(rank // n ** (n - 3 - i) % n for i in range(n - 2))
+        deg = tuple(1 + seq.count(v) for v in range(n))
+        met = [(d, s) for d, r, s in _kernel.tree_sequences(n, sorted(deg), rank + 1)
+               if r == rank]
+        assert met == [(deg, seq)]
 
     @given(st.integers(min_value=3, max_value=9), st.data())
     @settings(max_examples=100, deadline=None)
@@ -254,6 +262,12 @@ def _per_graph_kernel(graphs, bounds, connected_only):
     return _sorted_partial(out)
 
 
+def _per_tree_kernel(args):
+    """The per-tree kernel checks of every labeled tree on n vertices."""
+    n, bounds = args
+    return _per_graph_kernel(labeled_trees(n), bounds, True)
+
+
 class TestSignatureScans:
     """The per-signature scans emit exactly the records of per-graph kernel checks."""
 
@@ -273,14 +287,39 @@ class TestSignatureScans:
                 ), f"diverges at n={n} bounds={bounds} connected_only={connected_only}"
 
     def test_tree_ranks_exhaustive(self):
-        # trees are connected, so connected_only does not apply
-        for n in range(2, 9):
-            trees = list(labeled_trees(n))
-            for bounds in (ALL_BOUND_IDS, ("TREE_EDGE",)):
-                scan = _kernel.scan_tree_ranks(n, 0, len(trees), bounds)
-                assert _sorted_partial(scan) == _per_graph_kernel(
-                    trees, bounds, True
-                ), f"diverges at n={n} bounds={bounds}"
+        # trees are connected, so connected_only does not apply.  Every
+        # selection on n <= 7; on n = 8, where the per-tree checks of one
+        # selection take seconds, all bounds and TREE_EDGE alone.  The
+        # per-tree checks run in a pool, the n = 8 ones first
+        cases = [(8, ALL_BOUND_IDS), (8, ("TREE_EDGE",))]
+        cases += [(n, bounds) for n in range(2, 8) for bounds in SELECTIONS]
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            wants = pool.map(_per_tree_kernel, cases, chunksize=1)
+        verdicts = set()
+        for (n, bounds), want in zip(cases, wants):
+            scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds)
+            assert _sorted_partial(scan) == want, f"diverges at n={n} bounds={bounds}"
+            verdicts.add(bool(want["violations"] or want["discrepancies"]))
+        assert verdicts == {True, False}
+
+    def test_expansion_walks_each_rank_once(self):
+        for items in ((), (0,), (2, 0, 2, 1), (1, 1, 1), (3, 0, 1, 2, 0)):
+            want = sorted(set(itertools.permutations(items)))
+            assert list(_kernel.arrangements(items)) == want, items
+        # each degree multiset's walk meets exactly the ranks whose sequences
+        # have its multiplicities, each once, and stops each assignment at hi
+        for n in range(2, 8):
+            by_degrees = {}
+            for rank, seq in enumerate(itertools.product(range(n), repeat=n - 2)):
+                deg = tuple(1 + seq.count(v) for v in range(n))
+                by_degrees.setdefault(tuple(sorted(deg)), []).append((deg, rank, seq))
+            for degrees, want in by_degrees.items():
+                cuts = {n ** (n - 2), want[0][1], want[0][1] + 1, want[len(want) // 3][1],
+                        want[-1][1], want[-1][1] + 1}
+                for hi in cuts:
+                    got = sorted(_kernel.tree_sequences(n, degrees, hi),
+                                 key=operator.itemgetter(1))
+                    assert got == [w for w in want if w[1] < hi], (n, degrees, hi)
 
     def test_graph_ranges_inside_core_blocks(self):
         # the scan walks 2^10-mask blocks (one per setting of the edges that
@@ -330,15 +369,15 @@ class TestSignatureScans:
                     ), f"diverges on {write_graph6(g)} connected_only={connected_only}"
         assert kinds == {(True, False), (False, False), (False, True)}
 
-    def test_tree_ranges_inside_suffix_blocks(self):
-        # the scan walks blocks of n^4 ranks that share all digits but the
-        # last four; these ranges cross block boundaries from inside a block,
-        # and each end lies between two trees with records, so that a range
-        # one rank too long or too short shows
+    def test_tree_ranges_between_recorded_trees(self):
+        # ranges cut inside blocks of n^4 ranks and across their boundaries,
+        # each end between two trees with records, so that a range one rank
+        # too long or too short shows
         rng = random.Random(9)
 
         def tree(n, rank):
-            return Graph.from_edges(n, _kernel.prufer_edges(_kernel.prufer_sequence(rank, n), n))
+            seq = tuple(rank // n ** (n - 3 - i) % n for i in range(n - 2))
+            return Graph.from_edges(n, _kernel.prufer_edges(seq, n))
 
         def recorded(n, rank):
             part = _kernel.check_graph_kernel(tree(n, rank), ALL_BOUND_IDS, True)
@@ -545,41 +584,34 @@ class TestTreeClassKey:
 
 
 class TestSilentTreeOrders:
-    """An order is silent exactly when a scan of all its labeled trees emits nothing."""
-
-    def test_silent_exactly_when_the_scan_emits_nothing(self):
-        verdicts = set()
-        for bounds in SELECTIONS:
-            for n in range(2, 9):
-                scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds)
-                quiet = not (scan["violations"] or scan["discrepancies"])
-                assert _kernel.silent_tree_order(n, bounds) == quiet, f"n={n} bounds={bounds}"
-                verdicts.add(quiet)
-        assert verdicts == {True, False}
+    """A tree scan decodes the trees of loud signatures only; a silent order none."""
 
     def test_silence_follows_the_templates(self, monkeypatch):
-        # no tree on <= 9 vertices has a constant edge ratio over two or more
-        # pairs.  Given such a signature (that of the gamma3 graph IBjFFB_w?),
-        # alone or with that of a path, an order is silent exactly for the
-        # selections under which checks of those graphs give no record
-        gamma3 = parse_graph6("IBjFFB_w?")
-        path = path_graph(gamma3.n)
-        weights = _kernel.signature_table(gamma3.n)[0]
-
-        def key(g):
-            deg = [sum(v in e for e in g.edges) for v in range(g.n)]
-            return 1 + sum(weights[deg[i] * g.n + deg[j]] for i, j in g.edges)
-
-        verdicts = set()
-        for graphs in ([gamma3], [gamma3, path]):
-            monkeypatch.setattr(_kernel, "tree_signatures",
-                                lambda n, graphs=graphs: tuple(map(key, graphs)))
-            for bounds in SELECTIONS:
-                part = _per_graph_kernel(graphs, bounds, True)
-                quiet = not (part["violations"] or part["discrepancies"])
-                assert _kernel.silent_tree_order(gamma3.n, bounds) == quiet, bounds
-                verdicts.add(quiet)
-        assert verdicts == {True, False}
+        # only the path's signature is loud at n <= 9.  With every tree
+        # signature loud, or every other one (trees that share their degrees
+        # but not their signature then split), the scan must give the records
+        # of a per-tree decode on whole orders and on ranges
+        rng = random.Random(16)
+        for n in range(2, 8):
+            decoded = []  # (graph6, signature) per rank
+            for seq in itertools.product(range(n), repeat=n - 2):
+                tree = Graph.from_edges(n, _kernel.prufer_edges(seq, n))
+                decoded.append((write_graph6(tree), _kernel.tree_signature(tree)))
+            total = len(decoded)
+            ranges = [(0, total)] + [tuple(sorted(rng.sample(range(total + 1), 2)))
+                                     for _ in range(3)]
+            for every in (1, 2):
+                loud = set(_kernel.tree_signatures(n)[::every])
+                monkeypatch.setattr(_kernel, "_template", lambda n, key, sel, loud=loud: (
+                    ([("FAKE", str(key), str(n))], []) if key in loud else ()))
+                for lo, hi in ranges:
+                    scan = _kernel.scan_tree_ranks(n, lo, hi, ALL_BOUND_IDS)
+                    assert scan["seen"] == scan["checked"] == hi - lo
+                    assert scan["discrepancies"] == []
+                    want = sorted((g6, "FAKE", str(key), str(n))
+                                  for g6, key in decoded[lo:hi] if key in loud)
+                    assert sorted(scan["violations"]) == want, (
+                        f"diverges on ranks [{lo}, {hi}) at n={n} every={every}")
 
     def test_sweep_equals_scan(self):
         cases = (
@@ -599,21 +631,23 @@ class TestSilentTreeOrders:
                 assert report_dict(run_sweep(cfg, jobs=jobs)) == want, (cfg, jobs)
         assert want["equality_discrepancies"]
 
-    def test_only_loud_orders_are_chunked(self):
-        settled, jobs = enumeration._chunk_jobs(SweepConfig(n_min=2, n_max=6, trees=True))
-        assert settled == 1 + 3
-        assert [args[0] for _, args in jobs] == [4, 5, 6]
-
     def test_no_pool_without_chunks(self, monkeypatch):
+        # tree sweeps are serial whatever --jobs says, silent or loud, and a
+        # silent one decodes no tree
         def refuse(*args, **kwargs):
-            raise AssertionError("started work for a silent selection")
+            raise AssertionError("started a pool or decoded a tree")
 
         monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        monkeypatch.setattr(_kernel, "scan_tree_ranks", refuse)
-        cfg = SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",))
-        rep = run_sweep(cfg, jobs=8)
-        assert rep.graphs_seen == rep.graphs_checked == sum(n ** (n - 2) for n in range(4, 10))
-        assert rep.violations == [] and rep.equality_discrepancies == []
+        for bounds, n_max, records in ((("TREE_EDGE",), 9, 0), (ALL_BOUND_IDS, 8, 46224)):
+            with monkeypatch.context() as patch:
+                if not records:
+                    patch.setattr(_kernel, "prufer_edges", refuse)
+                cfg = SweepConfig(n_min=4, n_max=n_max, trees=True, bounds=bounds)
+                rep = run_sweep(cfg, jobs=8)
+            assert rep.graphs_seen == rep.graphs_checked == sum(
+                n ** (n - 2) for n in range(4, n_max + 1))
+            assert rep.violations == []
+            assert len(rep.equality_discrepancies) == records
 
 
 class TestRunSweep:
