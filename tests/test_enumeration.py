@@ -586,6 +586,27 @@ class TestTreeClassKey:
 class TestSilentTreeOrders:
     """A tree scan decodes the trees of loud signatures only; a silent order none."""
 
+    def test_silent_exactly_when_the_scan_emits_nothing(self, monkeypatch):
+        # an order is silent when no tree signature's template has records;
+        # a scan of all its labeled trees then emits nothing and decodes none
+        decoded = []
+        prufer_edges = _kernel.prufer_edges
+        monkeypatch.setattr(_kernel, "prufer_edges",
+                            lambda seq, n: decoded.append(n) or prufer_edges(seq, n))
+        verdicts = set()
+        for bounds in SELECTIONS:
+            sel = _kernel.selection(tuple(bounds))
+            for n in range(2, 9):
+                silent = not any(_kernel._template(n, key, sel)
+                                 for key in _kernel.tree_signatures(n))
+                decoded.clear()
+                scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds)
+                quiet = not (scan["violations"] or scan["discrepancies"])
+                assert silent == quiet, f"n={n} bounds={bounds}"
+                assert silent == (not decoded), f"n={n} bounds={bounds}"
+                verdicts.add(quiet)
+        assert verdicts == {True, False}
+
     def test_silence_follows_the_templates(self, monkeypatch):
         # only the path's signature is loud at n <= 9.  With every tree
         # signature loud, or every other one (trees that share their degrees
@@ -630,6 +651,19 @@ class TestSilentTreeOrders:
             for jobs in (1, 2):
                 assert report_dict(run_sweep(cfg, jobs=jobs)) == want, (cfg, jobs)
         assert want["equality_discrepancies"]
+
+    def test_only_loud_orders_are_chunked(self, monkeypatch):
+        # under all bounds n = 2, 3 are silent: a tree sweep over 2..6 decodes
+        # trees of n = 4, 5, 6 only, and reports what a per-tree sweep does
+        decoded = set()
+        prufer_edges = _kernel.prufer_edges
+        monkeypatch.setattr(_kernel, "prufer_edges",
+                            lambda seq, n: decoded.add(n) or prufer_edges(seq, n))
+        cfg = SweepConfig(n_min=2, n_max=6, trees=True)
+        rep = run_sweep(cfg, jobs=2)
+        assert decoded == {4, 5, 6}
+        assert rep.graphs_seen == rep.graphs_checked == 1 + 3 + 16 + 125 + 1296
+        assert report_dict(rep) == report_dict(run_sweep(cfg, engine="reference"))
 
     def test_no_pool_without_chunks(self, monkeypatch):
         # tree sweeps are serial whatever --jobs says, silent or loud, and a
