@@ -9,10 +9,10 @@ over the lcm of a^2 + b^2 for the degree pairs (a, b) present, so the same
 code serves every graph order.  :func:`check_pair_stats` walks the pairs
 once: one fold gathers the index (as a running lcm), GA, M2, k, the
 edge-term minima and the constant-ratio test, each pair's terms (ab,
-a^2 + b^2, the GA term, a + b) read from a table, :data:`PAIR_TERMS`,
-filled on first use and cleared at :data:`TERMS_BOUND` entries.  That fold
-is most of what a graph6 stream pays per graph, since its signatures
-almost never repeat.
+a^2 + b^2, the GA term, a + b) computed in place.  It decides every check,
+as :func:`bounds.evaluate_all` does, and applies the selection once, as a
+filter on the records.  That fold is most of what a graph6 stream pays per
+graph, since its signatures almost never repeat.
 
 The enumerating scans go further and check each degree-pair signature once
 per process (:func:`_template`).  A signature packs the edge count of every
@@ -116,14 +116,16 @@ def _actual_class_names(*flags) -> tuple[str, ...]:
 def class_discrepancies(equalities: dict[str, bool], classes: tuple[str, ...]) -> list:
     """The discrepancy records of the class rule, without their graph6 field.
 
-    ``equalities`` maps each check that ran, of :data:`CLASS_CHECK_IDS` and
-    RATIO_CONSTANT, to its equality flag; ``classes`` names the graph's
-    classes (:func:`_actual_class_names`).  A check gives the record
-    (check_id, expected_classes, classes, equality) exactly when its flag
-    differs from membership in one of its :data:`EXPECTED_EQUALITY_CLASSES`.
+    ``equalities`` maps checks of :data:`CLASS_CHECK_IDS` and RATIO_CONSTANT
+    to their equality flags: every check, filtered by the selection after
+    (:func:`check_pair_stats`), or the selected ones (the reference path);
+    ``classes`` names the graph's classes (:func:`_actual_class_names`).  A
+    check gives the record (check_id, expected_classes, classes, equality)
+    exactly when its flag differs from membership in one of its
+    :data:`EXPECTED_EQUALITY_CLASSES`.
     """
     members = _memberships(classes)
-    if equalities == members:  # every check of the rule ran, and none differs
+    if equalities == members:  # every check of the rule is given, and none differs
         return []
     return [(check_id, EXPECTED_EQUALITY_CLASSES[check_id], classes, equality)
             for check_id, equality in equalities.items() if equality != members[check_id]]
@@ -210,13 +212,15 @@ def orbit_table(n: int) -> tuple[int, ...]:
     vertices, field p being ``1 << (the slot that edge slot k moves to under
     the p-th permutation)``, in ``itertools.permutations`` order.
 
-    The fields are items of :func:`orbit_layout`'s format, packed in native
-    byte order, so ``to_bytes`` and ``memoryview.cast`` give them back in
-    order.  ORing the entries of a graph's edges ORs their images field by
-    field: field p becomes the edge mask of the graph under permutation p
-    (see :func:`orbit`).  n! fields per slot: 15 x 720 x 16 bits at n = 6,
-    21 x 5040 x 32 bits (20 kB each) at n = 7, the largest order the graph
-    dedup walk serves.  Only the table of the last n asked for is kept.
+    The fields are 32-bit unsigned ints (``memoryview`` format "I", enough
+    for the C(7, 2) = 21 slots of the largest order the graph dedup walk
+    serves), packed in native byte order, so ``to_bytes`` and
+    ``memoryview.cast`` give them back in order.  ORing the entries of a
+    graph's edges ORs their images field by field: field p becomes the edge
+    mask of the graph under permutation p (see :func:`orbit`).  n! fields
+    per slot: 15 x 720 x 32 bits (2.9 kB each) at n = 6, 21 x 5040 x 32
+    bits (20 kB each) at n = 7.  Only the table of the last n asked for is
+    kept.
     """
     from struct import pack
 
@@ -228,20 +232,12 @@ def orbit_table(n: int) -> tuple[int, ...]:
     for perm in itertools.permutations(range(n)):
         for column, v in zip(images, perm):
             column.append(v)
-    fields = f"{factorial(n)}{orbit_layout(n)[0]}"
+    fields = f"{factorial(n)}I"
     return tuple(
         int.from_bytes(pack(fields, *map(operator.getitem, map(bit.__getitem__, images[i]),
                                          images[j])), sys.byteorder)
         for i, j in zip(ei, ej)
     )
-
-
-def orbit_layout(n: int) -> tuple[str, int]:
-    """The ``memoryview`` format of a field of :func:`orbit_table` and the
-    bytes of a packed orbit: 16-bit fields while the C(n, 2) slots fit, else
-    32 bits (n = 7)."""
-    fmt, width = ("H", 2) if n * (n - 1) // 2 <= 16 else ("I", 4)
-    return fmt, factorial(n) * width
 
 
 _SLOT_BITS = tuple(1 << k for k in range(21))  # 1 << k for each edge slot k at n <= 7
@@ -253,40 +249,7 @@ def orbit(n: int, mask: int) -> memoryview:
     order: the OR of the :func:`orbit_table` entries of its edges, cut into
     its fields."""
     packed = reduce(operator.or_, compress(orbit_table(n), map(mask.__and__, _SLOT_BITS)), 0)
-    fmt, size = orbit_layout(n)
-    return memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt)
-
-
-class Selection:
-    """Which checks a sweep runs; hoisted out of the per-graph loop."""
-
-    def __init__(self, bounds: tuple[str, ...]):
-        sel = frozenset(bounds)
-        self.edge_min = "EDGE_MIN" in sel
-        self.edge_second_min = "EDGE_SECOND_MIN" in sel
-        self.tree_edge = "TREE_EDGE" in sel
-        self.lower_ell = "LOWER_ELL" in sel
-        self.upper_k = "UPPER_K" in sel
-        self.upper_ndelta = "UPPER_NDELTA" in sel
-        self.ga_simple = "GA_SIMPLE" in sel
-        self.ga_m2 = "GA_M2" in sel
-        self.m1_f = "M1_F" in sel
-        self.claim1 = "CLAIM1" in sel
-        self.remark_order = "REMARK_ORDER" in sel
-        self.needs_isdd = (
-            self.lower_ell or self.upper_k or self.upper_ndelta
-            or self.ga_simple or self.ga_m2 or self.m1_f
-        )
-
-
-@lru_cache(maxsize=16)
-def selection(bounds: tuple[str, ...]) -> Selection:
-    """The Selection of these arguments, built once and shared; never mutated.
-
-    Callers pass ``tuple(bounds)``, so that any sequence of bound ids keys
-    the cache (``tuple`` of a tuple is that tuple).
-    """
-    return Selection(bounds)
+    return memoryview(packed.to_bytes(4 * factorial(n), sys.byteorder)).cast("I")
 
 
 def _min_edge_term(pairs) -> tuple[int, int]:
@@ -300,23 +263,16 @@ def _min_edge_term(pairs) -> tuple[int, int]:
     return ma * mb, ma * ma + mb * mb
 
 
-TERMS_BOUND = 1 << 16  # entries of PAIR_TERMS before it is cleared
-
-
-class _TermTable(dict):
-    """Degree pair (a, b) -> (ab, a^2 + b^2, the GA term, a + b), filled on
-    first use and cleared once it holds :data:`TERMS_BOUND` entries, so that
-    a stream of large graphs cannot grow it without limit."""
-
-    def __missing__(self, pair):
-        if len(self) >= TERMS_BOUND:
-            self.clear()
-        a, b = pair
-        terms = self[pair] = (a * b, a * a + b * b, 2.0 * sqrt(a * b) / (a + b), a + b)
-        return terms
-
-
-PAIR_TERMS = _TermTable()
+def _exact_verdict(check_id: str, sign: int, inum: int, d_common: int, rnum: int, rden: int,
+                   violations: list, equalities: dict) -> None:
+    """Decide the bound index >= rnum/rden (``sign`` 1) or index <= rnum/rden
+    (``sign`` -1), the index being inum/d_common, by its signed slack
+    ``sign * (inum*rden - rnum*d_common)``: negative for a violation, 0 at
+    equality.  Appends the violation record and sets the equality flag."""
+    slack = sign * (inum * rden - rnum * d_common)
+    if slack < 0:
+        violations.append(violation(check_id, Fraction(inum, d_common), Fraction(rnum, rden)))
+    equalities[check_id] = slack == 0
 
 
 def check_pair_stats(
@@ -325,24 +281,28 @@ def check_pair_stats(
     deg,
     pc: dict[tuple[int, int], int],
     connected: bool,
-    sel: Selection,
+    sel: frozenset,
 ) -> tuple[list, list]:
-    """Run every selected check on one graph given its degree-pair counts.
+    """The records of one graph, given its degree-pair counts, for the bound
+    ids in ``sel``.
 
     Returns (violations, discrepancies): (check_id, lhs, rhs) violation
     records and (check_id, expected_classes, actual, equality) discrepancy
     records, without the graph6 field that leads each record of a report.
     Identical verdict semantics to the reference path built on the public API.
 
-    One fold over ``pc.items()`` gathers every sum, minimum and test over
-    the pairs, each pair's terms read from :data:`PAIR_TERMS`: the exact
-    index inum / d_common, d_common the lcm of a^2 + b^2 over the pairs (a
-    running lcm, inum scaled with it), GA summed in pair order, M2, k, the
-    smallest edge term over the pairs other than (Delta, delta) and the
-    constant-ratio test.  Only an attained edge minimum and the tree bound
-    walk the pairs again.  The records come from the helpers the reference
-    path shares: :func:`violation` (sides built as Fractions only for a
-    violated bound), :func:`pair_discrepancy` and :func:`class_discrepancies`.
+    Every check is decided, as :func:`bounds.evaluate_all` decides every
+    bound; the records are then filtered once by the selection, which keeps
+    those of the ids in ``sel`` and RATIO_CONSTANT's, a class check that
+    every connected graph gets.  One fold over ``pc.items()`` gathers every
+    sum, minimum and test over the pairs: the exact index inum / d_common,
+    d_common the lcm of a^2 + b^2 over the pairs (a running lcm, inum scaled
+    with it), GA summed in pair order, M2, k, the smallest edge term over the
+    pairs other than (Delta, delta) and the constant-ratio test.  Only an
+    attained edge minimum and the tree bound walk the pairs again.  The
+    records come from the helpers the reference path shares:
+    :func:`violation` (sides built as Fractions only for a violated bound),
+    :func:`pair_discrepancy` and :func:`class_discrepancies`.
     """
     violations: list = []
     discrepancies: list = []
@@ -360,8 +320,8 @@ def check_pair_stats(
     want = (dm1, dmin) if dm1 >= dmin else (dmin, dm1)
     ell = pc.get(top, 0)
 
-    terms = PAIR_TERMS
-    _, rq, _, rs = terms[next(iter(pc))]  # the first pair's ratio (a + b)/(a^2 + b^2)
+    ra, rb = next(iter(pc))  # the first pair's ratio (a + b)/(a^2 + b^2)
+    rs, rq = ra + rb, ra * ra + rb * rb
     ratio_const = True
     inum = m2 = k = 0
     d_common = 1
@@ -370,16 +330,19 @@ def check_pair_stats(
     # 1/0 while there is none, and how many of those pairs attain it
     op, oq, ties = 1, 0, 0
     for pair, cnt in pc.items():
-        p, q, ga_term, s = terms[pair]
+        a, b = pair
+        p = a * b
+        q = a * a + b * b
+        s = a + b
         if d_common % q:
             scale = q // gcd(d_common, q)
             d_common *= scale
             inum *= scale
         cp = cnt * p
         inum += cp * (d_common // q)
-        ga += cnt * ga_term
+        ga += cnt * (2.0 * sqrt(p) / s)
         m2 += cp
-        if q == p + p:  # a == b
+        if a == b:
             k += cnt
         if p * oq <= op * q and pair != top:
             if p * oq < op * q:
@@ -391,7 +354,7 @@ def check_pair_stats(
     # the smallest edge term over all the pairs
     pe, qe = (p1, q1) if ell and p1 * oq <= op * q1 else (op, oq)
 
-    if sel.edge_min and has_min_deg:
+    if has_min_deg:
         lhs_cmp = pe * q1
         rhs_cmp = p1 * qe
         if lhs_cmp < rhs_cmp:
@@ -403,7 +366,7 @@ def check_pair_stats(
             ]
             discrepancies.append(pair_discrepancy("EDGE_MIN", bad))
 
-    if sel.edge_second_min and has_min_deg and m > ell:
+    if has_min_deg and m > ell:
         lhs_cmp = op * q2
         rhs_cmp = p2 * oq
         if lhs_cmp < rhs_cmp:
@@ -417,7 +380,7 @@ def check_pair_stats(
             ]
             discrepancies.append(pair_discrepancy("EDGE_SECOND_MIN", bad))
 
-    if sel.tree_edge and connected and m == n - 1 and n >= 4:
+    if connected and m == n - 1 and n >= 4:
         tn, td = n - 2, (n - 2) * (n - 2) + 1
         star = (n - 1, 1)
         if star not in pc:
@@ -428,66 +391,34 @@ def check_pair_stats(
         if least and least[0] * td < tn * least[1]:
             violations.append(violation("TREE_EDGE", Fraction(*least), Fraction(tn, td)))
 
-    if sel.lower_ell and has_min_deg:
+    if has_min_deg:
         if m == ell:
             rnum, rden = ell * p1, q1
         else:
             rnum, rden = ell * p1 * q2 + (m - ell) * p2 * q1, q1 * q2
-        left = inum * rden
-        right = rnum * d_common
-        if left < right:
-            violations.append(violation("LOWER_ELL", Fraction(inum, d_common),
-                                        Fraction(rnum, rden)))
-        equalities["LOWER_ELL"] = left == right
-
+        _exact_verdict("LOWER_ELL", 1, inum, d_common, rnum, rden, violations, equalities)
     qk = dmax * dmax + dm1 * dm1
     pk = dmax * dm1
-    if sel.upper_k:
-        rnum, rden = k * qk + 2 * pk * (m - k), 2 * qk
-        left = inum * rden
-        right = rnum * d_common
-        if left > right:
-            violations.append(violation("UPPER_K", Fraction(inum, d_common),
-                                        Fraction(rnum, rden)))
-        equalities["UPPER_K"] = left == right
+    _exact_verdict("UPPER_K", -1, inum, d_common, k * qk + 2 * pk * (m - k), 2 * qk,
+                   violations, equalities)
+    _exact_verdict("UPPER_NDELTA", -1, inum, d_common, k * qk + pk * (n * dmax - 2 * k), 2 * qk,
+                   violations, equalities)
+    m1 = sum([d * d for d in deg])
+    f = sum([d * d * d for d in deg])
+    _exact_verdict("M1_F", 1, inum, d_common, m1 * m1 - m * f, 2 * f, violations, equalities)
 
-    if sel.upper_ndelta:
-        rnum, rden = k * qk + pk * (n * dmax - 2 * k), 2 * qk
-        left = inum * rden
-        right = rnum * d_common
-        if left > right:
-            violations.append(violation("UPPER_NDELTA", Fraction(inum, d_common),
-                                        Fraction(rnum, rden)))
-        equalities["UPPER_NDELTA"] = left == right
+    isdd_f = inum / d_common
+    rhs_simple = ga_simple_rhs(ga, m)
+    rhs_m2 = ga_m2_rhs(ga, m, dmax, m2)
+    if not approx_ge(isdd_f, rhs_simple):
+        violations.append(violation("GA_SIMPLE", isdd_f, rhs_simple))
+    if not approx_ge(isdd_f, rhs_m2):
+        violations.append(violation("GA_M2", isdd_f, rhs_m2))
+    equalities["GA_M2"] = approx_eq(isdd_f, rhs_m2)
+    if not (rhs_m2 - rhs_simple > STRICT_MARGIN):
+        violations.append(violation("REMARK_ORDER", rhs_m2, rhs_simple))
 
-    m1 = f = 0
-    if sel.m1_f:
-        for d in deg:
-            m1 += d * d
-            f += d * d * d
-        rnum, rden = m1 * m1 - m * f, 2 * f
-        left = inum * rden
-        right = rnum * d_common
-        if left < right:
-            violations.append(violation("M1_F", Fraction(inum, d_common),
-                                        Fraction(rnum, rden)))
-        equalities["M1_F"] = left == right
-
-    if sel.ga_simple or sel.ga_m2 or sel.remark_order:
-        isdd_f = inum / d_common if sel.needs_isdd else 0.0
-        rhs_simple = ga_simple_rhs(ga, m)
-        if sel.ga_simple and not approx_ge(isdd_f, rhs_simple):
-            violations.append(violation("GA_SIMPLE", isdd_f, rhs_simple))
-        if sel.ga_m2 or sel.remark_order:
-            rhs_m2 = ga_m2_rhs(ga, m, dmax, m2)
-            if sel.ga_m2:
-                if not approx_ge(isdd_f, rhs_m2):
-                    violations.append(violation("GA_M2", isdd_f, rhs_m2))
-                equalities["GA_M2"] = approx_eq(isdd_f, rhs_m2)
-            if sel.remark_order and not (rhs_m2 - rhs_simple > STRICT_MARGIN):
-                violations.append(violation("REMARK_ORDER", rhs_m2, rhs_simple))
-
-    if sel.claim1 and has_min_deg and dmax >= dmin + 1:
+    if has_min_deg and dmax >= dmin + 1:
         pm = dmax * (dmin + 1)
         qm = dmax * dmax + (dmin + 1) * (dmin + 1)
         ok = p2 * qm <= pm * q2
@@ -498,36 +429,35 @@ def check_pair_stats(
         if not ok:
             violations.append(violation("CLAIM1", Fraction(p2, q2), Fraction(pm, qm)))
 
-    if not (connected and has_min_deg):
-        return violations, discrepancies
+    if connected and has_min_deg:
+        regular = dmax == dmin
+        semireg = False
+        consecutive = False
+        if len(pc) == 1:
+            (a, b), = pc.keys()
+            if a != b:
+                semireg = True
+                consecutive = a - b == 1
+        g1 = False
+        if not regular:
+            c2 = pc.get(want, 0)
+            g1 = ell > 0 and c2 > 0 and ell + c2 == m
+        g2 = False
+        k1 = pc.get((dmax, dmax), 0) + (pc.get((dm1, dm1), 0) if dm1 >= 1 else 0)
+        cross = pc.get((dmax, dm1), 0)
+        if k1 > 0 and cross > 0 and k1 + cross == m:
+            g2 = True
 
-    regular = dmax == dmin
-    semireg = False
-    consecutive = False
-    if len(pc) == 1:
-        (a, b), = pc.keys()
-        if a != b:
-            semireg = True
-            consecutive = a - b == 1
-    g1 = False
-    if not regular:
-        c2 = pc.get(want, 0)
-        g1 = ell > 0 and c2 > 0 and ell + c2 == m
-    g2 = False
-    k1 = pc.get((dmax, dmax), 0) + (pc.get((dm1, dm1), 0) if dm1 >= 1 else 0)
-    cross = pc.get((dmax, dm1), 0)
-    if k1 > 0 and cross > 0 and k1 + cross == m:
-        g2 = True
-
-    # a non-constant ratio rules out all three families: regular/semiregular
-    # force constancy directly, and gamma3 membership forces the common value
-    # (max+min)/(max^2+min^2) on both edge types
-    gamma3 = ratio_const and not (regular or semireg) and _lazy_gamma3(pc, dmax, dmin)
-    equalities["RATIO_CONSTANT"] = ratio_const
-    discrepancies += class_discrepancies(
-        equalities,
-        _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const))
-    return violations, discrepancies
+        # a non-constant ratio rules out all three families: regular/semiregular
+        # force constancy directly, and gamma3 membership forces the common value
+        # (max+min)/(max^2+min^2) on both edge types
+        gamma3 = ratio_const and not (regular or semireg) and _lazy_gamma3(pc, dmax, dmin)
+        equalities["RATIO_CONSTANT"] = ratio_const
+        discrepancies += class_discrepancies(
+            equalities,
+            _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const))
+    return ([rec for rec in violations if rec[0] in sel],
+            [rec for rec in discrepancies if rec[0] in sel or rec[0] == "RATIO_CONSTANT"])
 
 
 def _lazy_gamma3(pc: dict[tuple[int, int], int], dmax: int, dmin: int) -> bool:
@@ -591,12 +521,13 @@ def signature_degrees(n: int, pc: dict[tuple[int, int], int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _template(n: int, key: int, sel: Selection) -> tuple:
+def _template(n: int, key: int, sel: frozenset) -> tuple:
     """The records of every graph on n vertices with signature ``key`` >= 0.
 
     ``()`` when there are none, else the pair (violations, discrepancies)
     that :func:`check_pair_stats` returns for the pair counts and degrees
-    the key fixes, shared and never mutated.  :func:`_add_records` gives a
+    the key fixes: every check, filtered by the selection ``sel``, a
+    frozenset of bound ids.  Shared and never mutated.  :func:`_add_records` gives a
     graph its copies.
     """
     pc = signature_pairs(n, key)
@@ -968,7 +899,7 @@ def scan_graph_masks(
     slots = c * (c - 1) // 2
     codes = core_table(c)[0]
     weights = signature_table(n)[0]
-    sel = selection(tuple(bounds))
+    sel = frozenset(bounds)
     checked = 0
     violations: list = []
     discrepancies: list = []
@@ -1051,7 +982,7 @@ def scan_tree_ranks(
     own signature is loud.  Every rank in the range counts as seen and
     checked.
     """
-    sel = selection(tuple(bounds))
+    sel = frozenset(bounds)
     loud = {key: records for key in tree_signatures(n)
             if (records := _template(n, key, sel))}
     weights = signature_table(n)[0]
@@ -1090,7 +1021,7 @@ def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool) 
     discrepancies: list = []
     deg = degrees(g)
     records = check_pair_stats(n, m, deg, degree_pair_counts(g, deg), connected,
-                               selection(tuple(bounds)))
+                               frozenset(bounds))
     if records[0] or records[1]:
         _add_records(graphs.write_graph6(g), records, violations, discrepancies)
     return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}

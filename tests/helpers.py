@@ -210,7 +210,7 @@ def _decode_ranks(args) -> dict:
     whose Pruefer sequences start with ``prefix``, each decoded and checked
     by its signature's template."""
     n, prefix, count, bounds = args
-    sel = _kernel.selection(tuple(bounds))
+    sel = frozenset(bounds)
     weights = _kernel.signature_table(n)[0]
     violations: list = []
     discrepancies: list = []

@@ -595,7 +595,7 @@ class TestSilentTreeOrders:
                             lambda seq, n: decoded.append(n) or prufer_edges(seq, n))
         verdicts = set()
         for bounds in SELECTIONS:
-            sel = _kernel.selection(tuple(bounds))
+            sel = frozenset(bounds)
             for n in range(2, 9):
                 silent = not any(_kernel._template(n, key, sel)
                                  for key in _kernel.tree_signatures(n))
@@ -824,8 +824,8 @@ class TestRunSweep:
             run_sweep(cfg, graphs=stream_graph6(["Ch\n", "Ch\n", "C^\n"]))
 
     def test_bounds_as_list(self):
-        # the kernel caches its check selection by the bounds, which a list
-        # cannot key as it is
+        # the kernel caches its signature templates by the selection, a list
+        # turned into the frozenset that keys the cache
         chosen = ["LOWER_ELL", "EDGE_SECOND_MIN"]
 
         def reports(bounds):

@@ -2,8 +2,10 @@
 
 No graph violates a bound, so the kernel-vs-reference tests never see the
 violation branches (their ``Fraction`` sides and GA floats).  Inputs that no
-graph has do: a digest pins the records of a seeded set of them.  The
-pair-term table is held to its bound.
+graph has do: a digest pins the records of a seeded set of them, and on
+them a selection of bounds must give the records of all bounds, filtered.
+Graphs with widely spread degrees, and so many degree pairs, are held to
+the reference path.
 """
 
 import hashlib
@@ -55,7 +57,7 @@ def _unrealizable_inputs(count=50_000, seed=14):
 
 
 def test_violation_branches_pinned():
-    sel = _kernel.selection(ALL_BOUND_IDS)
+    sel = frozenset(ALL_BOUND_IDS)
     lines = []
     fired = set()
     for i, (n, m, deg, pc, connected) in enumerate(_unrealizable_inputs()):
@@ -67,32 +69,21 @@ def test_violation_branches_pinned():
     assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == PINNED_DIGEST
 
 
-def test_term_table_stays_bounded():
-    # degrees up to 1,000: far more distinct pairs than the table holds
-    rng = random.Random(16)
-    sel = _kernel.selection(ALL_BOUND_IDS)
-    inputs = []
-    pairs = set()
-    while len(pairs) <= _kernel.TERMS_BOUND * 5 // 4:
-        pc = {}
-        for _ in range(24):
-            a = rng.randint(1, 1000)
-            pc[(a, rng.randint(1, a))] = rng.randint(1, 3)
-        pairs.update(pc)
-        deg = [max(pc)[0], min(b for _, b in pc)]
-        inputs.append((len(deg), sum(pc.values()), deg, pc, True))
-    first = [_kernel.check_pair_stats(*args, sel) for args in inputs[:50]]
-    for args in inputs:
-        _kernel.check_pair_stats(*args, sel)
-        assert len(_kernel.PAIR_TERMS) <= _kernel.TERMS_BOUND
-    # the first inputs again, their terms long cleared out
-    assert [_kernel.check_pair_stats(*args, sel) for args in inputs[:50]] == first
+def test_selection_filters_the_records():
+    # each bound alone keeps exactly its own records of the all-bounds run,
+    # and RATIO_CONSTANT's: no bound, the class check every connected graph gets
+    inputs = _unrealizable_inputs(10_000)
+    every = [_kernel.check_pair_stats(*args, frozenset(ALL_BOUND_IDS)) for args in inputs]
+    assert any(rec[0] == "RATIO_CONSTANT" for _, discrepancies in every for rec in discrepancies)
+    for bound in ALL_BOUND_IDS:
+        kept = {bound, "RATIO_CONSTANT"}
+        for args, (violations, discrepancies) in zip(inputs, every):
+            want = ([rec for rec in violations if rec[0] in kept],
+                    [rec for rec in discrepancies if rec[0] in kept])
+            assert _kernel.check_pair_stats(*args, frozenset({bound})) == want, (bound, args)
 
 
-def test_records_match_reference_across_clears(monkeypatch):
-    # a table of 100 entries, cleared within the fold of every graph here
-    monkeypatch.setattr(_kernel, "TERMS_BOUND", 100)
-    monkeypatch.setattr(_kernel, "PAIR_TERMS", _kernel._TermTable())
+def test_records_match_reference_on_wide_degrees():
     rng = random.Random(17)
     for _ in range(24):
         n = rng.randint(50, 80)
@@ -104,7 +95,6 @@ def test_records_match_reference_across_clears(monkeypatch):
         assert len(degree_pair_counts(g)) > 100
         for connected_only in (True, False):
             fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only)
-            assert len(_kernel.PAIR_TERMS) <= 100
             ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only)
             assert _sorted_partial(fast) == _sorted_partial(ref)
 
