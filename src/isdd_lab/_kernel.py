@@ -456,6 +456,8 @@ def check_pair_stats(
         discrepancies += class_discrepancies(
             equalities,
             _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const))
+    if not (violations or discrepancies):
+        return violations, discrepancies
     return ([rec for rec in violations if rec[0] in sel],
             [rec for rec in discrepancies if rec[0] in sel or rec[0] == "RATIO_CONSTANT"])
 
@@ -1010,7 +1012,8 @@ def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool) 
     """Kernel checks for one graph, whatever its order.
 
     A graph with fewer than n - 1 edges is disconnected without the
-    union-find of :func:`graphs.is_connected`.
+    union-find of :func:`graphs.is_connected`.  ``bounds`` may already be
+    the frozenset of the selection, which ``frozenset`` then returns as is.
     """
     n, edges = g
     m = len(edges)

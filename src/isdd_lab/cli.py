@@ -248,24 +248,12 @@ def cmd_classify(args) -> int:
 
 
 def _resolve_jobs(args) -> int:
-    """``--jobs``, else ``ISDD_LAB_JOBS``, else the CPUs this process may run on.
-
-    A ``--jobs`` below 1 raises ValueError; an ``ISDD_LAB_JOBS`` that is not
-    an integer of at least 1 is ignored with a warning.
-    """
+    """``--jobs``, else the CPUs this process may run on; a ``--jobs`` below 1
+    raises ValueError."""
     if args.jobs is not None:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.jobs
-    env = os.environ.get("ISDD_LAB_JOBS", "")
-    if env.strip():
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs >= 1:
-            return jobs
-        print(f"warning: ignoring bad ISDD_LAB_JOBS={env!r}", file=sys.stderr)
     # the CPUs this process may run on: a pinned or cgroup-limited run sees
     # fewer than os.cpu_count(), which counts every CPU of the host
     if hasattr(os, "sched_getaffinity"):
@@ -363,9 +351,8 @@ def _add_sweep_flags(p: argparse.ArgumentParser, tree_defaults: bool):
                         "enumeration order (serial)")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers of a graph sweep, at least 1 (default: ISDD_LAB_JOBS, "
-                        "else the number of CPUs this process may use); tree sweeps run "
-                        "serially")
+                   help="parallel workers of a graph sweep, at least 1 (default: the number "
+                        "of CPUs this process may use); tree and dedup sweeps run serially")
     p.add_argument("--report", default=None, help="write the JSON report to this path")
     p.add_argument("--stdin-graph6", action="store_true",
                    help="check graph6 lines from stdin instead of enumerating: every "

@@ -491,8 +491,9 @@ def _first_tree_of_each_class(n: int, count: int):
                 return
 
 
-def _run_dedup_sweep(cfg: SweepConfig, report: SweepReport):
-    """Serial sweep that checks the first graph of each isomorphism class.
+def _run_dedup_sweep(cfg: SweepConfig, n: int, count: int) -> dict:
+    """The partial report of order n that checks the first graph of each
+    isomorphism class met in positions [0, count); every position counts as seen.
 
     Graphs: two labeled graphs on n vertices are isomorphic exactly when some
     permutation of the vertices maps one onto the other, so a class is the
@@ -525,10 +526,9 @@ def _run_dedup_sweep(cfg: SweepConfig, report: SweepReport):
     up at rank 74,733 of 4,782,969.
     """
     first = _first_tree_of_each_class if cfg.trees else _first_of_each_class
-    for n, count in _enumerated_counts(cfg):
-        partial = _check_each(cfg, first(n, count), _kernel.check_graph_kernel)
-        partial["seen"] = count  # every position, not only the graphs checked
-        report.merge(partial)
+    partial = _check_each(cfg, first(n, count), _kernel.check_graph_kernel)
+    partial["seen"] = count  # every position, not only the graphs checked
+    return partial
 
 
 def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> dict:
@@ -536,13 +536,14 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
 
     ``check`` is :func:`_kernel.check_graph_kernel` or
     :func:`check_graph_reference`; their per-graph partials are summed here,
-    so the report merges once.  A StreamError item counts as seen only, and
-    the walk stops once ``budget`` items have been seen.
+    so the report merges once.  The selection is built once, as the frozenset
+    both take.  A StreamError item counts as seen only, and a stream stops
+    once ``budget`` items have been seen.
     """
     seen = checked = 0
     violations: list = []
     discrepancies: list = []
-    bounds, connected_only = cfg.bounds, cfg.connected_only
+    bounds, connected_only = frozenset(cfg.bounds), cfg.connected_only
     for item in graphs:
         if seen == budget:
             break
@@ -565,8 +566,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
     graph is checked serially whatever its order (``n_min``/``n_max`` and
     ``jobs`` do not apply, ``dedup`` and ``trees`` are rejected); stream
     errors count as seen-but-unchecked.  ``jobs`` > 1 runs the chunks of a
-    graph sweep in a pool of at most that many workers; tree and dedup
-    sweeps run serially.
+    graph sweep in a pool of at most that many workers.  Tree, dedup and
+    reference sweeps run serially, one call per vertex count over the
+    positions :func:`_enumerated_counts` gives.
     ``engine`` selects the fast kernel or the reference path ("reference");
     both produce identical reports and the test suite holds them to that.
     """
@@ -581,17 +583,16 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
         report.merge(_check_each(cfg, graphs, check, cfg.max_graphs))
     else:
         cfg.validate()
-        if cfg.dedup:
-            _run_dedup_sweep(cfg, report)
-        elif engine == "reference":
-            source = labeled_trees if cfg.trees else labeled_graphs
-            stream = itertools.chain.from_iterable(
-                source(n) for n in range(cfg.n_min, cfg.n_max + 1)
-            )
-            report.merge(_check_each(cfg, stream, check, cfg.max_graphs))
-        elif cfg.trees:
+        if cfg.dedup or cfg.trees or engine == "reference":
             for n, count in _enumerated_counts(cfg):
-                report.merge(_kernel.scan_tree_ranks(n, 0, count, cfg.bounds))
+                if cfg.dedup:
+                    partial = _run_dedup_sweep(cfg, n, count)
+                elif engine == "reference":
+                    source = labeled_trees if cfg.trees else labeled_graphs
+                    partial = _check_each(cfg, itertools.islice(source(n), count), check)
+                else:
+                    partial = _kernel.scan_tree_ranks(n, 0, count, cfg.bounds)
+                report.merge(partial)
         else:
             chunks = _chunk_jobs(cfg)
             if jobs > 1 and len(chunks) > 1:

@@ -34,7 +34,7 @@ from helpers import (
 )
 
 GA_TOL = 1e-9
-# the CLI's rule: ISDD_LAB_JOBS if it is an integer >= 1, else the usable CPUs
+# the CLI's default: the CPUs this process may run on
 JOBS = _resolve_jobs(argparse.Namespace(jobs=None))
 
 CONNECTED_LABELED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}

@@ -652,7 +652,7 @@ class TestSilentTreeOrders:
                 assert report_dict(run_sweep(cfg, jobs=jobs)) == want, (cfg, jobs)
         assert want["equality_discrepancies"]
 
-    def test_only_loud_orders_are_chunked(self, monkeypatch):
+    def test_only_loud_orders_are_decoded(self, monkeypatch):
         # under all bounds n = 2, 3 are silent: a tree sweep over 2..6 decodes
         # trees of n = 4, 5, 6 only, and reports what a per-tree sweep does
         decoded = set()
@@ -690,6 +690,22 @@ class TestRunSweep:
         serial = run_sweep(cfg, jobs=1)
         parallel = run_sweep(cfg, jobs=2)
         assert report_dict(serial) == report_dict(parallel)
+
+    def test_only_graph_scans_start_a_pool(self, monkeypatch):
+        # dedup, reference and stream sweeps run serially whatever jobs says
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        for cfg, checked in ((SweepConfig(n_min=2, n_max=6, dedup=True), 142),
+                             (SweepConfig(n_min=2, n_max=8, trees=True, dedup=True), 47)):
+            rep = run_sweep(cfg, jobs=8)
+            assert rep.graphs_checked == checked, cfg
+        cfg = SweepConfig(n_min=2, n_max=5)
+        assert report_dict(run_sweep(cfg, jobs=8, engine="reference")) == report_dict(
+            run_sweep(cfg))
+        rep = run_sweep(cfg, jobs=8, graphs=stream_graph6(io.StringIO("Ch\nzzz!\nD~{\n")))
+        assert (rep.graphs_seen, rep.graphs_checked) == (3, 2)
 
     def test_pool_never_exceeds_chunk_count(self, monkeypatch):
         from isdd_lab import enumeration
