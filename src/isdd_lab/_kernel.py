@@ -40,11 +40,24 @@ every edge touching a vertex >= c lies above them, in the high part H.  A
 per-process table (:func:`core_table`) gives each L a few codes: vertex
 pairs with their degrees in L, L's component partition, its other edges.
 For each H, :func:`_code_weights` gives each code its signature weight
-under the degrees H adds, with connectivity decided per partition, so a
-mask costs one sum of table entries.  A core of 5 vertices has 2^10 graphs:
-its table takes about 10 ms and 0.2 MB to build, and a per-H table of about
-600 entries serves 1,024 masks.  A 4-vertex core would rebuild that table
-every 64 masks; a 6-vertex one takes about 250 ms and 12 MB per process.
+under the degrees H adds, with connectivity decided per partition, so the
+signature of a mask is one sum of table entries.  A core of 5 vertices has
+2^10 graphs: its table takes about 10 ms and 0.2 MB to build, and a per-H
+table of about 600 entries serves the 1,024 masks of H's block.  A 4-vertex
+core would rebuild that table every 64 masks; a 6-vertex one takes about
+250 ms and 12 MB per process.
+
+Most of those sums repeat.  A signature is an isomorphism invariant, so
+relabeling the core vertices keeps every mask's records but its graph6, and
+it sends the block of H onto the block of H's image.  Sorting the core
+vertices by their sets of outer neighbours (:func:`_high_representative`)
+picks one high part per class, and a whole block is summed once per class
+and process (:func:`_orbit_summary`): its checked count and its masks with
+records.  Every other block of the class adds that count and relabels those
+masks back into itself (:func:`_core_relabeling`) before rendering them.
+The 2,048 high parts of n = 7 make 112 classes.  Only a block cut by the
+scanned range, and block 0, whose edgeless mask is never checked, are
+summed mask by mask (:func:`_block_records`).
 
 The tree scan decodes only the trees that yield records.  A signature is an
 isomorphism invariant, so the signatures of the labeled trees on n vertices
@@ -732,6 +745,7 @@ def tree_signatures(n: int) -> tuple[int, ...]:
 
 
 CORE_ORDER = 5  # core vertices of the graph scan: 2^10 core graphs
+CORE_SLOTS = CORE_ORDER * (CORE_ORDER - 1) // 2  # the edge slots among them
 
 
 def _code_offsets(c: int) -> tuple[int, int]:
@@ -882,6 +896,75 @@ def _code_weights(n: int, c: int, high: int, weights, connected_only: bool) -> l
     return table
 
 
+def _block_records(n: int, high: int, start: int, stop: int, connected_only: bool,
+                   sel: frozenset) -> tuple[int, tuple]:
+    """The masks ``high << slots | core``, ``core`` in [start, stop), summed
+    directly: how many are checked, and (core, records) for each whose
+    :func:`_template` has records, in core order.
+
+    One table of code weights is built for ``high`` (:func:`_code_weights`);
+    the signature of each mask is the sum of the weights of its core
+    graph's codes (:func:`core_table`), negative for a skipped mask.
+    """
+    c = min(n, CORE_ORDER)
+    table = _code_weights(n, c, high, signature_table(n)[0], connected_only)
+    keys = list(map(sum, map(map, repeat(table.__getitem__), core_table(c)[0][start:stop])))
+    loud = {key: records for key in set(keys) if key >= 0 and (records := _template(n, key, sel))}
+    return sum(map((0).__le__, keys)), tuple(
+        (core, loud[key]) for core, key in zip(range(start, stop), keys) if key in loud)
+
+
+@lru_cache(maxsize=None)
+def _orbit_summary(n: int, rep: int, connected_only: bool, sel: frozenset) -> tuple[int, tuple]:
+    """:func:`_block_records` of the whole block of the high part ``rep``,
+    once per process: it stands for every high part that
+    :func:`_high_representative` sends to ``rep``."""
+    return _block_records(n, rep, 0, 1 << CORE_SLOTS, connected_only, sel)
+
+
+def _high_representative(n: int, high: int) -> tuple[int, tuple[int, ...]]:
+    """The representative of the high part ``high`` (n > CORE_ORDER) under
+    relabelings of the core vertices, and ``order``, the core vertices
+    sorted by their sets of outer neighbours, ties in index order.
+
+    The relabeling sigma that sends ``order[i]`` to i takes ``high`` to the
+    representative, in which core vertex i has the i-th smallest set; it
+    takes the mask ``high << slots | L`` to ``rep << slots | sigma.L``.  The
+    representative depends only on the multiset of the sets and on the
+    edges among the outer vertices, which a relabeling of the core keeps,
+    so every high part of a class gets the same one.
+    """
+    c = CORE_ORDER
+    # shifts[t]: where outer vertex c + t's edges to the core start in high,
+    # one bit per core vertex in index order
+    shifts = [(w * (w - 1) >> 1) - CORE_SLOTS for w in range(c, n)]
+    cols = [high >> shift & (1 << c) - 1 for shift in shifts]
+    sets = [sum([(col >> u & 1) << t for t, col in enumerate(cols)]) for u in range(c)]
+    order = tuple(sorted(range(c), key=sets.__getitem__))
+    rep = high
+    for shift, col in zip(shifts, cols):
+        rep ^= (col ^ sum([(col >> u & 1) << i for i, u in enumerate(order)])) << shift
+    return rep, order
+
+
+@lru_cache(maxsize=None)
+def _core_relabeling(order: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Tables that relabel a core graph by vertex i -> ``order[i]``, the
+    inverse of :func:`_high_representative`'s sigma: the image of L is
+    ``low[L & 31] | top[L >> 5]``, one table per half of the 10 slots."""
+    images = []  # per core slot: the bit of its edge's image
+    for i, j in zip(*edge_table(CORE_ORDER)):
+        a, b = sorted((order[i], order[j]))
+        images.append(1 << (b * (b - 1) // 2 + a))
+    tables = []
+    for bits in (images[:5], images[5:]):
+        table = [0]
+        for bit in bits:
+            table += [x | bit for x in table]
+        tables.append(tuple(table))
+    return tables[0], tables[1]
+
+
 def scan_graph_masks(
     n: int,
     lo: int,
@@ -892,36 +975,39 @@ def scan_graph_masks(
     """Check every edge-bitmask graph in [lo, hi) on n vertices.
 
     A mask is ``high << slots | core``: ``core`` the edges among the first
-    c = min(n, CORE_ORDER) vertices, ``high`` the rest.  For each ``high`` one
-    table of code weights is built (:func:`_code_weights`); the signature of
-    every mask of that block is then the sum of the weights of its core
-    graph's codes (:func:`core_table`), negative for a skipped mask.
+    c = min(n, CORE_ORDER) vertices, ``high`` the rest; the masks of one
+    ``high`` form its block.  A signature is an isomorphism invariant, so
+    relabeling the core vertices keeps every mask's records but its graph6.
+    A whole block is summed once per class of its high part under those
+    relabelings (:func:`_orbit_summary`, at the class's
+    :func:`_high_representative`), and each of its masks with records is
+    relabeled from the representative's block back into this one
+    (:func:`_core_relabeling`) and rendered.  A block the range cuts, and
+    block 0, whose edgeless mask is never checked, are summed directly
+    (:func:`_block_records`).
     """
     c = min(n, CORE_ORDER)
     slots = c * (c - 1) // 2
-    codes = core_table(c)[0]
-    weights = signature_table(n)[0]
     sel = frozenset(bounds)
     checked = 0
     violations: list = []
     discrepancies: list = []
-    templates: dict = {}  # signature -> _template, () for a skipped mask
     first = max(lo, 1)  # the edgeless graph is never checked
     for high in range(first >> slots, (hi - 1 >> slots) + 1 if hi > first else 0):
         offset = high << slots
         start = max(first - offset, 0)
         stop = min(hi - offset, 1 << slots)
-        table = _code_weights(n, c, high, weights, connected_only)
-        keys = list(map(sum, map(map, repeat(table.__getitem__), codes[start:stop])))
-        checked += sum(map((0).__le__, keys))
-        distinct = set(keys)
-        for key in distinct - templates.keys():
-            templates[key] = _template(n, key, sel) if key >= 0 else ()
-        loud = {key for key in distinct if templates[key]}  # the keys that emit records
-        if loud:
-            for core in compress(range(start, stop), map(loud.__contains__, keys)):
-                _add_records(mask_to_graph6(n, offset | core), templates[keys[core - start]],
-                             violations, discrepancies)
+        if start == 0 and stop == 1 << slots:
+            rep, order = _high_representative(n, high)
+            count, loud = _orbit_summary(n, rep, connected_only, sel)
+            if loud:
+                low, top = _core_relabeling(order)
+                loud = [(low[core & 31] | top[core >> 5], records) for core, records in loud]
+        else:
+            count, loud = _block_records(n, high, start, stop, connected_only, sel)
+        checked += count
+        for core, records in loud:
+            _add_records(mask_to_graph6(n, offset | core), records, violations, discrepancies)
     return {
         "seen": max(hi - lo, 0),
         "checked": checked,

@@ -338,6 +338,57 @@ class TestSignatureScans:
                         graphs, ALL_BOUND_IDS, connected_only
                     ), f"diverges on [{lo}, {hi}) at n={n} connected_only={connected_only}"
 
+    def test_orbit_summary_matches_direct_sum(self):
+        # every whole block at n = 6 and 7 goes through the summary of its
+        # high part's class; split at its second mask, both parts are summed
+        # directly
+        cases = ((ALL_BOUND_IDS, True), (ALL_BOUND_IDS, False), (("EDGE_SECOND_MIN",), True))
+        block = 1 << _kernel.CORE_SLOTS
+        for n in (6, 7):
+            for high in range(1, 1 << (n * (n - 1) // 2 - _kernel.CORE_SLOTS)):
+                lo, hi = high * block, (high + 1) * block
+                for bounds, connected_only in cases:
+                    whole = _kernel.scan_graph_masks(n, lo, hi, bounds, connected_only)
+                    split = {"seen": 0, "checked": 0, "violations": [], "discrepancies": []}
+                    for a, b in ((lo, lo + 1), (lo + 1, hi)):
+                        part = _kernel.scan_graph_masks(n, a, b, bounds, connected_only)
+                        for key in split:
+                            split[key] += part[key]
+                    assert _sorted_partial(whole) == _sorted_partial(split), (
+                        f"diverges on block {high} at n={n} bounds={bounds} "
+                        f"connected_only={connected_only}")
+
+    def test_high_representative_relabels_the_core(self):
+        # sigma, which sends order[i] to i, takes the edges of (H, L) exactly
+        # onto those of (H*, sigma.L); every relabeling of H's core vertices
+        # has the same H*; and the core relabeling tables undo sigma
+        rng = random.Random(20)
+        c, core_slots = _kernel.CORE_ORDER, _kernel.CORE_SLOTS
+
+        def relabel(n, mask, perm):
+            """The mask of ``mask``'s graph with core vertex u renamed perm[u]."""
+            def image(v):
+                return perm[v] if v < c else v
+            return _kernel.edges_to_mask(
+                (min(image(i), image(j)), max(image(i), image(j)))
+                for i, j in _graph_from_mask(n, mask).edges)
+
+        for n in range(6, 11):
+            for _ in range(50):
+                mask = rng.getrandbits(n * (n - 1) // 2)
+                high, core = mask >> core_slots, mask & (1 << core_slots) - 1
+                rep, order = _kernel._high_representative(n, high)
+                assert sorted(order) == list(range(c))
+                sigma = [order.index(u) for u in range(c)]
+                image = relabel(n, mask, sigma)
+                assert image >> core_slots == rep, (n, mask)
+                assert image & (1 << core_slots) - 1 == relabel(c, core, sigma)
+                low, top = _kernel._core_relabeling(order)
+                assert low[image & 31] | top[image >> 5 & 31] == core, (n, mask)
+                perm = rng.sample(range(c), c)
+                other = relabel(n, mask, perm) >> core_slots
+                assert _kernel._high_representative(n, other)[0] == rep, (n, mask, perm)
+
     def test_single_masks_beyond_enumeration(self):
         # 3 to 7 vertices outside the core: sparse masks leave some of them
         # isolated or cut off from the core, dense ones connect everything
