@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import os
 import sys
 
 from .bounds import ALL_BOUND_IDS, BoundReport, SkippedBound, evaluate_all, side_text
@@ -247,24 +246,10 @@ def cmd_classify(args) -> int:
     return _each_graph(args, render)
 
 
-def _resolve_jobs(args) -> int:
-    """``--jobs``, else the CPUs this process may run on; a ``--jobs`` below 1
-    raises ValueError."""
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.jobs
-    # the CPUs this process may run on: a pinned or cgroup-limited run sees
-    # fewer than os.cpu_count(), which counts every CPU of the host
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep(cfg: SweepConfig, jobs: int, stdin_graph6: bool):
+def _sweep(cfg: SweepConfig, stdin_graph6: bool):
     """Run the sweep; returns the report and the number of bad stdin lines."""
     if not stdin_graph6:
-        return run_sweep(cfg, jobs=jobs), 0
+        return run_sweep(cfg), 0
     parse_errors = 0
 
     def stream():
@@ -275,7 +260,7 @@ def _sweep(cfg: SweepConfig, jobs: int, stdin_graph6: bool):
                 print(f"parse error at stdin:{item.line_no}: {item.message}", file=sys.stderr)
             yield item
 
-    report = run_sweep(cfg, jobs=1, graphs=stream())
+    report = run_sweep(cfg, graphs=stream())
     return report, parse_errors
 
 
@@ -296,7 +281,8 @@ def cmd_sweep(args) -> int:
             cfg.validate_stream()
         else:
             cfg.validate()
-        jobs = _resolve_jobs(args)
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -309,7 +295,7 @@ def cmd_sweep(args) -> int:
             print(f"error: cannot write report {args.report}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     with report_file or contextlib.nullcontext():
-        report, parse_errors = _sweep(cfg, jobs, args.stdin_graph6)
+        report, parse_errors = _sweep(cfg, args.stdin_graph6)
         if report_file:
             report.write_json(report_file, {
                 "n_min": cfg.n_min,
@@ -348,16 +334,16 @@ def _add_sweep_flags(p: argparse.ArgumentParser, tree_defaults: bool):
     p.add_argument("--bounds", default="all", help="'all' or comma list of bound ids")
     p.add_argument("--dedup", action="store_true",
                    help="check only the first graph of each isomorphism class in "
-                        "enumeration order (serial)")
+                        "enumeration order")
     p.add_argument("--max-graphs", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers of a graph sweep, at least 1 (default: the number "
-                        "of CPUs this process may use); tree and dedup sweeps run serially")
+                   help="accepted for compatibility, at least 1; changes nothing, since "
+                        "every sweep runs serially")
     p.add_argument("--report", default=None, help="write the JSON report to this path")
     p.add_argument("--stdin-graph6", action="store_true",
                    help="check graph6 lines from stdin instead of enumerating: every "
-                        "graph whatever its order, serially (--n-min/--n-max do not "
-                        "filter and --jobs does not apply; not with --dedup or tree mode)")
+                        "graph whatever its order (--n-min/--n-max do not filter; not "
+                        "with --dedup or tree mode)")
 
 
 def build_parser() -> argparse.ArgumentParser:

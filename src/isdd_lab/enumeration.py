@@ -4,10 +4,11 @@
 order; ``labeled_trees`` decodes every Pruefer sequence for n <= 9.  The
 sweep runs every selected bound on every generated (or externally streamed)
 graph, recording violations and equality-characterization discrepancies.
-A graph sweep is partitioned into contiguous mask chunks whose partial
-reports merge associatively, so the final report does not depend on the
-worker count; a tree sweep scans each order serially, decoding only the
-trees whose signature has records (:func:`_kernel.scan_tree_ranks`).  A
+Every sweep runs serially, one order at a time: a graph sweep scans each
+order's masks in one :func:`_kernel.scan_graph_masks` call and a tree sweep
+decodes only the trees whose signature has records
+(:func:`_kernel.scan_tree_ranks`).  Finalizing sorts the records, so the
+report does not depend on the order in which partial reports merge.  A
 finalized report writes its JSON file and stdout lines itself
 (``SweepReport.write_json``, ``write_lines``), formatting each record kind once.
 """
@@ -29,8 +30,6 @@ from .graphs import (Graph, GraphError, degree_pair_counts, degrees, input_lines
                      write_graph6)
 from .indices import edge_term_isdd
 from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
-
-CHUNK_BITS = 15  # mask-range chunk size 2**15; small enough for even balance
 
 
 class StreamError(namedtuple("StreamError", "line_no message")):
@@ -431,10 +430,6 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
             "discrepancies": [(g6, *rec) for rec in discrepancies]}
 
 
-def _graph_chunk_worker(args):
-    return _kernel.scan_graph_masks(*args)
-
-
 def _enumerated_counts(cfg: SweepConfig):
     """(n, count) per vertex count: the sweep covers positions [0, count) of n.
 
@@ -450,14 +445,6 @@ def _enumerated_counts(cfg: SweepConfig):
         if total == 0:
             return
         yield n, total
-
-
-def _chunk_jobs(cfg: SweepConfig) -> list:
-    """The argument tuples of :func:`_graph_chunk_worker` that cover a graph
-    sweep, chunks of at most 2^CHUNK_BITS masks in a deterministic order."""
-    chunk = 1 << CHUNK_BITS
-    return [(n, lo, min(lo + chunk, total), cfg.bounds, cfg.connected_only)
-            for n, total in _enumerated_counts(cfg) for lo in range(0, total, chunk)]
 
 
 def _first_of_each_class(n: int, count: int):
@@ -558,17 +545,16 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
             "discrepancies": discrepancies}
 
 
-def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast") -> SweepReport:
+def run_sweep(cfg: SweepConfig, graphs=None, engine: str = "fast") -> SweepReport:
     """Execute a sweep and return its report.
 
     ``graphs``: optional external iterable (mix of Graph and StreamError, as
     produced by :func:`stream_graph6`) replacing internal enumeration.  Each
-    graph is checked serially whatever its order (``n_min``/``n_max`` and
-    ``jobs`` do not apply, ``dedup`` and ``trees`` are rejected); stream
-    errors count as seen-but-unchecked.  ``jobs`` > 1 runs the chunks of a
-    graph sweep in a pool of at most that many workers.  Tree, dedup and
-    reference sweeps run serially, one call per vertex count over the
-    positions :func:`_enumerated_counts` gives.
+    graph is checked whatever its order (``n_min``/``n_max`` do not apply,
+    ``dedup`` and ``trees`` are rejected); stream errors count as
+    seen-but-unchecked.  Otherwise the sweep makes one call per vertex count
+    over the positions :func:`_enumerated_counts` gives: a graph scan, a tree
+    scan, a dedup walk or the reference check of each graph.
     ``engine`` selects the fast kernel or the reference path ("reference");
     both produce identical reports and the test suite holds them to that.
     """
@@ -583,27 +569,17 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, graphs=None, engine: str = "fast"
         report.merge(_check_each(cfg, graphs, check, cfg.max_graphs))
     else:
         cfg.validate()
-        if cfg.dedup or cfg.trees or engine == "reference":
-            for n, count in _enumerated_counts(cfg):
-                if cfg.dedup:
-                    partial = _run_dedup_sweep(cfg, n, count)
-                elif engine == "reference":
-                    source = labeled_trees if cfg.trees else labeled_graphs
-                    partial = _check_each(cfg, itertools.islice(source(n), count), check)
-                else:
-                    partial = _kernel.scan_tree_ranks(n, 0, count, cfg.bounds)
-                report.merge(partial)
-        else:
-            chunks = _chunk_jobs(cfg)
-            if jobs > 1 and len(chunks) > 1:
-                import multiprocessing  # only here: most runs open no pool
-
-                with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-                    for partial in pool.imap_unordered(_graph_chunk_worker, chunks, chunksize=1):
-                        report.merge(partial)
+        for n, count in _enumerated_counts(cfg):
+            if cfg.dedup:
+                partial = _run_dedup_sweep(cfg, n, count)
+            elif engine == "reference":
+                source = labeled_trees if cfg.trees else labeled_graphs
+                partial = _check_each(cfg, itertools.islice(source(n), count), check)
+            elif cfg.trees:
+                partial = _kernel.scan_tree_ranks(n, 0, count, cfg.bounds)
             else:
-                for args in chunks:
-                    report.merge(_graph_chunk_worker(args))
+                partial = _kernel.scan_graph_masks(n, 0, count, cfg.bounds, cfg.connected_only)
+            report.merge(partial)
 
     report.finalize()
     report.wall_time = time.perf_counter() - start

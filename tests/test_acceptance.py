@@ -7,9 +7,9 @@ them.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import multiprocessing
+import os
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -17,7 +17,6 @@ import pytest
 
 from isdd_lab.bounds import BoundId, BoundReport, claim1_chain, evaluate_all
 from isdd_lab.classify import classify, edge_ratio_constant, in_gamma1, in_gamma2, in_gamma3
-from isdd_lab.cli import _resolve_jobs
 from isdd_lab.enumeration import SweepConfig, labeled_graphs, run_sweep
 from isdd_lab.graphs import Graph, is_connected, parse_graph6, write_graph6
 from isdd_lab.indices import index_vector, isdd
@@ -34,8 +33,8 @@ from helpers import (
 )
 
 GA_TOL = 1e-9
-# the CLI's default: the CPUs this process may run on
-JOBS = _resolve_jobs(argparse.Namespace(jobs=None))
+# worker processes of the test-side pools: the CPUs this process may run on
+JOBS = len(os.sched_getaffinity(0))
 
 CONNECTED_LABELED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 EQUALITY_BOUNDS = (BoundId.LOWER_ELL, BoundId.UPPER_K, BoundId.UPPER_NDELTA, BoundId.M1_F)
@@ -53,7 +52,7 @@ def criterion(num: int, title: str):
 
 @pytest.fixture(scope="session")
 def full_sweep():
-    return run_sweep(SweepConfig(n_min=2, n_max=7), jobs=JOBS)
+    return run_sweep(SweepConfig(n_min=2, n_max=7))
 
 
 TREE_SWEEP = SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",))
@@ -61,7 +60,7 @@ TREE_SWEEP = SweepConfig(n_min=4, n_max=9, trees=True, bounds=("TREE_EDGE",))
 
 @pytest.fixture(scope="session")
 def tree_sweep():
-    return run_sweep(TREE_SWEEP, jobs=JOBS)
+    return run_sweep(TREE_SWEEP)
 
 
 def test_criterion_1_index_fixtures():

@@ -1,4 +1,3 @@
-import argparse
 import io
 import itertools
 import json
@@ -483,16 +482,6 @@ class TestSweep:
         assert payload["graphs_seen"] == 141
         assert payload["violations"] == []
         assert payload["config"]["trees"] is True
-
-    def test_default_jobs_follow_cpu_affinity(self, monkeypatch):
-        from isdd_lab import cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
-                            raising=False)
-        assert cli._resolve_jobs(argparse.Namespace(jobs=None)) == 3
-        monkeypatch.delattr(cli.os, "sched_getaffinity")
-        assert cli._resolve_jobs(argparse.Namespace(jobs=None)) == 64
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--n-max", "4", "--jobs", "-5"],

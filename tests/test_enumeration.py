@@ -25,6 +25,7 @@ from isdd_lab.enumeration import (
 from isdd_lab.graphs import Graph, is_connected, parse_graph6, write_graph6
 from isdd_lab.bounds import ALL_BOUND_IDS
 from isdd_lab.classify import in_gamma3
+from isdd_lab.cli import main
 import helpers
 from helpers import (
     cycle_graph,
@@ -699,8 +700,7 @@ class TestSilentTreeOrders:
         for cfg in cases:
             want = report_dict(helpers.tree_scan_report(cfg))
             assert want["graphs_seen"] == (cfg.max_graphs or 1 + 3 + 16 + 125)
-            for jobs in (1, 2):
-                assert report_dict(run_sweep(cfg, jobs=jobs)) == want, (cfg, jobs)
+            assert report_dict(run_sweep(cfg)) == want, cfg
         assert want["equality_discrepancies"]
 
     def test_only_loud_orders_are_decoded(self, monkeypatch):
@@ -711,76 +711,68 @@ class TestSilentTreeOrders:
         monkeypatch.setattr(_kernel, "prufer_edges",
                             lambda seq, n: decoded.add(n) or prufer_edges(seq, n))
         cfg = SweepConfig(n_min=2, n_max=6, trees=True)
-        rep = run_sweep(cfg, jobs=2)
+        rep = run_sweep(cfg)
         assert decoded == {4, 5, 6}
         assert rep.graphs_seen == rep.graphs_checked == 1 + 3 + 16 + 125 + 1296
         assert report_dict(rep) == report_dict(run_sweep(cfg, engine="reference"))
 
-    def test_no_pool_without_chunks(self, monkeypatch):
-        # tree sweeps are serial whatever --jobs says, silent or loud, and a
-        # silent one decodes no tree
-        def refuse(*args, **kwargs):
-            raise AssertionError("started a pool or decoded a tree")
-
-        monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        for bounds, n_max, records in ((("TREE_EDGE",), 9, 0), (ALL_BOUND_IDS, 8, 46224)):
-            with monkeypatch.context() as patch:
-                if not records:
-                    patch.setattr(_kernel, "prufer_edges", refuse)
-                cfg = SweepConfig(n_min=4, n_max=n_max, trees=True, bounds=bounds)
-                rep = run_sweep(cfg, jobs=8)
-            assert rep.graphs_seen == rep.graphs_checked == sum(
-                n ** (n - 2) for n in range(4, n_max + 1))
-            assert rep.violations == []
-            assert len(rep.equality_discrepancies) == records
-
 
 class TestRunSweep:
     def test_merge_is_jobs_independent(self):
-        cfg = SweepConfig(n_min=2, n_max=5)
-        serial = run_sweep(cfg, jobs=1)
-        parallel = run_sweep(cfg, jobs=2)
-        assert report_dict(serial) == report_dict(parallel)
+        # the report does not depend on how an order's masks are split into
+        # scans or on the order in which their partials merge, so no --jobs
+        # value could change it
+        cfg = SweepConfig(n_min=2, n_max=6)
+        split = SweepReport()
+        for n, total in reversed(list(enumeration._enumerated_counts(cfg))):
+            for lo in reversed(range(0, total, 3000)):
+                split.merge(_kernel.scan_graph_masks(n, lo, min(lo + 3000, total), cfg.bounds,
+                                                     cfg.connected_only))
+        split.finalize()
+        assert report_dict(split) == report_dict(run_sweep(cfg))
 
-    def test_only_graph_scans_start_a_pool(self, monkeypatch):
-        # dedup, reference and stream sweeps run serially whatever jobs says
+    def test_no_sweep_starts_a_pool(self, monkeypatch, capsys):
+        # every sweep runs serially whatever --jobs says, and a silent tree
+        # sweep decodes no tree
         def refuse(*args, **kwargs):
-            raise AssertionError("started a pool")
+            raise AssertionError("started a pool or decoded a tree")
+
+        def summary(argv, stdin=""):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code = main(argv + ["--jobs", "8"])
+            err = capsys.readouterr().err.splitlines()[-1]
+            return code, [int(field.split("=")[1]) for field in err.split()[:4]]
 
         monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        for cfg, checked in ((SweepConfig(n_min=2, n_max=6, dedup=True), 142),
-                             (SweepConfig(n_min=2, n_max=8, trees=True, dedup=True), 47)):
-            rep = run_sweep(cfg, jobs=8)
-            assert rep.graphs_checked == checked, cfg
+        trees_4_8 = sum(n ** (n - 2) for n in range(4, 9))
+        for argv, want in (
+                (["sweep", "--n-max", "5"], [2 + 8 + 64 + 1024, 1 + 4 + 38 + 728, 0, 356]),
+                (["sweep", "--n-max", "6", "--dedup"], [33866, 142, 0, 40]),
+                (["trees", "--n-min", "2", "--n-max", "8", "--dedup"], [trees_4_8 + 4, 47, 0, 10]),
+                (["trees", "--n-max", "8"], [trees_4_8, trees_4_8, 0, 46224])):
+            assert summary(argv) == (0, want), argv
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernel, "prufer_edges", refuse)
+            trees_4_9 = trees_4_8 + 9 ** 7
+            assert summary(["trees", "--bounds", "TREE_EDGE"]) == (
+                0, [trees_4_9, trees_4_9, 0, 0])
+        assert summary(["sweep", "--stdin-graph6"], "Ch\nzzz!\nD~{\n") == (2, [3, 2, 0, 2])
         cfg = SweepConfig(n_min=2, n_max=5)
-        assert report_dict(run_sweep(cfg, jobs=8, engine="reference")) == report_dict(
-            run_sweep(cfg))
-        rep = run_sweep(cfg, jobs=8, graphs=stream_graph6(io.StringIO("Ch\nzzz!\nD~{\n")))
-        assert (rep.graphs_seen, rep.graphs_checked) == (3, 2)
+        assert report_dict(run_sweep(cfg, engine="reference")) == report_dict(run_sweep(cfg))
 
-    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
-        from isdd_lab import enumeration
-
-        sizes = []
-
-        class SerialPool:  # records the size asked for; starts no process
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        cfg = SweepConfig(n_min=2, n_max=4)  # one chunk per order
-        report = run_sweep(cfg, jobs=8)
-        assert sizes == [3]
-        assert report_dict(report) == report_dict(run_sweep(cfg, jobs=1))
+    def test_cuts_inside_an_n7_block(self):
+        # a --max-graphs cut leaves the last block of its order partial, the
+        # one block of the scan that sums its keys directly
+        for cfg, records in ((SweepConfig(n_min=7, n_max=7, connected_only=False,
+                                          max_graphs=5_000), 0),  # inside block 4
+                             # the first mask of block 32, whose high part is edge (0, 6)
+                             (SweepConfig(n_min=7, n_max=7, max_graphs=(1 << 15) + 1), 0),
+                             # block 34, past its first records
+                             (SweepConfig(n_min=7, n_max=7, max_graphs=35_712), 12)):
+            fast = report_dict(run_sweep(cfg))
+            assert fast == report_dict(run_sweep(cfg, engine="reference")), cfg
+            assert fast["graphs_seen"] == cfg.max_graphs
+            assert len(fast["equality_discrepancies"]) == records, cfg
 
     def test_lower_ell_gap_at_n4(self):
         cfg = SweepConfig(n_min=4, n_max=4, bounds=("LOWER_ELL",))
@@ -1043,10 +1035,10 @@ class TestReportWriters:
 
     def test_sort_keys_are_distinct(self):
         # finalize's (graph6, bound_id) keys order the records totally, so the
-        # output does not depend on the order in which chunks come back
+        # output does not depend on the order in which partial reports merge
         for cfg in (SweepConfig(n_min=1, n_max=6, connected_only=False),
                     SweepConfig(n_min=4, n_max=8, trees=True)):
-            report = run_sweep(cfg, jobs=2)
+            report = run_sweep(cfg)
             for records in (report.violations, report.equality_discrepancies):
                 keys = [(r.graph6, r.bound_id) for r in records]
                 assert len(set(keys)) == len(keys), cfg

@@ -2,9 +2,9 @@
 
 Start-up is most of a run on one graph and of a silent tree sweep, so the
 modules that only some runs use are imported where those runs need them:
-``multiprocessing`` where a sweep opens a pool, ``json`` where a report or a
-``--json`` object is written.  The record types are named tuples, not
-dataclasses.
+``json`` where a report or a ``--json`` object is written.  Every sweep runs
+serially, so no run imports ``multiprocessing``.  The record types are named
+tuples, not dataclasses.
 """
 
 import os
@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# modules that importing the CLI must not load; multiprocessing no run loads
 ON_DEMAND = {"multiprocessing", "dataclasses", "json"}
 
 
@@ -40,5 +41,15 @@ def test_silent_tree_sweep_opens_no_pool():
         "from isdd_lab.cli import main\n"
         "assert main(['trees', '--n-min', '4', '--n-max', '9', '--bounds', 'TREE_EDGE',\n"
         "             '--max-graphs', '0', '--jobs', '2']) == 0")
+    assert "isdd_lab" in added
+    assert "multiprocessing" not in added
+
+
+def test_graph_sweep_opens_no_pool():
+    added = modules_added(
+        "import contextlib, io\n"
+        "from isdd_lab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['sweep', '--n-max', '5', '--jobs', '2']) == 0")
     assert "isdd_lab" in added
     assert "multiprocessing" not in added
