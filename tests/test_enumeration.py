@@ -716,6 +716,33 @@ class TestSilentTreeOrders:
         assert rep.graphs_seen == rep.graphs_checked == 1 + 3 + 16 + 125 + 1296
         assert report_dict(rep) == report_dict(run_sweep(cfg, engine="reference"))
 
+    def test_no_pool_without_chunks(self, monkeypatch, capsys):
+        # tree sweeps are serial whatever --jobs says, silent or loud, and a
+        # silent one decodes no tree
+        monkeypatch.setattr(multiprocessing, "Pool", _refuse)
+        assert _cli_summary(monkeypatch, capsys, ["trees", "--n-max", "8"]) == (
+            0, [TREES_4_8, TREES_4_8, 0, 46224])
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernel, "prufer_edges", _refuse)
+            trees_4_9 = TREES_4_8 + 9 ** 7
+            assert _cli_summary(monkeypatch, capsys, ["trees", "--bounds", "TREE_EDGE"]) == (
+                0, [trees_4_9, trees_4_9, 0, 0])
+
+
+TREES_4_8 = sum(n ** (n - 2) for n in range(4, 9))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("started a pool or decoded a tree")
+
+
+def _cli_summary(monkeypatch, capsys, argv, stdin=""):
+    """Exit code and the first four counts of the CLI's summary line at --jobs 8."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(argv + ["--jobs", "8"])
+    err = capsys.readouterr().err.splitlines()[-1]
+    return code, [int(field.split("=")[1]) for field in err.split()[:4]]
+
 
 class TestRunSweep:
     def test_merge_is_jobs_independent(self):
@@ -731,32 +758,18 @@ class TestRunSweep:
         split.finalize()
         assert report_dict(split) == report_dict(run_sweep(cfg))
 
-    def test_no_sweep_starts_a_pool(self, monkeypatch, capsys):
-        # every sweep runs serially whatever --jobs says, and a silent tree
-        # sweep decodes no tree
-        def refuse(*args, **kwargs):
-            raise AssertionError("started a pool or decoded a tree")
-
-        def summary(argv, stdin=""):
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-            code = main(argv + ["--jobs", "8"])
-            err = capsys.readouterr().err.splitlines()[-1]
-            return code, [int(field.split("=")[1]) for field in err.split()[:4]]
-
-        monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        trees_4_8 = sum(n ** (n - 2) for n in range(4, 9))
+    def test_only_graph_scans_start_a_pool(self, monkeypatch, capsys):
+        # no sweep starts a pool now, graph scans included: graph, dedup,
+        # reference and stream sweeps run serially whatever --jobs says
+        monkeypatch.setattr(multiprocessing, "Pool", _refuse)
         for argv, want in (
                 (["sweep", "--n-max", "5"], [2 + 8 + 64 + 1024, 1 + 4 + 38 + 728, 0, 356]),
                 (["sweep", "--n-max", "6", "--dedup"], [33866, 142, 0, 40]),
-                (["trees", "--n-min", "2", "--n-max", "8", "--dedup"], [trees_4_8 + 4, 47, 0, 10]),
-                (["trees", "--n-max", "8"], [trees_4_8, trees_4_8, 0, 46224])):
-            assert summary(argv) == (0, want), argv
-        with monkeypatch.context() as patch:
-            patch.setattr(_kernel, "prufer_edges", refuse)
-            trees_4_9 = trees_4_8 + 9 ** 7
-            assert summary(["trees", "--bounds", "TREE_EDGE"]) == (
-                0, [trees_4_9, trees_4_9, 0, 0])
-        assert summary(["sweep", "--stdin-graph6"], "Ch\nzzz!\nD~{\n") == (2, [3, 2, 0, 2])
+                (["trees", "--n-min", "2", "--n-max", "8", "--dedup"],
+                 [TREES_4_8 + 4, 47, 0, 10])):
+            assert _cli_summary(monkeypatch, capsys, argv) == (0, want), argv
+        assert _cli_summary(monkeypatch, capsys, ["sweep", "--stdin-graph6"],
+                            "Ch\nzzz!\nD~{\n") == (2, [3, 2, 0, 2])
         cfg = SweepConfig(n_min=2, n_max=5)
         assert report_dict(run_sweep(cfg, engine="reference")) == report_dict(run_sweep(cfg))
 
