@@ -56,8 +56,7 @@ and process (:func:`_orbit_summary`): its checked count and its masks with
 records.  Every other block of the class adds that count and relabels those
 masks back into itself (:func:`_core_relabeling`) before rendering them.
 The 2,048 high parts of n = 7 make 112 classes.  Only a block cut by the
-scanned range, and block 0, whose edgeless mask is never checked, are
-summed mask by mask (:func:`_block_records`).
+scanned range is summed mask by mask (:func:`_block_records`).
 
 The tree scan decodes only the trees that yield records.  A signature is an
 isomorphism invariant, so the signatures of the labeled trees on n vertices
@@ -685,13 +684,16 @@ def _next_rooted_tree(levels: list[int], p: int) -> list[int]:
     return out
 
 
-def tree_signature(tree: Graph) -> int:
-    """The signature of a tree, packed as :func:`signature_table` packs it,
-    with the connected bit set."""
-    n = tree.n
+def _connected_signature(n: int, deg, edges) -> int:
+    """The signature of a connected graph on n vertices with these degrees
+    and edges, packed as :func:`signature_table` packs it."""
     weights = signature_table(n)[0]
-    deg = degrees(tree)
-    return 1 + sum([weights[deg[i] * n + deg[j]] for i, j in tree.edges])
+    return 1 + sum([weights[deg[i] * n + deg[j]] for i, j in edges])
+
+
+def tree_signature(tree: Graph) -> int:
+    """The signature of a tree (:func:`_connected_signature`)."""
+    return _connected_signature(tree.n, degrees(tree), tree.edges)
 
 
 def neighbour_degrees(tree: Graph) -> tuple[tuple[int, ...], ...]:
@@ -904,13 +906,15 @@ def _block_records(n: int, high: int, start: int, stop: int, connected_only: boo
 
     One table of code weights is built for ``high`` (:func:`_code_weights`);
     the signature of each mask is the sum of the weights of its core
-    graph's codes (:func:`core_table`), negative for a skipped mask.
+    graph's codes (:func:`core_table`), negative for a skipped mask.  Every
+    edge weighs at least 2, so a key of 1 or less is an edgeless mask, which
+    is never checked.
     """
     c = min(n, CORE_ORDER)
     table = _code_weights(n, c, high, signature_table(n)[0], connected_only)
     keys = list(map(sum, map(map, repeat(table.__getitem__), core_table(c)[0][start:stop])))
-    loud = {key: records for key in set(keys) if key >= 0 and (records := _template(n, key, sel))}
-    return sum(map((0).__le__, keys)), tuple(
+    loud = {key: records for key in set(keys) if key > 1 and (records := _template(n, key, sel))}
+    return sum(map((1).__lt__, keys)), tuple(
         (core, loud[key]) for core, key in zip(range(start, stop), keys) if key in loud)
 
 
@@ -919,13 +923,15 @@ def _orbit_summary(n: int, rep: int, connected_only: bool, sel: frozenset) -> tu
     """:func:`_block_records` of the whole block of the high part ``rep``,
     once per process: it stands for every high part that
     :func:`_high_representative` sends to ``rep``."""
-    return _block_records(n, rep, 0, 1 << CORE_SLOTS, connected_only, sel)
+    c = min(n, CORE_ORDER)
+    return _block_records(n, rep, 0, 1 << c * (c - 1) // 2, connected_only, sel)
 
 
 def _high_representative(n: int, high: int) -> tuple[int, tuple[int, ...]]:
-    """The representative of the high part ``high`` (n > CORE_ORDER) under
-    relabelings of the core vertices, and ``order``, the core vertices
-    sorted by their sets of outer neighbours, ties in index order.
+    """The representative of the high part ``high`` under relabelings of the
+    core vertices, and ``order``, the core vertices sorted by their sets of
+    outer neighbours, ties in index order.  At n <= CORE_ORDER the only high
+    part is 0, its own representative, with ``order`` the identity.
 
     The relabeling sigma that sends ``order[i]`` to i takes ``high`` to the
     representative, in which core vertex i has the i-th smallest set; it
@@ -982,9 +988,8 @@ def scan_graph_masks(
     relabelings (:func:`_orbit_summary`, at the class's
     :func:`_high_representative`), and each of its masks with records is
     relabeled from the representative's block back into this one
-    (:func:`_core_relabeling`) and rendered.  A block the range cuts, and
-    block 0, whose edgeless mask is never checked, are summed directly
-    (:func:`_block_records`).
+    (:func:`_core_relabeling`) and rendered.  A block the range cuts is
+    summed directly (:func:`_block_records`).
     """
     c = min(n, CORE_ORDER)
     slots = c * (c - 1) // 2
@@ -992,10 +997,9 @@ def scan_graph_masks(
     checked = 0
     violations: list = []
     discrepancies: list = []
-    first = max(lo, 1)  # the edgeless graph is never checked
-    for high in range(first >> slots, (hi - 1 >> slots) + 1 if hi > first else 0):
+    for high in range(lo >> slots, (hi - 1 >> slots) + 1 if hi > lo else 0):
         offset = high << slots
-        start = max(first - offset, 0)
+        start = max(lo - offset, 0)
         stop = min(hi - offset, 1 << slots)
         if start == 0 and stop == 1 << slots:
             rep, order = _high_representative(n, high)
@@ -1073,7 +1077,6 @@ def scan_tree_ranks(
     sel = frozenset(bounds)
     loud = {key: records for key in tree_signatures(n)
             if (records := _template(n, key, sel))}
-    weights = signature_table(n)[0]
     violations: list = []
     discrepancies: list = []
     for multiset in dict.fromkeys(tuple(signature_degrees(n, signature_pairs(n, key)))
@@ -1081,7 +1084,7 @@ def scan_tree_ranks(
         for deg, rank, seq in tree_sequences(n, multiset, hi):
             if rank >= lo:
                 edges = prufer_edges(seq, n)
-                records = loud.get(1 + sum([weights[deg[i] * n + deg[j]] for i, j in edges]))
+                records = loud.get(_connected_signature(n, deg, edges))
                 if records:
                     _add_records(mask_to_graph6(n, edges_to_mask(edges)), records,
                                  violations, discrepancies)

@@ -32,73 +32,27 @@ def is_regular(g: Graph) -> int | None:
     return dd.max_degree if dd.max_degree == dd.min_degree else None
 
 
-def _component_vertex_sets(g: Graph) -> list[list[int]]:
-    adj = g.neighbors()
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 def is_semiregular_bipartite(g: Graph) -> tuple[int, int] | None:
     """The degree pair (r, s), r >= s, of a semiregular bipartite graph.
 
-    Every side-U vertex must have degree r and every side-W vertex degree s
-    under some bipartition.  Regular bipartite graphs report (r, r).  For
-    disconnected graphs each component may flip its own sides, so both
-    orientations are tried for global consistency.  Edgeless graphs and
-    graphs with isolated vertices (degree 0 against r, s >= 1) report None.
+    Every side-U vertex must have degree r >= 1 and every side-W vertex
+    degree s >= 1 under some bipartition.  Regular bipartite graphs report
+    (r, r); edgeless graphs and graphs with an isolated vertex report None.
+    Such a graph has the single degree pair (r, s) of :func:`degree_pair_counts`.
+    Conversely, with no isolated vertex, a single pair (r, s) gives every
+    vertex degree r or s; for r > s the two degrees are the two sides, and
+    for r = s the graph is r-regular, so it needs a :func:`bipartition`.
     """
     if g.n < 2:
         raise GraphError(f"semiregular test needs at least 2 vertices, got {g.n}")
-    if g.m == 0:
-        return None
-    bip = bipartition(g)
-    if bip is None:
-        return None
     deg = _degrees(g)
-    # per component: the set of degrees on each side; each must be a single value
-    comp_sides: list[tuple[set[int], set[int]]] = []
-    for comp in _component_vertex_sets(g):
-        d0 = {deg[v] for v in comp if bip.side_of[v] == 0}
-        d1 = {deg[v] for v in comp if bip.side_of[v] == 1}
-        if len(d0) > 1 or len(d1) > 1:
-            return None
-        comp_sides.append((d0, d1))
-
-    def unify(first_flip: bool) -> tuple[int, int] | None:
-        r = s = None
-        for idx, (d0, d1) in enumerate(comp_sides):
-            options = [(d0, d1), (d1, d0)]
-            if idx == 0:
-                options = [options[1]] if first_flip else [options[0]]
-            for u_side, w_side in options:
-                ru = next(iter(u_side)) if u_side else None
-                sw = next(iter(w_side)) if w_side else None
-                if (ru is None or r is None or ru == r) and (sw is None or s is None or sw == s):
-                    r = r if ru is None else ru
-                    s = s if sw is None else sw
-                    break
-            else:
-                return None
-        if r is None or s is None or r < 1 or s < 1:
-            return None
-        return (r, s) if r >= s else (s, r)
-
-    return unify(False) or unify(True)
+    if 0 in deg:
+        return None
+    pairs = degree_pair_counts(g, deg)
+    if len(pairs) != 1:
+        return None
+    (r, s), = pairs
+    return (r, s) if r > s or bipartition(g) is not None else None
 
 
 def in_gamma1(g: Graph) -> bool:

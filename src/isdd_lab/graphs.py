@@ -60,7 +60,7 @@ class EdgeListError(GraphError):
 
 
 class Graph(namedtuple("Graph", "n edges")):
-    """Immutable simple graph; safe to share between worker processes.
+    """Immutable simple graph.
 
     ``Graph(n, edges)`` validates; ``Graph._make((n, edges))`` does not, for
     callers whose edge tuple is canonical by construction.

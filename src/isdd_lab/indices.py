@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
-from .graphs import Graph, GraphError, degrees as _degrees
+from .graphs import Graph, GraphError, degree_pair_counts, degrees as _degrees
 
 GA_ABS_TOL = 1e-9
 
@@ -40,21 +40,14 @@ def edge_term_isdd(di: int, dj: int) -> Fraction:
 
 def isdd(g: Graph) -> Fraction:
     """Inverse symmetric division deg index, exact; 0 for edgeless graphs."""
-    deg = _degrees(g)
-    total = Fraction(0)
-    for i, j in g.edges:
-        total += edge_term_isdd(deg[i], deg[j])
-    return total
+    return sum((cnt * edge_term_isdd(a, b) for (a, b), cnt in degree_pair_counts(g).items()),
+               Fraction(0))
 
 
 def sdd(g: Graph) -> Fraction:
     """Symmetric division deg index: sum of (di^2+dj^2)/(di*dj), exact."""
-    deg = _degrees(g)
-    total = Fraction(0)
-    for i, j in g.edges:
-        a, b = deg[i], deg[j]
-        total += Fraction(a * a + b * b, a * b)
-    return total
+    return sum((cnt * Fraction(a * a + b * b, a * b)
+                for (a, b), cnt in degree_pair_counts(g).items()), Fraction(0))
 
 
 def zagreb1(g: Graph) -> int:
@@ -65,28 +58,32 @@ def zagreb1(g: Graph) -> int:
     """
     deg = _degrees(g)
     by_vertex = sum(d * d for d in deg)
-    by_edge = sum(deg[i] + deg[j] for i, j in g.edges)
+    by_edge = sum(cnt * (a + b) for (a, b), cnt in degree_pair_counts(g, deg).items())
     assert by_vertex == by_edge, "zagreb1 vertex/edge sums disagree"
     return by_vertex
 
 
 def zagreb2(g: Graph) -> int:
     """Second Zagreb index: sum of di*dj over edges."""
-    deg = _degrees(g)
-    return sum(deg[i] * deg[j] for i, j in g.edges)
+    return sum(cnt * a * b for (a, b), cnt in degree_pair_counts(g).items())
 
 
 def forgotten(g: Graph) -> int:
     """Forgotten index: sum of cubed degrees (edge-sum form asserted equal)."""
     deg = _degrees(g)
     by_vertex = sum(d ** 3 for d in deg)
-    by_edge = sum(deg[i] * deg[i] + deg[j] * deg[j] for i, j in g.edges)
+    by_edge = sum(cnt * (a * a + b * b) for (a, b), cnt in degree_pair_counts(g, deg).items())
     assert by_vertex == by_edge, "forgotten vertex/edge sums disagree"
     return by_vertex
 
 
 def geometric_arithmetic(g: Graph) -> float:
-    """Geometric-arithmetic index: sum of 2*sqrt(di*dj)/(di+dj), double precision."""
+    """Geometric-arithmetic index: sum of 2*sqrt(di*dj)/(di+dj), double precision.
+
+    The one index summed edge by edge, not over :func:`degree_pair_counts`:
+    summed in pair order, the float changes in its last bits on 10,517 of the
+    33,867 graphs on n <= 6 vertices, and ``check`` prints it with ``repr``.
+    """
     deg = _degrees(g)
     total = 0.0
     for i, j in g.edges:
@@ -102,23 +99,11 @@ class IndexVector(namedtuple("IndexVector", "isdd sdd m1 m2 forgotten ga")):
 
 
 def index_vector(g: Graph) -> IndexVector:
-    """All six indices in one pass over the edges."""
-    deg = _degrees(g)
+    """All six indices, each from its own function, with their ranges asserted."""
     m = g.m
-    v_isdd = Fraction(0)
-    v_sdd = Fraction(0)
-    v_m2 = 0
-    v_ga = 0.0
-    for i, j in g.edges:
-        a, b = deg[i], deg[j]
-        sq = a * a + b * b
-        v_isdd += Fraction(a * b, sq)
-        v_sdd += Fraction(sq, a * b)
-        v_m2 += a * b
-        v_ga += 2.0 * sqrt(a * b) / (a + b)
-    v_m1 = sum(d * d for d in deg)
-    v_f = sum(d ** 3 for d in deg)
-    assert v_isdd <= Fraction(m, 2), "each edge term is at most 1/2"
-    assert v_sdd >= 2 * m, "each edge term is at least 2"
-    assert -GA_ABS_TOL <= v_ga <= m + GA_ABS_TOL, "ga must lie in [0, m]"
-    return IndexVector(v_isdd, v_sdd, v_m1, v_m2, v_f, v_ga)
+    iv = IndexVector(isdd(g), sdd(g), zagreb1(g), zagreb2(g), forgotten(g),
+                     geometric_arithmetic(g))
+    assert iv.isdd <= Fraction(m, 2), "each edge term is at most 1/2"
+    assert iv.sdd >= 2 * m, "each edge term is at least 2"
+    assert -GA_ABS_TOL <= iv.ga <= m + GA_ABS_TOL, "ga must lie in [0, m]"
+    return iv

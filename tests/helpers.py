@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 from fractions import Fraction
 from itertools import islice, product
+from math import sqrt
 
 from isdd_lab import _kernel
 from isdd_lab.bounds import BoundReport, evaluate_all
@@ -299,6 +300,24 @@ def oracle_degree_pair_counts(g: Graph) -> dict[tuple[int, int], int]:
         key = (a, b) if a >= b else (b, a)
         pc[key] = pc.get(key, 0) + 1
     return pc
+
+
+def oracle_index_vector(g: Graph) -> tuple:
+    """ISDD, SDD, M1, M2, F and GA, each summed edge by edge in edge order;
+    M1 and F in their edge forms, sum of di + dj and of di^2 + dj^2."""
+    deg = _adjacency_degrees(g)
+    v_isdd = v_sdd = Fraction(0)
+    m1 = m2 = f = 0
+    ga = 0.0
+    for i, j in g.edges:
+        a, b = deg[i], deg[j]
+        v_isdd += Fraction(a * b, a * a + b * b)
+        v_sdd += Fraction(a * a + b * b, a * b)
+        m1 += a + b
+        m2 += a * b
+        f += a * a + b * b
+        ga += 2.0 * sqrt(a * b) / (a + b)
+    return v_isdd, v_sdd, m1, m2, f, ga
 
 
 def oracle_in_gamma1(g: Graph) -> bool:

@@ -20,9 +20,19 @@ from helpers import (
     h1_graph,
     h2_graph,
     h3_graph,
+    oracle_is_semiregular_bipartite,
     path_graph,
     star_graph,
 )
+
+
+def _union(*graphs: Graph) -> Graph:
+    """The disjoint union, each graph's vertices numbered after the ones before."""
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(n + i, n + j) for i, j in g.edges]
+        n += g.n
+    return Graph(n, tuple(edges))
 
 
 class TestRegular:
@@ -68,6 +78,19 @@ class TestSemiregular:
     def test_isolated_vertex_blocks(self):
         g = Graph.from_edges(6, [(i, 2 + j) for i in range(2) for j in range(3)])
         assert is_semiregular_bipartite(g) is None
+
+    @pytest.mark.parametrize("g, want", [
+        # 2-regular, but the triangle is an odd cycle
+        (_union(cycle_graph(4), complete_graph(3)), None),
+        (_union(cycle_graph(4), cycle_graph(6)), (2, 2)),
+        # the two centres at opposite ends of the labels
+        (Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (7, 4), (7, 5), (7, 6)]), (3, 1)),
+        # the isolated vertex first
+        (_union(Graph(1), complete_bipartite(2, 3)), None),
+    ], ids=["c4_k3", "c4_c6", "two_k13", "k23_isolated"])
+    def test_disjoint_unions(self, g, want):
+        assert is_semiregular_bipartite(g) == want
+        assert oracle_is_semiregular_bipartite(g) == want
 
 
 class TestGammaFamilies:

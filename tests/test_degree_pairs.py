@@ -1,5 +1,6 @@
-"""Differential tests: the shared degree-pair helpers and the classification
-predicates against edge-by-edge and side-by-side definitions (``helpers``)."""
+"""Differential tests: the shared degree-pair helpers, the index sums over
+them and the classification predicates against edge-by-edge and side-by-side
+definitions (``helpers``)."""
 
 import random
 
@@ -11,6 +12,8 @@ from isdd_lab.classify import (edge_ratio_constant, in_gamma1, in_gamma2, in_gam
 from isdd_lab.enumeration import labeled_graphs
 from isdd_lab.graphs import (Graph, count_degree_pair_edges, degree_pair_counts, degrees,
                              is_connected, parse_graph6)
+from isdd_lab.indices import (forgotten, geometric_arithmetic, index_vector, isdd, sdd, zagreb1,
+                              zagreb2)
 from helpers import (
     complete_bipartite,
     h1_graph,
@@ -21,6 +24,7 @@ from helpers import (
     oracle_in_gamma1,
     oracle_in_gamma2,
     oracle_in_gamma3,
+    oracle_index_vector,
     oracle_is_regular,
     oracle_is_semiregular_bipartite,
 )
@@ -86,6 +90,16 @@ def assert_classes_match(graphs):
 @pytest.mark.parametrize("graphs", [SMALL, RANDOM], ids=["every_graph_n6", "random_n8_30"])
 def test_degree_pair_counts_match_edge_by_edge(graphs):
     assert_pairs_match(graphs)
+
+
+@pytest.mark.parametrize("graphs", [SMALL, RANDOM], ids=["every_graph_n6", "random_n8_30"])
+def test_index_sums_match_edge_by_edge(graphs):
+    # the exact sums over the pair counts equal the edge-by-edge ones, and GA,
+    # still summed edge by edge, is the same float to the last bit
+    for g in graphs:
+        singles = (isdd(g), sdd(g), zagreb1(g), zagreb2(g), forgotten(g), geometric_arithmetic(g))
+        assert singles == oracle_index_vector(g), g
+        assert index_vector(g) == singles, g
 
 
 @pytest.mark.parametrize("graphs", [SMALL, RANDOM], ids=["every_graph_n6", "random_n8_30"])

@@ -340,13 +340,15 @@ class TestSignatureScans:
                     ), f"diverges on [{lo}, {hi}) at n={n} connected_only={connected_only}"
 
     def test_orbit_summary_matches_direct_sum(self):
-        # every whole block at n = 6 and 7 goes through the summary of its
-        # high part's class; split at its second mask, both parts are summed
+        # every whole block at n = 1..7 goes through the summary of its high
+        # part's class, block 0 (with the edgeless mask) and the one block of
+        # n <= 5 included; split at its second mask, both parts are summed
         # directly
         cases = ((ALL_BOUND_IDS, True), (ALL_BOUND_IDS, False), (("EDGE_SECOND_MIN",), True))
-        block = 1 << _kernel.CORE_SLOTS
-        for n in (6, 7):
-            for high in range(1, 1 << (n * (n - 1) // 2 - _kernel.CORE_SLOTS)):
+        for n in range(1, 8):
+            c = min(n, _kernel.CORE_ORDER)
+            block = 1 << c * (c - 1) // 2
+            for high in range((1 << n * (n - 1) // 2) // block):
                 lo, hi = high * block, (high + 1) * block
                 for bounds, connected_only in cases:
                     whole = _kernel.scan_graph_masks(n, lo, hi, bounds, connected_only)
