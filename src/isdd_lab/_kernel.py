@@ -26,7 +26,8 @@ it fixes every input of :func:`check_pair_stats`:
 - the index, GA, M2, ell, k, the edge-term minima and the labels regular,
   semiregular bipartite, gamma1, gamma2 and constant edge ratio are sums,
   minima or tests over the pairs and these degrees;
-- so is gamma3 for a connected graph (:func:`_lazy_gamma3`).
+- so is gamma3 for a connected graph (:func:`classify.gamma3_from_pairs`,
+  bound here as ``_lazy_gamma3``).
 
 So every verdict, every record but its graph6 field, is a function of
 (n, signature).  A scan renders graph6 once for each graph whose signature
@@ -94,6 +95,7 @@ from math import factorial, gcd, sqrt
 
 from . import graphs
 from .bounds import STRICT_MARGIN, approx_eq, approx_ge, ga_m2_rhs, ga_simple_rhs, side_text
+from .classify import gamma3_from_pairs as _lazy_gamma3
 from .graphs import Graph, degree_pair_counts, degrees
 from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
 
@@ -472,22 +474,6 @@ def check_pair_stats(
         return violations, discrepancies
     return ([rec for rec in violations if rec[0] in sel],
             [rec for rec in discrepancies if rec[0] in sel or rec[0] == "RATIO_CONSTANT"])
-
-
-def _lazy_gamma3(pc: dict[tuple[int, int], int], dmax: int, dmin: int) -> bool:
-    """Gamma3 membership of a connected graph from its degree-pair counts.
-
-    Gamma3 asks for a bipartition with every vertex of one side at degree
-    dmax and the degrees of the other side exactly dmin and the middle
-    degree dmax(dmax - dmin)/(dmax + dmin), so its pairs are (dmax, dmin) and
-    (dmax, mid).  Conversely, when those are the pairs, every edge joins a
-    dmax-vertex to a smaller one: the two vertex sets are the bipartition,
-    the only one of a connected graph, and the small side's degrees are the
-    second entries of the pairs.  (mid never equals dmin, since
-    dmax/dmin = 1 + sqrt(2) would.)
-    """
-    mid, rem = divmod(dmax * (dmax - dmin), dmax + dmin)
-    return not rem and pc.keys() == {(dmax, dmin), (dmax, mid)}
 
 
 @lru_cache(maxsize=None)

@@ -132,8 +132,8 @@ def _empty_context(n: int | None = None) -> dict:
 class _Params:
     """Shared per-graph quantities for the graph-level bound operations.
 
-    The index values are cached so evaluate_all computes each once even
-    though every operation also works standalone.
+    evaluate_all reads every index value here, so each is computed once, up
+    front; every operation also works standalone.
     """
 
     def __init__(self, g: Graph):
@@ -145,24 +145,9 @@ class _Params:
         pc = self.pair_counts = degree_pair_counts(g, deg)
         self.ell = pc.get((self.dmax, self.dmin), 0)
         self.k = sum(c for (a, b), c in pc.items() if a == b)
-        self._isdd: Fraction | None = None
-        self._ga: float | None = None
-        self._m2: int | None = None
-
-    def isdd(self) -> Fraction:
-        if self._isdd is None:
-            self._isdd = isdd(self.g)
-        return self._isdd
-
-    def ga(self) -> float:
-        if self._ga is None:
-            self._ga = geometric_arithmetic(self.g)
-        return self._ga
-
-    def m2(self) -> int:
-        if self._m2 is None:
-            self._m2 = zagreb2(self.g)
-        return self._m2
+        self.isdd = isdd(g)
+        self.ga = geometric_arithmetic(g)
+        self.m2 = zagreb2(g)
 
     def context(self) -> dict:
         return {
@@ -211,7 +196,7 @@ def lower_bound_ell(g: Graph, params: _Params | None = None) -> BoundReport:
     if p.m > p.ell:
         # some edge is off the extreme pair, which forces max degree >= 2
         rhs += edge_second_min_term(p.dmax, p.dmin) * (p.m - p.ell)
-    lhs = p.isdd()
+    lhs = p.isdd
     return BoundReport(BoundId.LOWER_ELL, lhs, rhs, lhs >= rhs, lhs == rhs, "exact", p.context())
 
 
@@ -221,7 +206,7 @@ def upper_bound_k(g: Graph, params: _Params | None = None) -> BoundReport:
     p.require_edges()
     coef = Fraction(p.dmax * (p.dmax - 1), p.dmax ** 2 + (p.dmax - 1) ** 2)
     rhs = Fraction(p.k, 2) + coef * (p.m - p.k)
-    lhs = p.isdd()
+    lhs = p.isdd
     return BoundReport(BoundId.UPPER_K, lhs, rhs, lhs <= rhs, lhs == rhs, "exact", p.context())
 
 
@@ -231,7 +216,7 @@ def upper_bound_n_delta(g: Graph, params: _Params | None = None) -> BoundReport:
     p.require_edges()
     coef = Fraction(p.dmax * (p.dmax - 1), p.dmax ** 2 + (p.dmax - 1) ** 2)
     rhs = Fraction(p.k, 2) + coef * (Fraction(g.n * p.dmax, 2) - p.k)
-    lhs = p.isdd()
+    lhs = p.isdd
     return BoundReport(BoundId.UPPER_NDELTA, lhs, rhs, lhs <= rhs, lhs == rhs, "exact", p.context())
 
 
@@ -239,8 +224,8 @@ def ga_lower_simple(g: Graph, params: _Params | None = None) -> BoundReport:
     """Lower bound ga^2/(4m), floating point."""
     p = params or _Params(g)
     p.require_edges()
-    lhs = float(p.isdd())
-    rhs = ga_simple_rhs(p.ga(), p.m)
+    lhs = float(p.isdd)
+    rhs = ga_simple_rhs(p.ga, p.m)
     return BoundReport(
         BoundId.GA_SIMPLE, lhs, rhs, approx_ge(lhs, rhs), approx_eq(lhs, rhs), "approximate", p.context()
     )
@@ -250,8 +235,8 @@ def ga_m2_lower(g: Graph, params: _Params | None = None) -> BoundReport:
     """Sharper lower bound mixing ga with the second Zagreb index."""
     p = params or _Params(g)
     p.require_edges()
-    lhs = float(p.isdd())
-    rhs = ga_m2_rhs(p.ga(), p.m, p.dmax, p.m2())
+    lhs = float(p.isdd)
+    rhs = ga_m2_rhs(p.ga, p.m, p.dmax, p.m2)
     return BoundReport(
         BoundId.GA_M2, lhs, rhs, approx_ge(lhs, rhs), approx_eq(lhs, rhs), "approximate", p.context()
     )
@@ -261,9 +246,8 @@ def remark_ordering(g: Graph, params: _Params | None = None) -> BoundReport:
     """Strict comparison: the GA_M2 right side beats the GA_SIMPLE right side."""
     p = params or _Params(g)
     p.require_edges()
-    ga = p.ga()
-    lhs = ga_m2_rhs(ga, p.m, p.dmax, p.m2())
-    rhs = ga_simple_rhs(ga, p.m)
+    lhs = ga_m2_rhs(p.ga, p.m, p.dmax, p.m2)
+    rhs = ga_simple_rhs(p.ga, p.m)
     return BoundReport(
         BoundId.REMARK_ORDER, lhs, rhs, lhs - rhs > STRICT_MARGIN, False, "approximate", p.context()
     )
@@ -276,7 +260,7 @@ def m1_f_lower(g: Graph, params: _Params | None = None) -> BoundReport:
     m1 = zagreb1(g)
     f = forgotten(g)
     rhs = Fraction(m1 * m1, 2 * f) - Fraction(p.m, 2)
-    lhs = p.isdd()
+    lhs = p.isdd
     return BoundReport(BoundId.M1_F, lhs, rhs, lhs >= rhs, lhs == rhs, "exact", p.context())
 
 

@@ -2,10 +2,11 @@
 
 The families: regular graphs, (r, s)-semiregular bipartite graphs, and three
 classes of connected graphs defined by their edge degree-pair composition
-(gamma1, gamma2) or by a bipartite two-valued degree pattern (gamma3).  The
-constant-edge-ratio predicate tests whether (di+dj)/(di^2+dj^2) takes a single
-value over all edges; for connected graphs that is equivalent to membership in
-regular / semiregular bipartite / gamma3.
+(gamma1, gamma2) or by a bipartite degree pattern that fixes it (gamma3, see
+:func:`gamma3_from_pairs`).  The constant-edge-ratio predicate tests whether
+(di+dj)/(di^2+dj^2) takes a single value over all edges; for connected
+graphs that is equivalent to membership in regular / semiregular bipartite /
+gamma3.
 """
 
 from __future__ import annotations
@@ -85,33 +86,31 @@ def in_gamma3(g: Graph) -> bool:
     min_degree and the derived middle degree max*(max-min)/(max+min).
 
     Both W-side values must occur (a single value is the semiregular case),
-    and the middle degree must be a positive integer.
+    and the middle degree must be a positive integer; decided from the
+    degree-pair counts by :func:`gamma3_from_pairs`.
     """
     if g.n == 0 or g.m == 0 or not is_connected(g):
         return False
-    bip = bipartition(g)
-    if bip is None:
-        return False
     deg = _degrees(g)
-    dmax, dmin = max(deg), min(deg)
-    if dmax <= dmin:
-        return False
-    mid_num = dmax * (dmax - dmin)
-    if mid_num % (dmax + dmin) != 0:
-        return False
-    mid = mid_num // (dmax + dmin)
-    if mid < 1:
-        return False
-    sides = (set(bip.u), set(bip.w))
-    for u_set, w_set in (sides, sides[::-1]):
-        if not u_set or not w_set:
-            continue
-        if any(deg[v] != dmax for v in u_set):
-            continue
-        w_degrees = {deg[v] for v in w_set}
-        if w_degrees == {dmin, mid}:
-            return True
-    return False
+    return gamma3_from_pairs(degree_pair_counts(g, deg), max(deg), min(deg))
+
+
+def gamma3_from_pairs(pc: dict[tuple[int, int], int], dmax: int, dmin: int) -> bool:
+    """Gamma3 membership of a connected graph with edges from its degree-pair
+    counts ``pc`` and its largest and smallest degrees.
+
+    Gamma3 asks for a bipartition with every vertex of one side at degree
+    dmax and the degrees of the other side exactly dmin and the middle
+    degree dmax(dmax - dmin)/(dmax + dmin), so its pairs are (dmax, dmin) and
+    (dmax, mid).  Conversely, when those are the pairs, every edge joins a
+    dmax-vertex to a smaller one: the two vertex sets are the bipartition,
+    the only one of a connected graph, and the small side's degrees are the
+    second entries of the pairs.  (mid never equals dmin, since
+    dmax/dmin = 1 + sqrt(2) would, and a regular graph has mid = 0, which no
+    pair holds.)
+    """
+    mid, rem = divmod(dmax * (dmax - dmin), dmax + dmin)
+    return not rem and pc.keys() == {(dmax, dmin), (dmax, mid)}
 
 
 def edge_ratio_constant(g: Graph) -> Fraction | None:

@@ -297,15 +297,7 @@ def cmd_sweep(args) -> int:
     with report_file or contextlib.nullcontext():
         report, parse_errors = _sweep(cfg, args.stdin_graph6)
         if report_file:
-            report.write_json(report_file, {
-                "n_min": cfg.n_min,
-                "n_max": cfg.n_max,
-                "connected_only": cfg.connected_only,
-                "dedup": cfg.dedup,
-                "bounds": list(cfg.bounds),
-                "max_graphs": cfg.max_graphs,
-                "trees": cfg.trees,
-            })
+            report.write_json(report_file, cfg._asdict())
     print(
         f"seen={report.graphs_seen} checked={report.graphs_checked} "
         f"violations={len(report.violations)} "

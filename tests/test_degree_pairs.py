@@ -63,6 +63,8 @@ GAMMA3 = [
     _gamma3_realization(3, [(0, 1, 2)] * 4 + [(0, 1), (1, 2), (0, 2)]),
     _gamma3_realization(6, [range(6)] * 4 + [[(t + k) % 6 for k in range(4)] for t in range(12)]),
 ]
+# every graph one edge away from a gamma3 member
+NEAR_GAMMA3 = [h for g in GAMMA3 for h in _one_edge_off(g)]
 RANDOM = _random_graphs()
 # every graph on n <= 6 vertices, the figure graphs and a gamma3 graph on 10
 NAMED = SMALL + [h1_graph(), h2_graph(), h3_graph(), parse_graph6("IBjFFB_w?")]
@@ -116,7 +118,7 @@ def test_regular_and_semiregular_match_definition(graphs):
 
 
 def test_gamma3_matches_definition():
-    for g in NAMED:
+    for g in NAMED + RANDOM + GAMMA3 + NEAR_GAMMA3:
         assert in_gamma3(g) == oracle_in_gamma3(g), g
 
 
@@ -137,21 +139,20 @@ def test_small_graphs_reach_every_verdict():
 
 
 def test_gamma3_from_pair_counts():
-    """The kernel's gamma3 test, on degree-pair counts alone, agrees with the
-    graph-based predicate on every connected graph: exhaustively on n <= 6
-    (no member there), on random graphs and on members with their one-edge
-    near misses."""
-    near = [h for g in GAMMA3 for h in _one_edge_off(g)]
-    graphs = SMALL + RANDOM + [parse_graph6("IBjFFB_w?")] + GAMMA3 + near
+    """The kernel's gamma3 rule, on degree-pair counts alone, agrees with the
+    side-by-side definition on every connected graph with edges: exhaustively
+    on n <= 6 (no member there), on random graphs and on members with their
+    one-edge near misses."""
+    graphs = SMALL + RANDOM + [parse_graph6("IBjFFB_w?")] + GAMMA3 + NEAR_GAMMA3
     verdicts = []
     for g in graphs:
         if g.m == 0 or not is_connected(g):
             continue
         deg = degrees(g)
         verdict = _kernel._lazy_gamma3(degree_pair_counts(g, deg), max(deg), min(deg))
-        assert verdict == in_gamma3(g), g
+        assert verdict == oracle_in_gamma3(g), g
         verdicts.append(verdict)
-    assert all(map(in_gamma3, GAMMA3))
+    assert all(map(oracle_in_gamma3, GAMMA3))
     assert set(verdicts) == {True, False}
 
 
