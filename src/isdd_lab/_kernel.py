@@ -11,8 +11,12 @@ once: one fold gathers the index (as a running lcm), GA, M2, k, the
 edge-term minima and the constant-ratio test, each pair's terms (ab,
 a^2 + b^2, the GA term, a + b) computed in place.  It decides every check,
 as :func:`bounds.evaluate_all` does, and applies the selection once, as a
-filter on the records.  That fold is most of what a graph6 stream pays per
-graph, since its signatures almost never repeat.
+filter on the records.  The four exact bounds on the index are decided by
+their integer slacks, computed in line; only a violated one, which no
+graph has, costs a call (:func:`_exact_verdict`).  That fold is most of
+what a graph6 stream pays per graph, since its signatures almost never
+repeat; the degree-pair counts it reads come keyed by ready-made pair
+tuples (:func:`graphs.degree_pair_counts`).
 
 The enumerating scans go further and check each degree-pair signature once
 per process (:func:`_template`).  A signature packs the edge count of every
@@ -277,16 +281,19 @@ def _min_edge_term(pairs) -> tuple[int, int]:
     return ma * mb, ma * ma + mb * mb
 
 
-def _exact_verdict(check_id: str, sign: int, inum: int, d_common: int, rnum: int, rden: int,
-                   violations: list, equalities: dict) -> None:
-    """Decide the bound index >= rnum/rden (``sign`` 1) or index <= rnum/rden
-    (``sign`` -1), the index being inum/d_common, by its signed slack
-    ``sign * (inum*rden - rnum*d_common)``: negative for a violation, 0 at
-    equality.  Appends the violation record and sets the equality flag."""
-    slack = sign * (inum * rden - rnum * d_common)
+def _exact_verdict(check_id: str, slack: int, inum: int, d_common: int, rnum: int, rden: int,
+                   violations: list) -> None:
+    """Record the exact bound index >= rnum/rden or index <= rnum/rden, the
+    index being inum/d_common, as violated when its ``slack`` is negative.
+
+    The slack is inum*rden - rnum*d_common for a lower bound and its
+    negation for an upper one: negative for a violation, 0 at equality.
+    :func:`check_pair_stats` computes it in line and calls this only when
+    some exact bound's slack is negative, which no graph's is; the record's
+    sides are Fractions.
+    """
     if slack < 0:
         violations.append(violation(check_id, Fraction(inum, d_common), Fraction(rnum, rden)))
-    equalities[check_id] = slack == 0
 
 
 def check_pair_stats(
@@ -314,13 +321,16 @@ def check_pair_stats(
     with it), GA summed in pair order, M2, k, the smallest edge term over the
     pairs other than (Delta, delta) and the constant-ratio test.  Only an
     attained edge minimum and the tree bound walk the pairs again.  The
-    records come from the helpers the reference path shares:
-    :func:`violation` (sides built as Fractions only for a violated bound),
+    exact bounds LOWER_ELL, UPPER_K, UPPER_NDELTA and M1_F are decided by
+    their slacks in line, and their equality flags are gathered only for
+    the class rule, which only a connected graph with no isolated vertex
+    gets.  The records come from the helpers the reference path shares:
+    :func:`violation` (sides built as Fractions only for a violated bound,
+    through :func:`_exact_verdict` for the exact ones),
     :func:`pair_discrepancy` and :func:`class_discrepancies`.
     """
     violations: list = []
     discrepancies: list = []
-    equalities: dict = {}  # check id -> equality flag, for the class rule
     dmax = max(deg)
     dmin = min(deg)
     has_min_deg = dmin >= 1
@@ -405,21 +415,33 @@ def check_pair_stats(
         if least and least[0] * td < tn * least[1]:
             violations.append(violation("TREE_EDGE", Fraction(*least), Fraction(tn, td)))
 
+    # the exact bounds, index >= bound (LOWER_ELL, M1_F) or index <= bound
+    # (UPPER_K, UPPER_NDELTA), each bound a fraction rnum/rden, decided by
+    # their slacks (see _exact_verdict) without a call while they hold
+    ell_slack = 0
     if has_min_deg:
         if m == ell:
-            rnum, rden = ell * p1, q1
+            ell_num, ell_den = ell * p1, q1
         else:
-            rnum, rden = ell * p1 * q2 + (m - ell) * p2 * q1, q1 * q2
-        _exact_verdict("LOWER_ELL", 1, inum, d_common, rnum, rden, violations, equalities)
+            ell_num, ell_den = ell * p1 * q2 + (m - ell) * p2 * q1, q1 * q2
+        ell_slack = inum * ell_den - ell_num * d_common
     qk = dmax * dmax + dm1 * dm1
     pk = dmax * dm1
-    _exact_verdict("UPPER_K", -1, inum, d_common, k * qk + 2 * pk * (m - k), 2 * qk,
-                   violations, equalities)
-    _exact_verdict("UPPER_NDELTA", -1, inum, d_common, k * qk + pk * (n * dmax - 2 * k), 2 * qk,
-                   violations, equalities)
+    k_den = 2 * qk
+    k_num = k * qk + 2 * pk * (m - k)
+    nd_num = k * qk + pk * (n * dmax - 2 * k)
+    k_slack = k_num * d_common - inum * k_den
+    nd_slack = nd_num * d_common - inum * k_den
     m1 = sum([d * d for d in deg])
     f = sum([d * d * d for d in deg])
-    _exact_verdict("M1_F", 1, inum, d_common, m1 * m1 - m * f, 2 * f, violations, equalities)
+    f_num, f_den = m1 * m1 - m * f, 2 * f
+    f_slack = inum * f_den - f_num * d_common
+    if ell_slack < 0 or k_slack < 0 or nd_slack < 0 or f_slack < 0:
+        if has_min_deg:
+            _exact_verdict("LOWER_ELL", ell_slack, inum, d_common, ell_num, ell_den, violations)
+        _exact_verdict("UPPER_K", k_slack, inum, d_common, k_num, k_den, violations)
+        _exact_verdict("UPPER_NDELTA", nd_slack, inum, d_common, nd_num, k_den, violations)
+        _exact_verdict("M1_F", f_slack, inum, d_common, f_num, f_den, violations)
 
     isdd_f = inum / d_common
     rhs_simple = ga_simple_rhs(ga, m)
@@ -428,7 +450,6 @@ def check_pair_stats(
         violations.append(violation("GA_SIMPLE", isdd_f, rhs_simple))
     if not approx_ge(isdd_f, rhs_m2):
         violations.append(violation("GA_M2", isdd_f, rhs_m2))
-    equalities["GA_M2"] = approx_eq(isdd_f, rhs_m2)
     if not (rhs_m2 - rhs_simple > STRICT_MARGIN):
         violations.append(violation("REMARK_ORDER", rhs_m2, rhs_simple))
 
@@ -466,7 +487,9 @@ def check_pair_stats(
         # force constancy directly, and gamma3 membership forces the common value
         # (max+min)/(max^2+min^2) on both edge types
         gamma3 = ratio_const and not (regular or semireg) and _lazy_gamma3(pc, dmax, dmin)
-        equalities["RATIO_CONSTANT"] = ratio_const
+        equalities = {"LOWER_ELL": not ell_slack, "UPPER_K": not k_slack,
+                      "UPPER_NDELTA": not nd_slack, "M1_F": not f_slack,
+                      "GA_M2": approx_eq(isdd_f, rhs_m2), "RATIO_CONSTANT": ratio_const}
         discrepancies += class_discrepancies(
             equalities,
             _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const))

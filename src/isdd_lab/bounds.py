@@ -137,7 +137,7 @@ class _Params:
     """
 
     def __init__(self, g: Graph):
-        deg = degrees(g)
+        deg = self.degrees = degrees(g)
         self.g = g
         self.m = g.m
         self.dmax = max(deg) if deg else 0
@@ -145,9 +145,9 @@ class _Params:
         pc = self.pair_counts = degree_pair_counts(g, deg)
         self.ell = pc.get((self.dmax, self.dmin), 0)
         self.k = sum(c for (a, b), c in pc.items() if a == b)
-        self.isdd = isdd(g)
-        self.ga = geometric_arithmetic(g)
-        self.m2 = zagreb2(g)
+        self.isdd = isdd(g, pc)
+        self.ga = geometric_arithmetic(g, deg)
+        self.m2 = zagreb2(g, pc)
 
     def context(self) -> dict:
         return {
@@ -257,8 +257,8 @@ def m1_f_lower(g: Graph, params: _Params | None = None) -> BoundReport:
     """Exact lower bound m1^2/(2f) - m/2."""
     p = params or _Params(g)
     p.require_edges()
-    m1 = zagreb1(g)
-    f = forgotten(g)
+    m1 = zagreb1(g, p.degrees, p.pair_counts)
+    f = forgotten(g, p.degrees, p.pair_counts)
     rhs = Fraction(m1 * m1, 2 * f) - Fraction(p.m, 2)
     lhs = p.isdd
     return BoundReport(BoundId.M1_F, lhs, rhs, lhs >= rhs, lhs == rhs, "exact", p.context())

@@ -47,36 +47,52 @@ def is_semiregular_bipartite(g: Graph) -> tuple[int, int] | None:
     if g.n < 2:
         raise GraphError(f"semiregular test needs at least 2 vertices, got {g.n}")
     deg = _degrees(g)
-    if 0 in deg:
+    return _semiregular_pair(g, deg, degree_pair_counts(g, deg))
+
+
+def _semiregular_pair(g: Graph, deg, pc) -> tuple[int, int] | None:
+    """:func:`is_semiregular_bipartite` of g, whose degrees and degree-pair
+    counts are ``deg`` and ``pc``."""
+    if 0 in deg or len(pc) != 1:
         return None
-    pairs = degree_pair_counts(g, deg)
-    if len(pairs) != 1:
-        return None
-    (r, s), = pairs
+    (r, s), = pc
     return (r, s) if r > s or bipartition(g) is not None else None
+
+
+def _connected_with_edges(g: Graph) -> bool:
+    """The precondition of the gamma classes."""
+    return g.n > 0 and g.m > 0 and is_connected(g)
 
 
 def in_gamma1(g: Graph) -> bool:
     """Connected, with ell > 0 extreme-pair edges, m-ell > 0 edges on the
     (max_degree-1, min_degree) pair, and nothing else."""
-    if g.n == 0 or g.m == 0 or not is_connected(g):
+    if not _connected_with_edges(g):
         return False
     deg = _degrees(g)
-    dmax, dmin = max(deg), min(deg)
+    return _gamma1_pairs(degree_pair_counts(g, deg), max(deg), min(deg))
+
+
+def _gamma1_pairs(pc, dmax: int, dmin: int) -> bool:
+    """Gamma1 membership of a connected graph, from its degree-pair counts."""
     second = (dmax - 1, dmin) if dmax - 1 >= dmin else (dmin, dmax - 1)
-    return degree_pair_counts(g, deg).keys() == {(dmax, dmin), second}
+    return pc.keys() == {(dmax, dmin), second}
 
 
 def in_gamma2(g: Graph) -> bool:
     """Connected, with k > 0 equal-degree edges of common degree max_degree or
     max_degree-1, m-k > 0 edges on the (max_degree, max_degree-1) pair, and
     nothing else."""
-    if g.n == 0 or g.m == 0 or not is_connected(g):
+    if not _connected_with_edges(g):
         return False
     deg = _degrees(g)
-    dmax = max(deg)
+    return _gamma2_pairs(degree_pair_counts(g, deg), max(deg))
+
+
+def _gamma2_pairs(pc, dmax: int) -> bool:
+    """Gamma2 membership of a connected graph, from its degree-pair counts."""
     cross = (dmax, dmax - 1)
-    pairs = degree_pair_counts(g, deg).keys()
+    pairs = pc.keys()
     return (cross in pairs and any(a == b for a, b in pairs)
             and pairs <= {(dmax, dmax), (dmax - 1, dmax - 1), cross})
 
@@ -89,7 +105,7 @@ def in_gamma3(g: Graph) -> bool:
     and the middle degree must be a positive integer; decided from the
     degree-pair counts by :func:`gamma3_from_pairs`.
     """
-    if g.n == 0 or g.m == 0 or not is_connected(g):
+    if not _connected_with_edges(g):
         return False
     deg = _degrees(g)
     return gamma3_from_pairs(degree_pair_counts(g, deg), max(deg), min(deg))
@@ -117,7 +133,12 @@ def edge_ratio_constant(g: Graph) -> Fraction | None:
     """The common value of (di+dj)/(di^2+dj^2) over all edges, if constant."""
     if g.m == 0:
         raise GraphError("edge ratio undefined for an edgeless graph")
-    pairs = iter(degree_pair_counts(g))
+    return _common_ratio(degree_pair_counts(g))
+
+
+def _common_ratio(pc) -> Fraction | None:
+    """:func:`edge_ratio_constant` from the degree-pair counts of a graph with edges."""
+    pairs = iter(pc)
     a0, b0 = next(pairs)
     num0, den0 = a0 + b0, a0 * a0 + b0 * b0
     for a, b in pairs:
@@ -127,15 +148,23 @@ def edge_ratio_constant(g: Graph) -> Fraction | None:
 
 
 def classify(g: Graph) -> GraphClassLabel:
-    """All membership verdicts for one graph, with consistency asserted."""
+    """All membership verdicts for one graph, with consistency asserted.
+
+    The degrees, degree-pair counts and connectivity are found once, and
+    each family test reads them.
+    """
     if g.n == 0:
         return GraphClassLabel(False, None, False, None, False, False, False, False, None)
-    r = is_regular(g)
-    pair = is_semiregular_bipartite(g) if g.n >= 2 else None
-    g1 = in_gamma1(g)
-    g2 = in_gamma2(g)
-    g3 = in_gamma3(g)
-    ratio = edge_ratio_constant(g) if g.m >= 1 else None
+    deg = _degrees(g)
+    dmax, dmin = max(deg), min(deg)
+    pc = degree_pair_counts(g, deg)
+    connected = _connected_with_edges(g)
+    r = dmax if dmax == dmin else None
+    pair = _semiregular_pair(g, deg, pc) if g.n >= 2 else None
+    g1 = connected and _gamma1_pairs(pc, dmax, dmin)
+    g2 = connected and _gamma2_pairs(pc, dmax)
+    g3 = connected and gamma3_from_pairs(pc, dmax, dmin)
+    ratio = _common_ratio(pc) if g.m >= 1 else None
 
     if r is not None and g.m >= 1:
         assert ratio == Fraction(1, r), "regular graphs have constant ratio 1/r"

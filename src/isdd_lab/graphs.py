@@ -137,16 +137,33 @@ def degree_pair_counts(g: Graph, deg=None) -> dict[tuple[int, int], int]:
     """Edge count per endpoint degree pair (a, b), a >= b.
 
     Keys come in the order of each pair's first edge in ``g.edges``; ``deg``
-    is ``degrees(g)`` when the caller already has it.
+    is ``degrees(g)`` when the caller already has it.  Up to
+    ``SLOT_TABLE_MAX_N`` vertices an edge reads its key, ready made, from the
+    order's rows (:func:`_pair_key_rows`); larger orders build and order a
+    tuple per edge.
     """
     if deg is None:
         deg = degrees(g)
     pc: dict[tuple[int, int], int] = {}
+    if g.n <= SLOT_TABLE_MAX_N:
+        rows = _pair_key_rows(g.n)
+        for i, j in g.edges:
+            key = rows[deg[i]][deg[j]]
+            pc[key] = pc.get(key, 0) + 1
+        return pc
     for i, j in g.edges:
         a, b = deg[i], deg[j]
         key = (a, b) if a >= b else (b, a)
         pc[key] = pc.get(key, 0) + 1
     return pc
+
+
+@lru_cache(maxsize=TABLE_ORDERS)
+def _pair_key_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The degree-pair keys of order n: ``rows[a][b]`` is (a, b) ordered so
+    that its first degree is the larger, for degrees a, b < n.  n^2 tuples,
+    about 0.2 MB at n = 62."""
+    return tuple(tuple((a, b) if a >= b else (b, a) for b in range(n)) for a in range(n))
 
 
 def degree_data(g: Graph) -> DegreeData:
@@ -162,8 +179,9 @@ def is_connected(g: Graph) -> bool:
 
     Union-find over ``g.edges``: each edge looks up the roots of its two
     ends, halving their paths on the way, and links the roots if they
-    differ, which merges two components.  Memory grows with n, time with m
-    (times log n at worst), whatever the vertex ids.
+    differ, which merges two components; the walk stops at the edge that
+    leaves one.  Memory grows with n, time with m (times log n at worst),
+    whatever the vertex ids.
     """
     n = g.n
     if n == 0:
@@ -178,6 +196,8 @@ def is_connected(g: Graph) -> bool:
         if i != j:
             root[j] = i
             components -= 1
+            if components == 1:
+                return True
     return components == 1
 
 
@@ -213,14 +233,15 @@ def count_degree_pair_edges(g: Graph, a: int, b: int) -> int:
 def parse_graph6(text: str) -> Graph:
     """Decode one line of graph6 text; errors carry the 0-based byte offset.
 
-    Trailing "\r" and "\n" are dropped.  The data bits come from six
-    per-character tables (``_G6_BITS``), one ``translate`` each, interleaved
-    so that slot k of the body is bit k.  The set bits are then taken in
-    row-major pair order, so the edge tuple comes out sorted without a sort:
-    up to ``SLOT_TABLE_MAX_N`` vertices through the order's cached slot
-    table (:func:`_graph6_slots`), three to four times as fast per graph as
-    the n x n matrix (:func:`_matrix_edges`) that larger orders go through,
-    whose memory grows with the input and is freed with it.
+    Trailing "\r" and "\n" are dropped.  The data bits come from one lookup
+    per character in a 256-entry table of 6-byte strings
+    (``_G6_CHAR_BITS``), joined so that slot k of the body is byte k.  The
+    set bits are then taken in row-major pair order, so the edge tuple comes
+    out sorted without a sort: up to ``SLOT_TABLE_MAX_N`` vertices through
+    the order's cached slot table (:func:`_graph6_slots`), three to four
+    times as fast per graph as the n x n matrix (:func:`_matrix_edges`) that
+    larger orders go through, whose memory grows with the input and is
+    freed with it.
     """
     s = text.rstrip("\r\n")
     if not s:
@@ -253,10 +274,7 @@ def parse_graph6(text: str) -> Graph:
     # the edge tuples below are canonical by construction: no re-validation
     if not nbits:
         return Graph._make((n, ()))
-    body = b[pos:]
-    bits = bytearray(6 * nbytes)
-    for shift, table in enumerate(_G6_BITS):
-        bits[shift::6] = body.translate(table)
+    bits = b"".join(map(_G6_CHAR_BITS.__getitem__, b[pos:]))
     if bits.find(1, nbits) >= 0:
         # the padding lies in the last byte
         raise Graph6Error("trailing padding bits not zero", len(b) - 1)
@@ -288,10 +306,11 @@ def write_graph6(g: Graph) -> str:
     return header + body.translate(_G6_CHARS).decode("ascii")
 
 
-# per bit of a data byte, most significant first: character -> that bit of
-# its 6-bit value (0 or 1)
-_G6_BITS = tuple(bytes.maketrans(bytes(range(63, 127)), bytes(v >> shift & 1 for v in range(64)))
-                 for shift in range(5, -1, -1))
+# byte value -> the six data bits of that graph6 character, most significant
+# first, one 0/1 byte each; 256 entries, so that any byte indexes it, though
+# only '?'..'~' (63..126) get this far
+_G6_CHAR_BITS = (bytes(6),) * 63 + tuple(bytes(v >> shift & 1 for shift in range(5, -1, -1))
+                                         for v in range(64)) + (bytes(6),) * 129
 _G6_CHARS = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))  # value -> character
 _G6_BAD_CHAR = re.compile(r"[^?-~]")  # outside 63..126
 

@@ -850,6 +850,29 @@ class TestRunSweep:
         assert rep.graphs_checked == 2
         assert rep.violations == []
 
+    def test_stream_engines_agree(self):
+        # a seeded stream through both engines: orders 8..12 through the slot
+        # tables, 63..80 through the long header and the matrix decode, with
+        # disconnected graphs and isolated vertices, and graphs with records
+        rng = random.Random(20261020)
+        lines = [write_graph6(path_graph(9)), "IBjFFB_w?", write_graph6(h2_graph())]
+        for n in [*(rng.randint(8, 12) for _ in range(800)), *range(63, 81)]:
+            w = [rng.uniform(0.3, 1.0) for _ in range(n)]
+            if rng.random() < 0.25:
+                w[rng.randrange(n)] = 0.0  # an isolated vertex
+            edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < w[i] * w[j])
+            lines.append(write_graph6(Graph(n, edges)))
+        graphs = [parse_graph6(line) for line in lines]
+        assert {0 in [len(nb) for nb in g.neighbors()] for g in graphs} == {True, False}
+        for connected_only in (True, False):
+            cfg = SweepConfig(n_min=2, n_max=7, connected_only=connected_only)
+            fast = report_dict(run_sweep(cfg, graphs=stream_graph6(lines)))
+            ref = report_dict(run_sweep(cfg, graphs=stream_graph6(lines), engine="reference"))
+            assert fast == ref, connected_only
+            assert fast["equality_discrepancies"]
+            assert (fast["graphs_checked"] < len(lines)) == connected_only
+
     def test_external_large_graph(self):
         rep = run_sweep(SweepConfig(n_min=2, n_max=7), graphs=iter([h3_graph()]))
         assert rep.graphs_checked == 1
