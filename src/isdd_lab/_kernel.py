@@ -3,20 +3,21 @@
 The public bound/classification modules work on Graph objects with Fraction
 arithmetic, which is the readable reference implementation.  Scanning the
 full 2^21 edge subsets at n=7 (and up to 4.8M labeled trees) needs something
-leaner: this module re-derives the same verdicts from degree-pair counts with
-plain integer cross-multiplication.  The exact index value is one integer
-over the lcm of a^2 + b^2 for the degree pairs (a, b) present, so the same
-code serves every graph order.  :func:`check_pair_stats` walks the pairs
-once: one fold gathers the index (as a running lcm), GA, M2, k, the
+leaner: this module re-derives the same verdicts from degree-pair counts,
+so the same code serves every graph order.  :func:`check_pair_stats` walks
+the pairs once: one fold gathers the index (as a float), GA, M2, k, the
 edge-term minima and the constant-ratio test, each pair's terms (ab,
 a^2 + b^2, the GA term, a + b) computed in place.  It decides every check,
 as :func:`bounds.evaluate_all` does, and applies the selection once, as a
-filter on the records.  The four exact bounds on the index are decided by
-their integer slacks, computed in line; only a violated one, which no
-graph has, costs a call (:func:`_exact_verdict`).  That fold is most of
-what a graph6 stream pays per graph, since its signatures almost never
-repeat; the degree-pair counts it reads come keyed by ready-made pair
-tuples (:func:`graphs.degree_pair_counts`).
+filter on the records.  The checks on the index, the four exact bounds and
+the GA comparisons, are settled by a proven enclosure of the exact index
+around that float; only a near-tie or a violation costs the exact fold,
+one integer over the lcm of a^2 + b^2 for the pairs present, and integer
+cross-multiplication (:func:`_exact_verdict`).  A graph6 stream, whose
+signatures almost never repeat, pays the pair fold once per graph: 87 of
+the 16,528 graphs checked in the benchmark's seed-1 stream reach the exact
+fold.  The degree-pair counts it reads come keyed by ready-made pair tuples
+(:func:`graphs.degree_pair_counts`).
 
 The enumerating scans go further and check each degree-pair signature once
 per process (:func:`_template`).  A signature packs the edge count of every
@@ -96,6 +97,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from math import factorial, gcd, sqrt
+from operator import mul
 
 from . import graphs
 from .bounds import STRICT_MARGIN, approx_eq, approx_ge, ga_m2_rhs, ga_simple_rhs, side_text
@@ -281,19 +283,56 @@ def _min_edge_term(pairs) -> tuple[int, int]:
     return ma * mb, ma * ma + mb * mb
 
 
-def _exact_verdict(check_id: str, slack: int, inum: int, d_common: int, rnum: int, rden: int,
-                   violations: list) -> None:
-    """Record the exact bound index >= rnum/rden or index <= rnum/rden, the
-    index being inum/d_common, as violated when its ``slack`` is negative.
+# the four exact bounds on the index, in record order, each with the sign of
+# its slack: 1 for a lower bound (index >= bound), -1 for an upper one
+_EXACT_BOUNDS = (("LOWER_ELL", 1), ("UPPER_K", -1), ("UPPER_NDELTA", -1), ("M1_F", 1))
 
-    The slack is inum*rden - rnum*d_common for a lower bound and its
-    negation for an upper one: negative for a violation, 0 at equality.
-    :func:`check_pair_stats` computes it in line and calls this only when
-    some exact bound's slack is negative, which no graph's is; the record's
-    sides are Fractions.
+# the half-width of the float index's enclosure, per degree pair and relative
+# to that float: 2u, u = 2^-53 the unit roundoff (see check_pair_stats)
+_ENCLOSURE = 2.0 ** -52
+
+
+def _exact_verdict(pc: dict[tuple[int, int], int], bounds, rhs_simple: float, rhs_m2: float,
+                   violations: list) -> tuple[bool, ...]:
+    """Decide every check on the index exactly, recording the violated ones.
+
+    The index is inum / d_common, d_common the lcm of a^2 + b^2 over the
+    pairs (a running lcm, inum scaled with it).  ``bounds`` holds the (rnum,
+    rden) of each of :data:`_EXACT_BOUNDS`; a bound's slack,
+    inum*rden - rnum*d_common for a lower bound and its negation for an
+    upper one, is negative for a violation and 0 at equality.  GA_SIMPLE and
+    GA_M2 compare the correctly rounded inum / d_common with their right
+    sides ``rhs_simple`` and ``rhs_m2``, as the reference path does.
+    Violation records, in check order, get Fraction sides for the exact
+    bounds and that float for the GA ones.  Returns the equality flags of
+    LOWER_ELL, UPPER_K, UPPER_NDELTA, M1_F and GA_M2.
+
+    :func:`check_pair_stats` calls this only when its float enclosure of the
+    index cannot settle a check: on a near-tie, and on a violation, whose
+    record needs the exact sides.
     """
-    if slack < 0:
-        violations.append(violation(check_id, Fraction(inum, d_common), Fraction(rnum, rden)))
+    inum = 0
+    d_common = 1
+    for (a, b), cnt in pc.items():
+        q = a * a + b * b
+        if d_common % q:
+            scale = q // gcd(d_common, q)
+            d_common *= scale
+            inum *= scale
+        inum += cnt * a * b * (d_common // q)
+    equalities = []
+    for (check_id, sign), (rnum, rden) in zip(_EXACT_BOUNDS, bounds):
+        slack = sign * (inum * rden - rnum * d_common)
+        if slack < 0:
+            violations.append(violation(check_id, Fraction(inum, d_common), Fraction(rnum, rden)))
+        equalities.append(not slack)
+    isdd_f = inum / d_common
+    if not approx_ge(isdd_f, rhs_simple):
+        violations.append(violation("GA_SIMPLE", isdd_f, rhs_simple))
+    if not approx_ge(isdd_f, rhs_m2):
+        violations.append(violation("GA_M2", isdd_f, rhs_m2))
+    equalities.append(approx_eq(isdd_f, rhs_m2))
+    return tuple(equalities)
 
 
 def check_pair_stats(
@@ -316,18 +355,49 @@ def check_pair_stats(
     bound; the records are then filtered once by the selection, which keeps
     those of the ids in ``sel`` and RATIO_CONSTANT's, a class check that
     every connected graph gets.  One fold over ``pc.items()`` gathers every
-    sum, minimum and test over the pairs: the exact index inum / d_common,
-    d_common the lcm of a^2 + b^2 over the pairs (a running lcm, inum scaled
-    with it), GA summed in pair order, M2, k, the smallest edge term over the
-    pairs other than (Delta, delta) and the constant-ratio test.  Only an
-    attained edge minimum and the tree bound walk the pairs again.  The
-    exact bounds LOWER_ELL, UPPER_K, UPPER_NDELTA and M1_F are decided by
-    their slacks in line, and their equality flags are gathered only for
-    the class rule, which only a connected graph with no isolated vertex
-    gets.  The records come from the helpers the reference path shares:
-    :func:`violation` (sides built as Fractions only for a violated bound,
-    through :func:`_exact_verdict` for the exact ones),
-    :func:`pair_discrepancy` and :func:`class_discrepancies`.
+    sum, minimum and test over the pairs: the index as a float x, GA summed
+    in pair order, M2, k, the smallest edge term over the pairs other than
+    (Delta, delta) and the constant-ratio test.  Only an attained edge
+    minimum and the tree bound walk the pairs again; M1 and F are sums over
+    ``deg``.
+
+    The checks on the index (LOWER_ELL, UPPER_K, UPPER_NDELTA and M1_F with
+    their equality flags, GA_SIMPLE, GA_M2 and GA_M2's equality flag) are
+    taken from an enclosure of the exact index X around x, and only a check
+    the enclosure cannot settle costs the exact fold (:func:`_exact_verdict`),
+    which then decides them all.  The enclosure:
+
+    - x sums the k pairs' terms cnt*ab/(a^2 + b^2) from 0.0 in pair order,
+      each one correctly rounded int division, so each term carries a
+      relative error of at most u = 2^-53 and the k - 1 additions of
+      positive terms add at most k - 1 more (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2002, sec. 4.2):
+      |x - X| <= g X, g = ku/(1 - ku).
+    - As X <= x/(1 - g), |x - X| <= ku/(1 - 2ku) x.  ``tol`` is
+      (k + 1) 2u x in float: (k + 1) 2u is exact and the product rounds
+      down by at most a factor 1 - u, so tol >= 2(k + 1)(1 - u) u x >=
+      ku/(1 - 2ku) x whenever 4ku <= 1, that is for every k <= 2^51.  So
+      x - tol <= X <= x + tol, and as rounding is monotone, lo and hi, the
+      rounded x - tol and x + tol, hold fl(X), the correctly rounded
+      inum / d_common, between them.
+    - Each bound's value R = rnum/rden is one correctly rounded int
+      division r = fl(R).  X <= R gives fl(X) <= r, so lo > r proves
+      X > R; likewise hi < r proves X < R.  Either settles the bound and
+      its equality flag (false).
+    - ``approx_ge`` is monotone in its left side, so approx_ge(lo, rhs)
+      true settles approx_ge(fl(X), rhs) true.  ``approx_eq`` is true on an
+      interval of its left side (|fl(v - rhs)| grows with the distance of v
+      from rhs), so equal values at lo and hi settle it, unless both are
+      false with rhs between them.
+
+    Anything else, a threshold inside [lo, hi] or a violated check, goes to
+    :func:`_exact_verdict`, so every verdict and every record is what the
+    exact fold alone gives.  The equality flags feed the class rule, which
+    only a connected graph with no isolated vertex gets, and only when some
+    flag or class is set.  The records come from the helpers the reference
+    path shares: :func:`violation` (sides built as Fractions only for a
+    violated bound), :func:`pair_discrepancy` and
+    :func:`class_discrepancies`.
     """
     violations: list = []
     discrepancies: list = []
@@ -347,9 +417,8 @@ def check_pair_stats(
     ra, rb = next(iter(pc))  # the first pair's ratio (a + b)/(a^2 + b^2)
     rs, rq = ra + rb, ra * ra + rb * rb
     ratio_const = True
-    inum = m2 = k = 0
-    d_common = 1
-    ga = 0.0
+    m2 = k = 0
+    x = ga = 0.0
     # the smallest edge term op/oq over the pairs other than (Delta, delta),
     # 1/0 while there is none, and how many of those pairs attain it
     op, oq, ties = 1, 0, 0
@@ -358,12 +427,8 @@ def check_pair_stats(
         p = a * b
         q = a * a + b * b
         s = a + b
-        if d_common % q:
-            scale = q // gcd(d_common, q)
-            d_common *= scale
-            inum *= scale
         cp = cnt * p
-        inum += cp * (d_common // q)
+        x += cp / q
         ga += cnt * (2.0 * sqrt(p) / s)
         m2 += cp
         if a == b:
@@ -415,41 +480,42 @@ def check_pair_stats(
         if least and least[0] * td < tn * least[1]:
             violations.append(violation("TREE_EDGE", Fraction(*least), Fraction(tn, td)))
 
-    # the exact bounds, index >= bound (LOWER_ELL, M1_F) or index <= bound
-    # (UPPER_K, UPPER_NDELTA), each bound a fraction rnum/rden, decided by
-    # their slacks (see _exact_verdict) without a call while they hold
-    ell_slack = 0
-    if has_min_deg:
-        if m == ell:
-            ell_num, ell_den = ell * p1, q1
-        else:
-            ell_num, ell_den = ell * p1 * q2 + (m - ell) * p2 * q1, q1 * q2
-        ell_slack = inum * ell_den - ell_num * d_common
+    # the exact bounds on the index (_EXACT_BOUNDS), each a fraction rnum/rden;
+    # with an isolated vertex LOWER_ELL does not apply, and 0/1 always holds
+    if not has_min_deg:
+        ell_bound = 0, 1
+    elif m == ell:
+        ell_bound = ell * p1, q1
+    else:
+        ell_bound = ell * p1 * q2 + (m - ell) * p2 * q1, q1 * q2
     qk = dmax * dmax + dm1 * dm1
     pk = dmax * dm1
     k_den = 2 * qk
     k_num = k * qk + 2 * pk * (m - k)
     nd_num = k * qk + pk * (n * dmax - 2 * k)
-    k_slack = k_num * d_common - inum * k_den
-    nd_slack = nd_num * d_common - inum * k_den
-    m1 = sum([d * d for d in deg])
-    f = sum([d * d * d for d in deg])
+    sq = list(map(mul, deg, deg))
+    m1 = sum(sq)
+    f = sum(map(mul, sq, deg))
     f_num, f_den = m1 * m1 - m * f, 2 * f
-    f_slack = inum * f_den - f_num * d_common
-    if ell_slack < 0 or k_slack < 0 or nd_slack < 0 or f_slack < 0:
-        if has_min_deg:
-            _exact_verdict("LOWER_ELL", ell_slack, inum, d_common, ell_num, ell_den, violations)
-        _exact_verdict("UPPER_K", k_slack, inum, d_common, k_num, k_den, violations)
-        _exact_verdict("UPPER_NDELTA", nd_slack, inum, d_common, nd_num, k_den, violations)
-        _exact_verdict("M1_F", f_slack, inum, d_common, f_num, f_den, violations)
-
-    isdd_f = inum / d_common
     rhs_simple = ga_simple_rhs(ga, m)
     rhs_m2 = ga_m2_rhs(ga, m, dmax, m2)
-    if not approx_ge(isdd_f, rhs_simple):
-        violations.append(violation("GA_SIMPLE", isdd_f, rhs_simple))
-    if not approx_ge(isdd_f, rhs_m2):
-        violations.append(violation("GA_M2", isdd_f, rhs_m2))
+    class_rule = connected and has_min_deg
+    # [lo, hi] holds the correctly rounded exact index (see the docstring)
+    tol = (len(pc) + 1) * _ENCLOSURE * x
+    lo = x - tol
+    hi = x + tol
+    ga_eq = class_rule and approx_eq(lo, rhs_m2)
+    if (lo > ell_bound[0] / ell_bound[1] and hi < k_num / k_den and hi < nd_num / k_den
+            and lo > f_num / f_den and approx_ge(lo, rhs_simple) and approx_ge(lo, rhs_m2)
+            and (not class_rule
+                 or ga_eq == approx_eq(hi, rhs_m2) and (ga_eq or not lo < rhs_m2 < hi))):
+        # settled by the enclosure: every exact bound holds strictly, GA too
+        equalities = (False, False, False, False, ga_eq)
+    else:
+        equalities = _exact_verdict(
+            pc, (ell_bound, (k_num, k_den), (nd_num, k_den), (f_num, f_den)),
+            rhs_simple, rhs_m2, violations)
+
     if not (rhs_m2 - rhs_simple > STRICT_MARGIN):
         violations.append(violation("REMARK_ORDER", rhs_m2, rhs_simple))
 
@@ -464,7 +530,7 @@ def check_pair_stats(
         if not ok:
             violations.append(violation("CLAIM1", Fraction(p2, q2), Fraction(pm, qm)))
 
-    if connected and has_min_deg:
+    if class_rule:
         regular = dmax == dmin
         semireg = False
         consecutive = False
@@ -487,12 +553,13 @@ def check_pair_stats(
         # force constancy directly, and gamma3 membership forces the common value
         # (max+min)/(max^2+min^2) on both edge types
         gamma3 = ratio_const and not (regular or semireg) and _lazy_gamma3(pc, dmax, dmin)
-        equalities = {"LOWER_ELL": not ell_slack, "UPPER_K": not k_slack,
-                      "UPPER_NDELTA": not nd_slack, "M1_F": not f_slack,
-                      "GA_M2": approx_eq(isdd_f, rhs_m2), "RATIO_CONSTANT": ratio_const}
-        discrepancies += class_discrepancies(
-            equalities,
-            _actual_class_names(regular, semireg, consecutive, g1, g2, gamma3, ratio_const))
+        classes = (regular, semireg, consecutive, g1, g2, gamma3, ratio_const)
+        if any(classes) or any(equalities):  # else no check differs from its classes
+            ell_eq, k_eq, nd_eq, f_eq, ga_eq = equalities
+            discrepancies += class_discrepancies(
+                {"LOWER_ELL": ell_eq, "UPPER_K": k_eq, "UPPER_NDELTA": nd_eq, "M1_F": f_eq,
+                 "GA_M2": ga_eq, "RATIO_CONSTANT": ratio_const},
+                _actual_class_names(*classes))
     if not (violations or discrepancies):
         return violations, discrepancies
     return ([rec for rec in violations if rec[0] in sel],

@@ -80,6 +80,22 @@ def h3_graph() -> Graph:
     return Graph.from_edges(30, edges)
 
 
+def equality_cases() -> list[Graph]:
+    """Graphs that attain exact bounds: K_n, C_n, K_{a,b} and K_{a,a+1} on
+    63..300 vertices (graph6's long size header), then H1, H2 and H3.
+
+    Each attains some exact bound on the index, and together they attain
+    every equality flag the class rule reads, at degrees up to 299.
+    """
+    return [
+        *(complete_graph(n) for n in (63, 64, 100, 200, 300)),
+        *(cycle_graph(n) for n in (63, 64, 127, 255, 300)),
+        *(complete_bipartite(a, b) for a, b in ((1, 62), (20, 43), (3, 297), (50, 150), (100, 200))),
+        *(complete_bipartite(a, a + 1) for a in (31, 63, 120, 149)),
+        h1_graph(), h2_graph(), h3_graph(),
+    ]
+
+
 def oracle_decode_graph6(s: str) -> tuple[int, set[tuple[int, int]]]:
     """Independent string-based graph6 decoder used as the codec oracle."""
     vals = [ord(c) - 63 for c in s]
