@@ -36,8 +36,12 @@ it fixes every input of :func:`check_pair_stats`:
 
 So every verdict, every record but its graph6 field, is a function of
 (n, signature).  A scan renders graph6 once for each graph whose signature
-has records.  The float GA sums run in pair order, not edge order; they
-may differ in the last bits, far inside the 1e-9 tolerance of those checks.
+has records, and keeps the graph as one entry (graph6, records), its
+records being the signature's shared template.  Every check here returns a
+partial report ``{"seen", "checked", "entries"}`` with one such entry per
+graph that has records (:meth:`enumeration.SweepReport.merge`).  The float
+GA sums run in pair order, not edge order; they may differ in the last
+bits, far inside the 1e-9 tolerance of those checks.
 
 The graph scan never decodes a graph edge by edge.  It walks two
 levels, in mask order.  The low c(c-1)/2 bits of a mask are a graph L on the
@@ -342,13 +346,15 @@ def check_pair_stats(
     pc: dict[tuple[int, int], int],
     connected: bool,
     sel: frozenset,
-) -> tuple[list, list]:
+) -> tuple[tuple, tuple]:
     """The records of one graph, given its degree-pair counts, for the bound
     ids in ``sel``.
 
-    Returns (violations, discrepancies): (check_id, lhs, rhs) violation
-    records and (check_id, expected_classes, actual, equality) discrepancy
-    records, without the graph6 field that leads each record of a report.
+    Returns the graph's records, the pair (violations, discrepancies) of
+    tuples: (check_id, lhs, rhs) violation records and (check_id,
+    expected_classes, actual, equality) discrepancy records, without the
+    graph6 field that leads each record of a report.  The value is
+    hashable, so a report formats each distinct one once.
     Identical verdict semantics to the reference path built on the public API.
 
     Every check is decided, as :func:`bounds.evaluate_all` decides every
@@ -561,9 +567,9 @@ def check_pair_stats(
                  "GA_M2": ga_eq, "RATIO_CONSTANT": ratio_const},
                 _actual_class_names(*classes))
     if not (violations or discrepancies):
-        return violations, discrepancies
-    return ([rec for rec in violations if rec[0] in sel],
-            [rec for rec in discrepancies if rec[0] in sel or rec[0] == "RATIO_CONSTANT"])
+        return (), ()
+    return (tuple([rec for rec in violations if rec[0] in sel]),
+            tuple([rec for rec in discrepancies if rec[0] in sel or rec[0] == "RATIO_CONSTANT"]))
 
 
 @lru_cache(maxsize=None)
@@ -617,20 +623,13 @@ def _template(n: int, key: int, sel: frozenset) -> tuple:
     ``()`` when there are none, else the pair (violations, discrepancies)
     that :func:`check_pair_stats` returns for the pair counts and degrees
     the key fixes: every check, filtered by the selection ``sel``, a
-    frozenset of bound ids.  Shared and never mutated.  :func:`_add_records` gives a
-    graph its copies.
+    frozenset of bound ids.  Shared and never mutated: each graph of the
+    signature that a scan meets gets the entry (graph6, template).
     """
     pc = signature_pairs(n, key)
     records = check_pair_stats(n, sum(pc.values()), signature_degrees(n, pc), pc,
                                bool(key & 1), sel)
     return records if records[0] or records[1] else ()
-
-
-def _add_records(g6: str, records: tuple, violations: list, discrepancies: list) -> None:
-    """Append the records of a non-empty :func:`_template` (or of
-    :func:`check_pair_stats`) with ``g6`` as their graph6 field."""
-    violations += [(g6, *rec) for rec in records[0]]
-    discrepancies += [(g6, *rec) for rec in records[1]]
 
 
 def _tree_form(g: Graph) -> str:
@@ -1071,8 +1070,7 @@ def scan_graph_masks(
     slots = c * (c - 1) // 2
     sel = frozenset(bounds)
     checked = 0
-    violations: list = []
-    discrepancies: list = []
+    entries: list = []
     for high in range(lo >> slots, (hi - 1 >> slots) + 1 if hi > lo else 0):
         offset = high << slots
         start = max(lo - offset, 0)
@@ -1086,14 +1084,8 @@ def scan_graph_masks(
         else:
             count, loud = _block_records(n, high, start, stop, connected_only, sel)
         checked += count
-        for core, records in loud:
-            _add_records(mask_to_graph6(n, offset | core), records, violations, discrepancies)
-    return {
-        "seen": max(hi - lo, 0),
-        "checked": checked,
-        "violations": violations,
-        "discrepancies": discrepancies,
-    }
+        entries += [(mask_to_graph6(n, offset | core), records) for core, records in loud]
+    return {"seen": max(hi - lo, 0), "checked": checked, "entries": entries}
 
 
 def arrangements(items):
@@ -1153,8 +1145,7 @@ def scan_tree_ranks(
     sel = frozenset(bounds)
     loud = {key: records for key in tree_signatures(n)
             if (records := _template(n, key, sel))}
-    violations: list = []
-    discrepancies: list = []
+    entries: list = []
     for multiset in dict.fromkeys(tuple(signature_degrees(n, signature_pairs(n, key)))
                                   for key in loud):
         for deg, rank, seq in tree_sequences(n, multiset, hi):
@@ -1162,15 +1153,9 @@ def scan_tree_ranks(
                 edges = prufer_edges(seq, n)
                 records = loud.get(_connected_signature(n, deg, edges))
                 if records:
-                    _add_records(mask_to_graph6(n, edges_to_mask(edges)), records,
-                                 violations, discrepancies)
+                    entries.append((mask_to_graph6(n, edges_to_mask(edges)), records))
     count = max(hi - lo, 0)
-    return {
-        "seen": count,
-        "checked": count,
-        "violations": violations,
-        "discrepancies": discrepancies,
-    }
+    return {"seen": count, "checked": count, "entries": entries}
 
 
 def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool) -> dict:
@@ -1184,12 +1169,10 @@ def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool) 
     m = len(edges)
     connected = m > 0 and m >= n - 1 and graphs.is_connected(g)
     if not m or (connected_only and not connected):
-        return {"seen": 1, "checked": 0, "violations": [], "discrepancies": []}
-    violations: list = []
-    discrepancies: list = []
+        return {"seen": 1, "checked": 0, "entries": []}
     deg = degrees(g)
     records = check_pair_stats(n, m, deg, degree_pair_counts(g, deg), connected,
                                frozenset(bounds))
     if records[0] or records[1]:
-        _add_records(graphs.write_graph6(g), records, violations, discrepancies)
-    return {"seen": 1, "checked": 1, "violations": violations, "discrepancies": discrepancies}
+        return {"seen": 1, "checked": 1, "entries": [(graphs.write_graph6(g), records)]}
+    return {"seen": 1, "checked": 1, "entries": []}

@@ -32,8 +32,9 @@ SweepReport (--report): {"config": {...}, "graphs_seen": int,
     "equality_discrepancies": [...], "wall_time": float}, in exactly the
     ``json.dump(indent=2)`` layout plus a newline; ``wall_time`` is its only
     run-dependent value.  ``SweepReport.write_json`` writes it and
-    ``SweepReport.write_lines`` the stdout record lines, both from one
-    formatted text per record kind.
+    ``SweepReport.write_lines`` the stdout record lines, both from the
+    report's per-graph entries: one formatted text per distinct records
+    value, each graph's graph6 filled in.
 Rationals always serialize as lowest-terms strings, never floats.
 """
 
@@ -300,13 +301,13 @@ def cmd_sweep(args) -> int:
             report.write_json(report_file, cfg._asdict())
     print(
         f"seen={report.graphs_seen} checked={report.graphs_checked} "
-        f"violations={len(report.violations)} "
-        f"equality_discrepancies={len(report.equality_discrepancies)} "
+        f"violations={report.violation_count} "
+        f"equality_discrepancies={report.discrepancy_count} "
         f"wall_time={report.wall_time:.2f}s",
         file=sys.stderr,
     )
     report.write_lines(sys.stdout)
-    if report.violations:
+    if report.violation_count:
         return EXIT_VIOLATION
     return EXIT_PARSE if parse_errors else EXIT_OK
 

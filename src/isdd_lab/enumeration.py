@@ -7,10 +7,13 @@ graph, recording violations and equality-characterization discrepancies.
 Every sweep runs serially, one order at a time: a graph sweep scans each
 order's masks in one :func:`_kernel.scan_graph_masks` call and a tree sweep
 decodes only the trees whose signature has records
-(:func:`_kernel.scan_tree_ranks`).  Finalizing sorts the records, so the
-report does not depend on the order in which partial reports merge.  A
-finalized report writes its JSON file and stdout lines itself
-(``SweepReport.write_json``, ``write_lines``), formatting each record kind once.
+(:func:`_kernel.scan_tree_ranks`).  A report keeps one entry (graph6,
+records) per graph with records, from the scans to the writers; finalizing
+sorts the entries by graph6 and puts each distinct records value in bound
+order once, so the report does not depend on the order in which partial
+reports merge.  A finalized report writes its JSON file and stdout lines
+itself (``SweepReport.write_json``, ``write_lines``), formatting the text
+of each distinct records value once and filling in each graph's graph6.
 """
 
 from __future__ import annotations
@@ -132,27 +135,83 @@ class SweepConfig(namedtuple(
 
 
 class SweepReport:
-    """Counts and records of a sweep; partial reports merge into it."""
+    """Counts and records of a sweep; partial reports merge into it.
+
+    The records are kept per graph, as entries ``(graph6, records)``, one
+    for each graph that has any.  ``records`` is the pair (violations,
+    discrepancies) of record tuples without their graph6 field, as
+    :func:`_kernel.check_pair_stats` returns it; a scan gives every graph of
+    a signature the same pair (:func:`_kernel._template`), so a whole report
+    holds few distinct ones.  ``violation_count`` and ``discrepancy_count``
+    count the records.  ``violations`` and ``equality_discrepancies``, the
+    flat lists of :class:`Violation` and :class:`EqualityDiscrepancy`
+    records, are built from the entries when first read; the constructor
+    takes such flat lists too and groups them by graph6.
+    """
 
     def __init__(self, graphs_seen: int = 0, graphs_checked: int = 0, violations=None,
                  equality_discrepancies=None, wall_time: float = 0.0):
         self.graphs_seen = graphs_seen
         self.graphs_checked = graphs_checked
-        self.violations: list[Violation] = [] if violations is None else violations
-        self.equality_discrepancies: list[EqualityDiscrepancy] = (
-            [] if equality_discrepancies is None else equality_discrepancies)
         self.wall_time = wall_time
+        self.violation_count = self.discrepancy_count = 0
+        self._entries: list = []
+        self._flat = None
+        groups: dict = {}
+        for side, records in enumerate((violations or (), equality_discrepancies or ())):
+            for rec in records:
+                groups.setdefault(rec[0], ([], []))[side].append(tuple(rec[1:]))
+        self._add([(g6, (tuple(v), tuple(d))) for g6, (v, d) in groups.items()])
 
     def merge(self, partial: dict):
+        """Add a partial report ``{"seen", "checked", "entries"}``, as the checks
+        of :mod:`_kernel` and :func:`check_graph_reference` return it."""
         self.graphs_seen += partial["seen"]
         self.graphs_checked += partial["checked"]
-        self.violations.extend(map(Violation._make, partial["violations"]))
-        self.equality_discrepancies.extend(
-            map(EqualityDiscrepancy._make, partial["discrepancies"]))
+        self._add(partial["entries"])
+
+    def _add(self, entries: list):
+        self._entries += entries
+        records = list(map(_RECORDS, entries))
+        self.violation_count += sum(map(len, map(_VIOLATIONS, records)))
+        self.discrepancy_count += sum(map(len, map(_DISCREPANCIES, records)))
+        self._flat = None
 
     def finalize(self):
-        self.violations.sort(key=_VIOLATION_ORDER)
-        self.equality_discrepancies.sort(key=_DISCREPANCY_ORDER)
+        """Put the records in report order, whatever order the partials merged in.
+
+        The entries are sorted by graph6, stably, and the records of the
+        entries that share a graph6 (a stream can hold a graph twice) are
+        joined in merge order.  Then each distinct records pair is put in
+        order once: violations by (bound_id, lhs, rhs) and discrepancies by
+        bound_id, both stably.  The flat lists are then those of a stable
+        sort of the flat records by (graph6, bound_id, lhs, rhs) and by
+        (graph6, bound_id).
+        """
+        entries = self._entries
+        entries.sort(key=_GRAPH6)
+        if any(map(operator.eq, map(_GRAPH6, entries), map(_GRAPH6, entries[1:]))):
+            entries = [(g6, _joined(map(_RECORDS, group)))
+                       for g6, group in itertools.groupby(entries, _GRAPH6)]
+        ordered = _Memo(_in_report_order)
+        self._entries = list(zip(map(_GRAPH6, entries),
+                                 map(ordered.__getitem__, map(_RECORDS, entries))))
+        self._flat = None
+
+    @property
+    def violations(self) -> list[Violation]:
+        return self._flat_records()[0]
+
+    @property
+    def equality_discrepancies(self) -> list[EqualityDiscrepancy]:
+        return self._flat_records()[1]
+
+    def _flat_records(self) -> tuple[list, list]:
+        if self._flat is None:
+            self._flat = tuple(
+                [cls(g6, *rec) for g6, records in self._entries for rec in records[side]]
+                for side, cls in enumerate(_RECORD_TYPES))
+        return self._flat
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -166,10 +225,12 @@ class SweepReport:
         return out
 
     # The writers below give the report file and the stdout lines of a
-    # finalized report.  Each record is the text of its kind (see _Templates)
-    # with its graph6 filled in, JSON-escaped in the report, since graph6
-    # text can hold a backslash, and raw on stdout; the text goes out
-    # WRITE_BLOCK records per write.
+    # finalized report, one section per record kind, violations first.  A
+    # graph's records in a section are one text, formatted once per
+    # distinct records value with a slot for the graph6 (_section_blocks),
+    # and each graph gets that text with its graph6 filled in: JSON-escaped
+    # in the report, since graph6 text can hold a backslash, and raw on
+    # stdout.  The text goes out WRITE_BLOCK graphs per write.
 
     def write_json(self, fh, config: dict) -> None:
         """Write ``{"config": config, **self.to_dict()}`` as ``json.dump(indent=2)`` does.
@@ -179,23 +240,29 @@ class SweepReport:
         definition of the content.
         """
         import json
+        from json.encoder import encode_basestring_ascii  # json.dumps of a str
 
         counts = SweepReport(self.graphs_seen, self.graphs_checked, wall_time=self.wall_time)
         top = {"config": config, **counts.to_dict()}
         top["violations"] = top["equality_discrepancies"] = _SLOT
         head, middle, tail = json.dumps(top, indent=2).split(json.dumps(_SLOT))
-        fh.write(head)
-        _write_json_list(fh, self.violations)
-        fh.write(middle)
-        _write_json_list(fh, self.equality_discrepancies)
+        for text, side in ((head, 0), (middle, 1)):
+            fh.write(text)
+            separator = "["
+            for block in _section_blocks(self._entries, side, _report_text,
+                                         encode_basestring_ascii):
+                fh.write(separator + "\n")
+                fh.write(",\n".join(block))
+                separator = ","
+            fh.write("[]" if separator == "[" else "\n  ]")
         fh.write(tail + "\n")
 
     def write_lines(self, out) -> None:
         """Write one ``record.line()`` per record to ``out``, violations first,
         stopping quietly if the reader goes away (:func:`until_reader_leaves`)."""
         with until_reader_leaves(out):
-            for records in (self.violations, self.equality_discrepancies):
-                for block in _record_blocks(records, _line_text, str):
+            for side in (0, 1):
+                for block in _section_blocks(self._entries, side, _line_text, str):
                     out.write("".join(block))
 
 
@@ -220,68 +287,68 @@ def until_reader_leaves(out):
             os.close(devnull)
 
 
-_SLOT = "\x00"  # stands in for a graph6 or a record list while a template is formatted
-WRITE_BLOCK = 1024  # records per write call, so that no whole output is held in memory
-_GRAPH6 = operator.itemgetter(0)
-_VIOLATION_ORDER = operator.itemgetter(0, 1, 2, 3)  # graph6, bound_id, lhs, rhs
-_DISCREPANCY_ORDER = operator.itemgetter(0, 1)  # graph6, bound_id
+_SLOT = "\x00"  # stands in for a graph6 or a record list while a text is formatted
+WRITE_BLOCK = 1024  # graphs per write call, so that no whole output is held in memory
+_RECORD_TYPES = (Violation, EqualityDiscrepancy)  # per side of a records pair
+_GRAPH6 = _VIOLATIONS = _BOUND_ID = operator.itemgetter(0)
+_RECORDS = _DISCREPANCIES = operator.itemgetter(1)
 
 
-def _report_text(record) -> str:
-    """The record as ``json.dump(indent=2)`` lays it out two levels deep in the report."""
-    import json
+class _Memo(dict):
+    """``fn(key)`` for each key looked up, computed on the first lookup."""
 
-    return "    " + json.dumps(record.as_dict(), indent=2).replace("\n", "\n    ")
-
-
-def _line_text(record) -> str:
-    return record.line() + "\n"
-
-
-class _Templates(dict):
-    """Record kind -> text of that kind's records as a %-format, ``%s`` for the graph6.
-
-    A kind (``kind_of(record)``) is a record's fields after its first, graph6:
-    records of one kind differ only in their graph6, so each kind is formatted
-    once, from a probe record whose graph6 is a slot.  ``escape`` renders the
-    graph6 in the text.
-    """
-
-    def __init__(self, cls, text, escape):
+    def __init__(self, fn):
         super().__init__()
-        self.cls, self.text, self.escape = cls, text, escape
-        self.kind_of = operator.itemgetter(*range(1, len(cls._fields)))
+        self.fn = fn
 
-    def __missing__(self, kind):
-        text = self.text(self.cls(_SLOT, *kind))
-        fmt = self[kind] = text.replace("%", "%%").replace(self.escape(_SLOT), "%s")
-        return fmt
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _record_blocks(records, text, escape):
-    """Lists of up to ``WRITE_BLOCK`` record texts, in report order."""
-    if not records:
-        return
-    templates = _Templates(type(records[0]), text, escape)
-    for lo in range(0, len(records), WRITE_BLOCK):
-        block = records[lo:lo + WRITE_BLOCK]
-        kinds = map(templates.kind_of, block)
-        yield list(map(operator.mod, map(templates.__getitem__, kinds),
-                       map(escape, map(_GRAPH6, block))))
+def _joined(records_of_one_graph) -> tuple:
+    """One records pair holding the records of several, in turn."""
+    parts = list(records_of_one_graph)
+    return (tuple(itertools.chain.from_iterable(map(_VIOLATIONS, parts))),
+            tuple(itertools.chain.from_iterable(map(_DISCREPANCIES, parts))))
 
 
-def _write_json_list(fh, records):
+def _in_report_order(records: tuple) -> tuple:
+    violations, discrepancies = records
+    return tuple(sorted(violations)), tuple(sorted(discrepancies, key=_BOUND_ID))
+
+
+def _report_text(records) -> str:
+    """The records as ``json.dump(indent=2)`` lays out a run of list items two
+    levels deep in the report."""
     import json
 
-    if not records:
-        fh.write("[]")
-        return
-    separator = "[\n"
-    for block in _record_blocks(records, _report_text, json.dumps):
-        fh.write(separator)
-        fh.write(",\n".join(block))
-        separator = ",\n"
-    fh.write("\n  ]")
+    return ",\n".join(["    " + json.dumps(rec.as_dict(), indent=2).replace("\n", "\n    ")
+                       for rec in records])
+
+
+def _line_text(records) -> str:
+    """The stdout lines of the records."""
+    return "".join([rec.line() + "\n" for rec in records])
+
+
+def _section_blocks(entries: list, side: int, text, escape):
+    """Lists of up to ``WRITE_BLOCK`` texts, one per graph with records of kind
+    ``side`` (0 violations, 1 discrepancies), in entry order.
+
+    A graph's text is ``text`` of its records of that kind, with ``escape``
+    of its graph6 in each record.  The text of a records value is
+    formatted once, with a slot for the graph6, and kept split at the
+    slots, so that filling in a graph6 is one ``join``.
+    """
+    cls, kind = _RECORD_TYPES[side], operator.itemgetter(side)
+    slot = escape(_SLOT)
+    parts = _Memo(lambda records: text([cls(_SLOT, *rec) for rec in records]).split(slot))
+    entries = list(compress(entries, map(kind, map(_RECORDS, entries))))
+    for lo in range(0, len(entries), WRITE_BLOCK):
+        block = entries[lo:lo + WRITE_BLOCK]
+        yield list(map(str.join, map(escape, map(_GRAPH6, block)),
+                       map(parts.__getitem__, map(kind, map(_RECORDS, block)))))
 
 
 def _sorted_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -392,7 +459,7 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
 
     connected = g.n >= 1 and is_connected(g)
     if (connected_only and not connected) or g.m == 0:
-        return {"seen": 1, "checked": 0, "violations": [], "discrepancies": []}
+        return {"seen": 1, "checked": 0, "entries": []}
     sel = set(bounds)
     reports = {r.bound_id.value: r for r in evaluate_all(g)
                if not isinstance(r, SkippedBound) and r.bound_id.value in sel}
@@ -425,9 +492,10 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
                        if p not in named and edge_term_isdd(*p) == reports[bid].rhs]
                 if bad:
                     discrepancies.append(_kernel.pair_discrepancy(bid, bad))
-    g6 = write_graph6(g)
-    return {"seen": 1, "checked": 1, "violations": [(g6, *rec) for rec in violations],
-            "discrepancies": [(g6, *rec) for rec in discrepancies]}
+    if not (violations or discrepancies):
+        return {"seen": 1, "checked": 1, "entries": []}
+    return {"seen": 1, "checked": 1,
+            "entries": [(write_graph6(g), (tuple(violations), tuple(discrepancies)))]}
 
 
 def _enumerated_counts(cfg: SweepConfig):
@@ -528,8 +596,7 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
     once ``budget`` items have been seen.
     """
     seen = checked = 0
-    violations: list = []
-    discrepancies: list = []
+    entries: list = []
     bounds, connected_only = frozenset(cfg.bounds), cfg.connected_only
     for item in graphs:
         if seen == budget:
@@ -539,10 +606,8 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
             continue
         partial = check(item, bounds, connected_only)
         checked += partial["checked"]
-        violations += partial["violations"]
-        discrepancies += partial["discrepancies"]
-    return {"seen": seen, "checked": checked, "violations": violations,
-            "discrepancies": discrepancies}
+        entries += partial["entries"]
+    return {"seen": seen, "checked": checked, "entries": entries}
 
 
 def run_sweep(cfg: SweepConfig, graphs=None, engine: str = "fast") -> SweepReport:

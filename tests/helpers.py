@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import multiprocessing
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import sqrt
+from operator import itemgetter
 
 from isdd_lab import _kernel
 from isdd_lab.bounds import BoundReport, evaluate_all
 from isdd_lab.classify import classify
-from isdd_lab.enumeration import SweepReport, _enumerated_counts
+from isdd_lab.enumeration import (EqualityDiscrepancy, SweepReport, Violation,
+                                  _enumerated_counts, check_graph_reference, labeled_graphs,
+                                  labeled_trees)
 from isdd_lab.graphs import GRAPH6_MAX_N, Graph, Graph6Error, is_connected, write_graph6
 
 
@@ -222,10 +225,67 @@ def oracle_encode_prufer(g: Graph) -> list[int]:
     return seq
 
 
+def flat_records(entries) -> tuple[list, list]:
+    """The flat violation and discrepancy records, each with its graph6 first,
+    of per-graph entries ``(graph6, (violations, discrepancies))``, in entry order."""
+    return ([(g6, *rec) for g6, (violations, _) in entries for rec in violations],
+            [(g6, *rec) for g6, (_, discrepancies) in entries for rec in discrepancies])
+
+
+def flat_partial(part: dict) -> dict:
+    """A partial report with its entries as sorted flat record lists: record
+    order within one graph, and graph order within a partial, are not
+    contractual."""
+    violations, discrepancies = flat_records(part["entries"])
+    return {"seen": part["seen"], "checked": part["checked"],
+            "violations": sorted(violations), "discrepancies": sorted(discrepancies)}
+
+
+def oracle_report(seen: int, checked: int, violations, discrepancies,
+                  wall_time: float = 0.0) -> SweepReport:
+    """The finalized report of flat records, without ``merge`` or ``finalize``.
+
+    The records are put in report order here, as finalizing once did: a
+    stable sort of the violations by (graph6, bound_id, lhs, rhs) and of the
+    discrepancies by (graph6, bound_id).  The report is built from the
+    sorted flat lists.
+    """
+    return SweepReport(
+        seen, checked,
+        violations=[Violation._make(rec) for rec in sorted(violations, key=itemgetter(0, 1, 2, 3))],
+        equality_discrepancies=[EqualityDiscrepancy._make(rec)
+                                for rec in sorted(discrepancies, key=itemgetter(0, 1))],
+        wall_time=wall_time)
+
+
+def enumerated(cfg):
+    """The graphs, or trees, that ``run_sweep(cfg)`` enumerates, in order."""
+    source = labeled_trees if cfg.trees else labeled_graphs
+    return islice(chain.from_iterable(map(source, range(cfg.n_min, cfg.n_max + 1))),
+                  cfg.max_graphs)
+
+
+def oracle_checked_report(items, cfg) -> SweepReport:
+    """The report of ``cfg``'s checks run on each graph of ``items`` on its
+    own by the reference path, built from their flat records in item order
+    (:func:`oracle_report`); any other item, a StreamError, counts as seen only."""
+    seen = checked = 0
+    violations, discrepancies = [], []
+    for item in items:
+        seen += 1
+        if isinstance(item, Graph):
+            part = check_graph_reference(item, cfg.bounds, cfg.connected_only)
+            checked += part["checked"]
+            more = flat_records(part["entries"])
+            violations += more[0]
+            discrepancies += more[1]
+    return oracle_report(seen, checked, violations, discrepancies)
+
+
 def _decode_ranks(args) -> dict:
-    """The partial report of the first ``count`` labeled trees on n vertices
-    whose Pruefer sequences start with ``prefix``, each decoded and checked
-    by its signature's template."""
+    """The flat partial report of the first ``count`` labeled trees on n
+    vertices whose Pruefer sequences start with ``prefix``, each decoded and
+    checked by its signature's template."""
     n, prefix, count, bounds = args
     sel = frozenset(bounds)
     weights = _kernel.signature_table(n)[0]
@@ -254,7 +314,8 @@ def tree_scan_report(cfg, jobs: int = 1) -> SweepReport:
     as ``run_sweep(cfg)``, every Pruefer rank decoded in rank order, each
     tree's signature looked up in ``_kernel._template``.  The ranks are
     dealt out in blocks that share all digits but the last five; ``jobs`` > 1
-    checks the blocks in a pool.
+    checks the blocks in a pool.  The report is built from the flat records
+    of the blocks (:func:`oracle_report`).
     """
     blocks = []
     for n, total in _enumerated_counts(cfg):
@@ -263,16 +324,14 @@ def tree_scan_report(cfg, jobs: int = 1) -> SweepReport:
         for start in range(0, total, span):
             prefix = tuple(start // n ** (n - 3 - i) % n for i in range(n - 2 - tail))
             blocks.append((n, prefix, min(span, total - start), cfg.bounds))
-    report = SweepReport()
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            for partial in pool.imap_unordered(_decode_ranks, blocks):
-                report.merge(partial)
+            partials = list(pool.imap_unordered(_decode_ranks, blocks))
     else:
-        for block in blocks:
-            report.merge(_decode_ranks(block))
-    report.finalize()
-    return report
+        partials = list(map(_decode_ranks, blocks))
+    return oracle_report(sum(p["seen"] for p in partials), sum(p["checked"] for p in partials),
+                         [rec for p in partials for rec in p["violations"]],
+                         [rec for p in partials for rec in p["discrepancies"]])
 
 
 def oracle_report_text(report, config: dict) -> str:

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,8 @@ from helpers import (
     cycle_graph,
     h2_graph,
     h3_graph,
+    enumerated,
+    oracle_checked_report,
     oracle_record_lines,
     oracle_report_text,
     path_graph,
@@ -408,8 +411,7 @@ class TestSweep:
         from isdd_lab import _kernel
 
         def fake_kernel(g, bounds, connected_only):
-            return {"seen": 1, "checked": 1, "violations": [("Ch", "LOWER_ELL", "0", "1")],
-                    "discrepancies": []}
+            return {"seen": 1, "checked": 1, "entries": [("Ch", ((("LOWER_ELL", "0", "1"),), ()))]}
 
         monkeypatch.setattr(_kernel, "check_graph_kernel", fake_kernel)
         code, out, err = run_cli(
@@ -619,6 +621,37 @@ class TestSweepOutput:
         assert "D\\o" in {d.graph6 for d in expected.equality_discrepancies}
         self.assert_matches_oracle(p, out, expected, _config(2, 6))
 
+    def test_stdin_stream_holding_a_graph_twice(self, tmp_path, monkeypatch, capsys):
+        # each graph checked on its own and the flat records sorted by the
+        # oracle: the two copies' records interleave by bound
+        lines = ["Ch", "D\\o", "zzz!", "Ch", "D\\o", "C~", write_graph6(h2_graph()),
+                 write_graph6(path_graph(9))]
+        random.Random(7).shuffle(lines)
+        p = tmp_path / "report.json"
+        code, out, err = run_cli(["sweep", "--stdin-graph6", "--report", str(p)],
+                                 "\n".join(lines) + "\n", monkeypatch, capsys)
+        assert code == 2
+        cfg = SweepConfig(n_min=2, n_max=6)
+        expected = oracle_checked_report(stream_graph6(lines), cfg)
+        assert f"equality_discrepancies={len(expected.equality_discrepancies)} " in err
+        self.assert_matches_oracle(p, out, expected, cfg._asdict())
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (["sweep", "--n-max", "5", "--max-graphs", "774"],
+         SweepConfig(n_min=2, n_max=5, max_graphs=774)),
+        (["trees", "--n-max", "6", "--max-graphs", "841"],
+         SweepConfig(n_min=4, n_max=6, trees=True, max_graphs=841)),
+    ], ids=["graphs", "trees"])
+    def test_max_graphs_cut_inside_a_loud_order(self, tmp_path, capsys, argv, cfg):
+        # the cut ends inside the last order, which has records
+        p = tmp_path / "report.json"
+        code = main(argv + ["--report", str(p)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        expected = oracle_checked_report(enumerated(cfg), cfg)
+        assert expected.equality_discrepancies[-1].graph6[0] == chr(63 + cfg.n_max)
+        self.assert_matches_oracle(p, out, expected, cfg._asdict())
+
 
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone away; ``fileno`` is a descriptor of the test's."""
@@ -640,8 +673,7 @@ def _force_violation(monkeypatch):
     from isdd_lab import _kernel
 
     def fake_kernel(g, bounds, connected_only):
-        return {"seen": 1, "checked": 1, "violations": [("Ch", "LOWER_ELL", "0", "1")],
-                "discrepancies": []}
+        return {"seen": 1, "checked": 1, "entries": [("Ch", ((("LOWER_ELL", "0", "1"),), ()))]}
 
     monkeypatch.setattr(_kernel, "check_graph_kernel", fake_kernel)
 

@@ -29,11 +29,13 @@ from isdd_lab.cli import main
 import helpers
 from helpers import (
     cycle_graph,
+    flat_partial,
     h1_graph,
     h2_graph,
     h3_graph,
     oracle_encode_prufer,
     oracle_record_lines,
+    oracle_report,
     oracle_report_text,
     path_graph,
 )
@@ -211,7 +213,7 @@ class TestKernelAgainstReference:
         for g in graphs:
             fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only)
             ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only)
-            assert _sorted_partial(fast) == _sorted_partial(ref), \
+            assert flat_partial(fast) == flat_partial(ref), \
                 f"diverges on {write_graph6(g)} (n={g.n})"
 
     def test_every_mask_including_disconnected(self):
@@ -249,18 +251,13 @@ class TestKernelAgainstReference:
                 assert _kernel.edges_to_mask(_graph_from_mask(n, mask).edges) == mask
 
 
-def _sorted_partial(part):
-    return {**part, "violations": sorted(part["violations"]),
-            "discrepancies": sorted(part["discrepancies"])}
-
-
 def _per_graph_kernel(graphs, bounds, connected_only):
-    out = {"seen": 0, "checked": 0, "violations": [], "discrepancies": []}
+    out = {"seen": 0, "checked": 0, "entries": []}
     for g in graphs:
         part = _kernel.check_graph_kernel(g, bounds, connected_only)
         for key in out:
             out[key] += part[key]
-    return _sorted_partial(out)
+    return flat_partial(out)
 
 
 def _per_tree_kernel(args):
@@ -283,7 +280,7 @@ class TestSignatureScans:
             graphs = list(labeled_graphs(n))
             for bounds, connected_only in cases:
                 scan = _kernel.scan_graph_masks(n, 0, len(graphs), bounds, connected_only)
-                assert _sorted_partial(scan) == _per_graph_kernel(
+                assert flat_partial(scan) == _per_graph_kernel(
                     graphs, bounds, connected_only
                 ), f"diverges at n={n} bounds={bounds} connected_only={connected_only}"
 
@@ -299,7 +296,7 @@ class TestSignatureScans:
         verdicts = set()
         for (n, bounds), want in zip(cases, wants):
             scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds)
-            assert _sorted_partial(scan) == want, f"diverges at n={n} bounds={bounds}"
+            assert flat_partial(scan) == want, f"diverges at n={n} bounds={bounds}"
             verdicts.add(bool(want["violations"] or want["discrepancies"]))
         assert verdicts == {True, False}
 
@@ -335,7 +332,7 @@ class TestSignatureScans:
                 graphs = [_graph_from_mask(n, mask) for mask in range(lo, hi)]
                 for connected_only in (True, False):
                     scan = _kernel.scan_graph_masks(n, lo, hi, ALL_BOUND_IDS, connected_only)
-                    assert _sorted_partial(scan) == _per_graph_kernel(
+                    assert flat_partial(scan) == _per_graph_kernel(
                         graphs, ALL_BOUND_IDS, connected_only
                     ), f"diverges on [{lo}, {hi}) at n={n} connected_only={connected_only}"
 
@@ -352,12 +349,12 @@ class TestSignatureScans:
                 lo, hi = high * block, (high + 1) * block
                 for bounds, connected_only in cases:
                     whole = _kernel.scan_graph_masks(n, lo, hi, bounds, connected_only)
-                    split = {"seen": 0, "checked": 0, "violations": [], "discrepancies": []}
+                    split = {"seen": 0, "checked": 0, "entries": []}
                     for a, b in ((lo, lo + 1), (lo + 1, hi)):
                         part = _kernel.scan_graph_masks(n, a, b, bounds, connected_only)
                         for key in split:
                             split[key] += part[key]
-                    assert _sorted_partial(whole) == _sorted_partial(split), (
+                    assert flat_partial(whole) == flat_partial(split), (
                         f"diverges on block {high} at n={n} bounds={bounds} "
                         f"connected_only={connected_only}")
 
@@ -418,7 +415,7 @@ class TestSignatureScans:
                 for connected_only in (True, False):
                     scan = _kernel.scan_graph_masks(n, mask, mask + 1, ALL_BOUND_IDS,
                                                     connected_only)
-                    assert _sorted_partial(scan) == _per_graph_kernel(
+                    assert flat_partial(scan) == _per_graph_kernel(
                         [g], ALL_BOUND_IDS, connected_only
                     ), f"diverges on {write_graph6(g)} connected_only={connected_only}"
         assert kinds == {(True, False), (False, False), (False, True)}
@@ -434,8 +431,7 @@ class TestSignatureScans:
             return Graph.from_edges(n, _kernel.prufer_edges(seq, n))
 
         def recorded(n, rank):
-            part = _kernel.check_graph_kernel(tree(n, rank), ALL_BOUND_IDS, True)
-            return bool(part["violations"] or part["discrepancies"])
+            return bool(_kernel.check_graph_kernel(tree(n, rank), ALL_BOUND_IDS, True)["entries"])
 
         def end_near(n, rank, step):
             while not (recorded(n, rank - 1) and recorded(n, rank)):
@@ -454,7 +450,7 @@ class TestSignatureScans:
                 assert lo % block and hi % block and lo // block < hi // block
                 trees = [tree(n, rank) for rank in range(lo, hi)]
                 scan = _kernel.scan_tree_ranks(n, lo, hi, ALL_BOUND_IDS)
-                assert _sorted_partial(scan) == _per_graph_kernel(
+                assert flat_partial(scan) == _per_graph_kernel(
                     trees, ALL_BOUND_IDS, True
                 ), f"diverges on ranks [{lo}, {hi}) at n={n}"
 
@@ -469,13 +465,13 @@ class TestSignatureScans:
                 for i, j in g.edges} == {(6, 2), (6, 3)}
         assert in_gamma3(g)
         mask = _kernel.edges_to_mask(g.edges)
-        want = _sorted_partial(check_graph_reference(g, ALL_BOUND_IDS, True))
+        want = flat_partial(check_graph_reference(g, ALL_BOUND_IDS, True))
         assert want == _per_graph_kernel([g], ALL_BOUND_IDS, True)
-        assert want == _sorted_partial(
+        assert want == flat_partial(
             _kernel.scan_graph_masks(10, mask, mask + 1, ALL_BOUND_IDS, True))
         assert not want["discrepancies"]
         monkeypatch.setattr(_kernel, "_lazy_gamma3", lambda *args: False)
-        part = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True)
+        part = flat_partial(_kernel.check_graph_kernel(g, ALL_BOUND_IDS, True))
         assert [rec[1] for rec in part["discrepancies"]] == ["RATIO_CONSTANT"]
 
 
@@ -502,7 +498,7 @@ class TestClassRule:
         for g in self._graphs():
             want = helpers.oracle_class_discrepancies(g)
             for check in (_kernel.check_graph_kernel, check_graph_reference):
-                records = check(g, ALL_BOUND_IDS, True)["discrepancies"]
+                records = flat_partial(check(g, ALL_BOUND_IDS, True))["discrepancies"]
                 got = sorted(rec for rec in records if rec[1] in helpers.ORACLE_EXPECTED_CLASSES)
                 assert got == want, f"{check.__name__} diverges on {write_graph6(g)}"
 
@@ -655,7 +651,7 @@ class TestSilentTreeOrders:
                                  for key in _kernel.tree_signatures(n))
                 decoded.clear()
                 scan = _kernel.scan_tree_ranks(n, 0, n ** (n - 2), bounds)
-                quiet = not (scan["violations"] or scan["discrepancies"])
+                quiet = not scan["entries"]
                 assert silent == quiet, f"n={n} bounds={bounds}"
                 assert silent == (not decoded), f"n={n} bounds={bounds}"
                 verdicts.add(quiet)
@@ -678,14 +674,14 @@ class TestSilentTreeOrders:
             for every in (1, 2):
                 loud = set(_kernel.tree_signatures(n)[::every])
                 monkeypatch.setattr(_kernel, "_template", lambda n, key, sel, loud=loud: (
-                    ([("FAKE", str(key), str(n))], []) if key in loud else ()))
+                    ((("FAKE", str(key), str(n)),), ()) if key in loud else ()))
                 for lo, hi in ranges:
-                    scan = _kernel.scan_tree_ranks(n, lo, hi, ALL_BOUND_IDS)
+                    scan = flat_partial(_kernel.scan_tree_ranks(n, lo, hi, ALL_BOUND_IDS))
                     assert scan["seen"] == scan["checked"] == hi - lo
                     assert scan["discrepancies"] == []
                     want = sorted((g6, "FAKE", str(key), str(n))
                                   for g6, key in decoded[lo:hi] if key in loud)
-                    assert sorted(scan["violations"]) == want, (
+                    assert scan["violations"] == want, (
                         f"diverges on ranks [{lo}, {hi}) at n={n} every={every}")
 
     def test_sweep_equals_scan(self):
@@ -831,10 +827,7 @@ class TestRunSweep:
                 g = Graph.from_edges(n, _kernel.prufer_edges(seq, n))
                 fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True)
                 ref = check_graph_reference(g, ALL_BOUND_IDS, True)
-                for part in (fast, ref):
-                    part["violations"] = sorted(part["violations"])
-                    part["discrepancies"] = sorted(part["discrepancies"])
-                assert fast == ref, f"diverges on tree n={n} seq={seq}"
+                assert flat_partial(fast) == flat_partial(ref), f"diverges on tree n={n} seq={seq}"
 
     def test_tiny_trees_skip_tree_edge_bound(self):
         cfg = SweepConfig(n_min=2, n_max=3, trees=True, bounds=("TREE_EDGE",))
@@ -945,22 +938,21 @@ class TestRunSweep:
 
 def _dedup_oracle(cfg: SweepConfig) -> dict:
     """The first graph of each canonical_form class in enumeration order,
-    checked by the reference path."""
-    report = SweepReport()
+    checked by the reference path; the report is built from their flat
+    records (:func:`helpers.oracle_report`)."""
+    seen = checked = 0
+    violations, discrepancies = [], []
     forms = set()
-    source = labeled_trees if cfg.trees else labeled_graphs
-    graphs = itertools.chain.from_iterable(
-        source(n) for n in range(cfg.n_min, cfg.n_max + 1)
-    )
-    for g in itertools.islice(graphs, cfg.max_graphs):
-        report.graphs_seen += 1
+    for g in helpers.enumerated(cfg):
+        seen += 1
         form = canonical_form(g)
         if form not in forms:
             forms.add(form)
-            partial = check_graph_reference(g, cfg.bounds, cfg.connected_only)
-            report.merge({**partial, "seen": 0})
-    report.finalize()
-    return report_dict(report)
+            partial = flat_partial(check_graph_reference(g, cfg.bounds, cfg.connected_only))
+            checked += partial["checked"]
+            violations += partial["violations"]
+            discrepancies += partial["discrepancies"]
+    return report_dict(oracle_report(seen, checked, violations, discrepancies))
 
 
 # OEIS A000088 (graphs), A001349 (connected graphs), A000055 (trees), by n
@@ -1081,3 +1073,75 @@ class TestReportWriters:
                 keys = [(r.graph6, r.bound_id) for r in records]
                 assert len(set(keys)) == len(keys), cfg
             assert report.equality_discrepancies, cfg
+
+
+class TestReportOrder:
+    """Reports merged from per-graph entries against reports built from flat
+    records sorted by (graph6, bound_id[, lhs, rhs]) in ``helpers.oracle_report``."""
+
+    @staticmethod
+    def assert_matches(report: SweepReport, want: SweepReport):
+        want.wall_time = report.wall_time
+        assert report_dict(report) == report_dict(want)
+        assert (report.violation_count, report.discrepancy_count) == (
+            len(want.violations), len(want.equality_discrepancies))
+        assert written(report) == (oracle_report_text(want, CONFIG), oracle_record_lines(want))
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_stream_holding_a_graph_twice(self, monkeypatch, block):
+        # the two copies of a loud graph have the same records; in report
+        # order they interleave by bound, not copy after copy
+        monkeypatch.setattr(enumeration, "WRITE_BLOCK", block)
+        lines = ["Ch", "D\\o", "C~", "DQc", write_graph6(h2_graph()), "zzz!", "Ch", "D\\o",
+                 write_graph6(path_graph(9)), "Cr"]
+        random.Random(26).shuffle(lines)
+        cfg = SweepConfig(n_min=2, n_max=7)
+        report = run_sweep(cfg, graphs=stream_graph6(lines))
+        want = helpers.oracle_checked_report(stream_graph6(lines), cfg)
+        assert report.graphs_seen == len(lines) and report.graphs_checked == len(lines) - 1
+        bounds = [d.bound_id for d in report.equality_discrepancies if d.graph6 == "Ch"]
+        assert bounds == ["EDGE_SECOND_MIN"] * 2 + ["LOWER_ELL"] * 2
+        self.assert_matches(report, want)
+
+    @pytest.mark.parametrize("block", [1, 2, 1024])
+    def test_repeated_graph6_entries_built_by_hand(self, monkeypatch, block):
+        # no real sweep has a violation, and no real graph gives one graph6
+        # two different records: entries built by hand do, in merge order
+        monkeypatch.setattr(enumeration, "WRITE_BLOCK", block)
+        gap = ("LOWER_ELL", LOWER_ELL_CLASSES, ("gamma2",), True)
+        other_gap = ("LOWER_ELL", LOWER_ELL_CLASSES, ("semiregular_bipartite",), False)
+        ratio = ("RATIO_CONSTANT", ("regular",), (), False)
+        partials = [
+            {"seen": 3, "checked": 2, "entries": [
+                ("Ch", ((("UPPER_K", "3", "5/2"), ("LOWER_ELL", "13/10", "7/5")),
+                        (ratio, gap))),
+                ("C\\", ((), (("EDGE_MIN", ("pair (dmax,dmin)",), ("(3,1)",), True),)))]},
+            {"seen": 1, "checked": 1, "entries": [
+                ("Ch", ((("LOWER_ELL", "1", "2"),), (other_gap,)))]},
+            {"seen": 2, "checked": 1, "entries": [
+                ("C\\", ((("GA_SIMPLE", "2.5", "2.6"),), ())),
+                ("Ch", ((("LOWER_ELL", "13/10", "7/5"),), (gap, ratio)))]},
+        ]
+        report = SweepReport()
+        for partial in partials:
+            report.merge(partial)
+        report.finalize()
+        records = [helpers.flat_records(p["entries"]) for p in partials]
+        want = oracle_report(6, 4, [rec for v, _ in records for rec in v],
+                             [rec for _, d in records for rec in d])
+        assert [d.actual_classification for d in want.equality_discrepancies
+                if d.graph6 == "Ch" and d.bound_id == "LOWER_ELL"] == [
+            ("gamma2",), ("semiregular_bipartite",), ("gamma2",)]
+        self.assert_matches(report, want)
+
+    @pytest.mark.parametrize("cfg", [
+        # inside n = 5 and inside n = 6, orders with records
+        SweepConfig(n_min=2, n_max=5, max_graphs=2 + 8 + 64 + 700),
+        SweepConfig(n_min=4, n_max=6, trees=True, max_graphs=16 + 125 + 700),
+    ], ids=["graphs", "trees"])
+    def test_max_graphs_cut_inside_a_loud_order(self, cfg):
+        report = run_sweep(cfg)
+        want = helpers.oracle_checked_report(helpers.enumerated(cfg), cfg)
+        assert report.graphs_seen == cfg.max_graphs
+        assert report.equality_discrepancies[-1].graph6[0] == chr(63 + cfg.n_max)
+        self.assert_matches(report, want)

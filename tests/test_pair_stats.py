@@ -10,13 +10,14 @@ near-tie to the exact fold, and graphs that attain exact bounds at long
 graph6 orders must get the reference path's records.
 """
 
+import functools
 import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
-from helpers import equality_cases
+from helpers import equality_cases, flat_partial
 from isdd_lab import _kernel
 from isdd_lab.bounds import ALL_BOUND_IDS, approx_eq, approx_ge
 from isdd_lab.enumeration import _first_of_each_class, check_graph_reference, labeled_graphs
@@ -27,6 +28,7 @@ from isdd_lab.graphs import Graph, degree_pair_counts, degrees
 PINNED_DIGEST = "610d15c5d71e1f64b86894757d834b4c4f88504998ac4057c37277773c1304ff"
 
 
+@functools.cache
 def _unrealizable_inputs(count=50_000, seed=14):
     """``count`` seeded (n, m, deg, pc, connected) inputs that no graph has.
 
@@ -34,6 +36,8 @@ def _unrealizable_inputs(count=50_000, seed=14):
     Delta >= a >= b >= 1, and 1 <= m <= the sum of the counts, with n = m + 1
     one time in five (a would-be tree) and Delta up to 10^6 one time in ten.
     Inputs whose GA_M2 denominator 4 m Delta^2 - 2 M2 is 0 are left out.
+    Built once per test run and shared, so no caller may change them; the
+    first k inputs of a larger count are the inputs of count k.
     """
     rng = random.Random(seed)
     out = []
@@ -59,7 +63,7 @@ def _unrealizable_inputs(count=50_000, seed=14):
             continue
         connected = tree or rng.random() < 0.7
         out.append((n, m, deg, pairs, connected))
-    return out
+    return tuple(out)
 
 
 def test_violation_branches_pinned():
@@ -78,14 +82,14 @@ def test_violation_branches_pinned():
 def test_selection_filters_the_records():
     # each bound alone keeps exactly its own records of the all-bounds run,
     # and RATIO_CONSTANT's: no bound, the class check every connected graph gets
-    inputs = _unrealizable_inputs(10_000)
+    inputs = _unrealizable_inputs()[:10_000]
     every = [_kernel.check_pair_stats(*args, frozenset(ALL_BOUND_IDS)) for args in inputs]
     assert any(rec[0] == "RATIO_CONSTANT" for _, discrepancies in every for rec in discrepancies)
     for bound in ALL_BOUND_IDS:
         kept = {bound, "RATIO_CONSTANT"}
         for args, (violations, discrepancies) in zip(inputs, every):
-            want = ([rec for rec in violations if rec[0] in kept],
-                    [rec for rec in discrepancies if rec[0] in kept])
+            want = (tuple(rec for rec in violations if rec[0] in kept),
+                    tuple(rec for rec in discrepancies if rec[0] in kept))
             assert _kernel.check_pair_stats(*args, frozenset({bound})) == want, (bound, args)
 
 
@@ -102,7 +106,7 @@ def test_records_match_reference_on_wide_degrees():
         for connected_only in (True, False):
             fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only)
             ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only)
-            assert _sorted_partial(fast) == _sorted_partial(ref)
+            assert flat_partial(fast) == flat_partial(ref)
 
 
 def _graph_inputs():
@@ -192,12 +196,6 @@ def test_exact_ties_at_long_header_orders(monkeypatch):
     for g in cases:
         fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True)
         ref = check_graph_reference(g, ALL_BOUND_IDS, True)
-        assert _sorted_partial(fast) == _sorted_partial(ref), g.n
+        assert flat_partial(fast) == flat_partial(ref), g.n
     assert len(calls) == len(cases)
     assert all(map(any, zip(*(equalities for _, equalities in calls))))
-
-
-def _sorted_partial(part):
-    # record order within one graph is not contractual
-    return {**part, "violations": sorted(part["violations"]),
-            "discrepancies": sorted(part["discrepancies"])}
