@@ -27,7 +27,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, degree_pair_counts, degrees, is_connected
+from .graphs import Graph, GraphError, graph_connected, graph_profile, last_graph_memo
 from .indices import (edge_term_isdd, fraction_str, geometric_arithmetic, isdd, zagreb1, zagreb2,
                       forgotten)
 
@@ -130,24 +130,21 @@ def _empty_context(n: int | None = None) -> dict:
 
 
 class _Params:
-    """Shared per-graph quantities for the graph-level bound operations.
-
-    evaluate_all reads every index value here, so each is computed once, up
-    front; every operation also works standalone.
-    """
+    """Shared per-graph quantities for the graph-level bound operations,
+    found once per graph through :func:`_params`."""
 
     def __init__(self, g: Graph):
-        deg = self.degrees = degrees(g)
+        deg, pc = graph_profile(g)
         self.g = g
         self.m = g.m
         self.dmax = max(deg) if deg else 0
         self.dmin = min(deg) if deg else 0
-        pc = self.pair_counts = degree_pair_counts(g, deg)
+        self.pair_counts = pc
         self.ell = pc.get((self.dmax, self.dmin), 0)
         self.k = sum(c for (a, b), c in pc.items() if a == b)
-        self.isdd = isdd(g, pc)
-        self.ga = geometric_arithmetic(g, deg)
-        self.m2 = zagreb2(g, pc)
+        self.isdd = isdd(g)
+        self.ga = geometric_arithmetic(g)
+        self.m2 = zagreb2(g)
 
     def context(self) -> dict:
         return {
@@ -168,6 +165,11 @@ class _Params:
             raise GraphError("operation requires minimum degree >= 1 (isolated vertex present)")
 
 
+@last_graph_memo
+def _params(g: Graph) -> _Params:
+    return _Params(g)
+
+
 def tree_edge_lower(n: int, di: int, dj: int) -> BoundReport:
     """Tree-specific per-edge lower bound for edges off the (n-1, 1) pair."""
     if n <= 3:
@@ -186,9 +188,9 @@ def tree_edge_lower(n: int, di: int, dj: int) -> BoundReport:
     return BoundReport(BoundId.TREE_EDGE, lhs, rhs, lhs >= rhs, lhs == rhs, "exact", ctx)
 
 
-def lower_bound_ell(g: Graph, params: _Params | None = None) -> BoundReport:
+def lower_bound_ell(g: Graph) -> BoundReport:
     """Lower bound from the edge minimum and second minimum, weighted by ell."""
-    p = params or _Params(g)
+    p = _params(g)
     p.require_edges()
     p.require_min_degree()
     first = edge_min_term(p.dmax, p.dmin)
@@ -200,9 +202,9 @@ def lower_bound_ell(g: Graph, params: _Params | None = None) -> BoundReport:
     return BoundReport(BoundId.LOWER_ELL, lhs, rhs, lhs >= rhs, lhs == rhs, "exact", p.context())
 
 
-def upper_bound_k(g: Graph, params: _Params | None = None) -> BoundReport:
+def upper_bound_k(g: Graph) -> BoundReport:
     """Upper bound from the equal-degree edge count k."""
-    p = params or _Params(g)
+    p = _params(g)
     p.require_edges()
     coef = Fraction(p.dmax * (p.dmax - 1), p.dmax ** 2 + (p.dmax - 1) ** 2)
     rhs = Fraction(p.k, 2) + coef * (p.m - p.k)
@@ -210,9 +212,9 @@ def upper_bound_k(g: Graph, params: _Params | None = None) -> BoundReport:
     return BoundReport(BoundId.UPPER_K, lhs, rhs, lhs <= rhs, lhs == rhs, "exact", p.context())
 
 
-def upper_bound_n_delta(g: Graph, params: _Params | None = None) -> BoundReport:
+def upper_bound_n_delta(g: Graph) -> BoundReport:
     """Coarser upper bound with m replaced by n*max_degree/2."""
-    p = params or _Params(g)
+    p = _params(g)
     p.require_edges()
     coef = Fraction(p.dmax * (p.dmax - 1), p.dmax ** 2 + (p.dmax - 1) ** 2)
     rhs = Fraction(p.k, 2) + coef * (Fraction(g.n * p.dmax, 2) - p.k)
@@ -220,9 +222,9 @@ def upper_bound_n_delta(g: Graph, params: _Params | None = None) -> BoundReport:
     return BoundReport(BoundId.UPPER_NDELTA, lhs, rhs, lhs <= rhs, lhs == rhs, "exact", p.context())
 
 
-def ga_lower_simple(g: Graph, params: _Params | None = None) -> BoundReport:
+def ga_lower_simple(g: Graph) -> BoundReport:
     """Lower bound ga^2/(4m), floating point."""
-    p = params or _Params(g)
+    p = _params(g)
     p.require_edges()
     lhs = float(p.isdd)
     rhs = ga_simple_rhs(p.ga, p.m)
@@ -231,9 +233,9 @@ def ga_lower_simple(g: Graph, params: _Params | None = None) -> BoundReport:
     )
 
 
-def ga_m2_lower(g: Graph, params: _Params | None = None) -> BoundReport:
+def ga_m2_lower(g: Graph) -> BoundReport:
     """Sharper lower bound mixing ga with the second Zagreb index."""
-    p = params or _Params(g)
+    p = _params(g)
     p.require_edges()
     lhs = float(p.isdd)
     rhs = ga_m2_rhs(p.ga, p.m, p.dmax, p.m2)
@@ -242,9 +244,9 @@ def ga_m2_lower(g: Graph, params: _Params | None = None) -> BoundReport:
     )
 
 
-def remark_ordering(g: Graph, params: _Params | None = None) -> BoundReport:
+def remark_ordering(g: Graph) -> BoundReport:
     """Strict comparison: the GA_M2 right side beats the GA_SIMPLE right side."""
-    p = params or _Params(g)
+    p = _params(g)
     p.require_edges()
     lhs = ga_m2_rhs(p.ga, p.m, p.dmax, p.m2)
     rhs = ga_simple_rhs(p.ga, p.m)
@@ -253,12 +255,12 @@ def remark_ordering(g: Graph, params: _Params | None = None) -> BoundReport:
     )
 
 
-def m1_f_lower(g: Graph, params: _Params | None = None) -> BoundReport:
+def m1_f_lower(g: Graph) -> BoundReport:
     """Exact lower bound m1^2/(2f) - m/2."""
-    p = params or _Params(g)
+    p = _params(g)
     p.require_edges()
-    m1 = zagreb1(g, p.degrees, p.pair_counts)
-    f = forgotten(g, p.degrees, p.pair_counts)
+    m1 = zagreb1(g)
+    f = forgotten(g)
     rhs = Fraction(m1 * m1, 2 * f) - Fraction(p.m, 2)
     lhs = p.isdd
     return BoundReport(BoundId.M1_F, lhs, rhs, lhs >= rhs, lhs == rhs, "exact", p.context())
@@ -279,7 +281,7 @@ def _edge_second_min_report(p: _Params) -> BoundReport:
 
 
 def _tree_edge_report(g: Graph, p: _Params) -> BoundReport | SkippedBound:
-    if g.n < 4 or p.m != g.n - 1 or not is_connected(g):
+    if g.n < 4 or p.m != g.n - 1 or not graph_connected(g):
         return SkippedBound(BoundId.TREE_EDGE, "not a tree of order >= 4")
     pairs = [pq for pq in p.pair_counts if pq != (g.n - 1, 1)]
     if not pairs:
@@ -303,7 +305,7 @@ def evaluate_all(g: Graph) -> list[BoundReport | SkippedBound]:
     Bounds whose preconditions are not met come back as SkippedBound entries
     rather than raising, so sweeps over mixed inputs stay total.
     """
-    p = _Params(g)
+    p = _params(g)
     p.require_edges()
     out: list[BoundReport | SkippedBound] = []
 
@@ -322,15 +324,15 @@ def evaluate_all(g: Graph) -> list[BoundReport | SkippedBound]:
     out.append(_tree_edge_report(g, p))
 
     if p.dmin >= 1:
-        out.append(lower_bound_ell(g, p))
+        out.append(lower_bound_ell(g))
     else:
         out.append(SkippedBound(BoundId.LOWER_ELL, "isolated vertex (min degree 0)"))
 
-    out.append(upper_bound_k(g, p))
-    out.append(upper_bound_n_delta(g, p))
-    out.append(ga_lower_simple(g, p))
-    out.append(ga_m2_lower(g, p))
-    out.append(m1_f_lower(g, p))
+    out.append(upper_bound_k(g))
+    out.append(upper_bound_n_delta(g))
+    out.append(ga_lower_simple(g))
+    out.append(ga_m2_lower(g))
+    out.append(m1_f_lower(g))
 
     if p.dmin >= 1 and p.dmax >= p.dmin + 1:
         out.append(_claim1_report(p))
@@ -339,5 +341,5 @@ def evaluate_all(g: Graph) -> list[BoundReport | SkippedBound]:
     else:
         out.append(SkippedBound(BoundId.CLAIM1, "regular graph (max degree = min degree)"))
 
-    out.append(remark_ordering(g, p))
+    out.append(remark_ordering(g))
     return out

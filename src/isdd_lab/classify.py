@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, bipartition, degree_data, degree_pair_counts, is_connected
-from .indices import _degrees
+from .graphs import Graph, GraphError, bipartition, graph_connected, graph_profile
+from .graphs import degrees as _degrees  # unused here; perfbench/layers.py wraps this name
 
 
 class GraphClassLabel(namedtuple("GraphClassLabel", (
@@ -29,8 +29,10 @@ class GraphClassLabel(namedtuple("GraphClassLabel", (
 
 def is_regular(g: Graph) -> int | None:
     """The common degree when all degrees are equal, else None."""
-    dd = degree_data(g)
-    return dd.max_degree if dd.max_degree == dd.min_degree else None
+    deg, _ = graph_profile(g)
+    if not deg:
+        raise GraphError("degree data undefined for the empty vertex set")
+    return deg[0] if max(deg) == min(deg) else None
 
 
 def is_semiregular_bipartite(g: Graph) -> tuple[int, int] | None:
@@ -39,38 +41,25 @@ def is_semiregular_bipartite(g: Graph) -> tuple[int, int] | None:
     Every side-U vertex must have degree r >= 1 and every side-W vertex
     degree s >= 1 under some bipartition.  Regular bipartite graphs report
     (r, r); edgeless graphs and graphs with an isolated vertex report None.
-    Such a graph has the single degree pair (r, s) of :func:`degree_pair_counts`.
+    Such a graph has the single degree pair (r, s) of its degree-pair counts.
     Conversely, with no isolated vertex, a single pair (r, s) gives every
     vertex degree r or s; for r > s the two degrees are the two sides, and
     for r = s the graph is r-regular, so it needs a :func:`bipartition`.
     """
     if g.n < 2:
         raise GraphError(f"semiregular test needs at least 2 vertices, got {g.n}")
-    deg = _degrees(g)
-    return _semiregular_pair(g, deg, degree_pair_counts(g, deg))
-
-
-def _semiregular_pair(g: Graph, deg, pc) -> tuple[int, int] | None:
-    """:func:`is_semiregular_bipartite` of g, whose degrees and degree-pair
-    counts are ``deg`` and ``pc``."""
+    deg, pc = graph_profile(g)
     if 0 in deg or len(pc) != 1:
         return None
     (r, s), = pc
     return (r, s) if r > s or bipartition(g) is not None else None
 
 
-def _connected_with_edges(g: Graph) -> bool:
-    """The precondition of the gamma classes."""
-    return g.n > 0 and g.m > 0 and is_connected(g)
-
-
 def in_gamma1(g: Graph) -> bool:
     """Connected, with ell > 0 extreme-pair edges, m-ell > 0 edges on the
     (max_degree-1, min_degree) pair, and nothing else."""
-    if not _connected_with_edges(g):
-        return False
-    deg = _degrees(g)
-    return _gamma1_pairs(degree_pair_counts(g, deg), max(deg), min(deg))
+    deg, pc = graph_profile(g)
+    return g.m > 0 and graph_connected(g) and _gamma1_pairs(pc, max(deg), min(deg))
 
 
 def _gamma1_pairs(pc, dmax: int, dmin: int) -> bool:
@@ -83,10 +72,8 @@ def in_gamma2(g: Graph) -> bool:
     """Connected, with k > 0 equal-degree edges of common degree max_degree or
     max_degree-1, m-k > 0 edges on the (max_degree, max_degree-1) pair, and
     nothing else."""
-    if not _connected_with_edges(g):
-        return False
-    deg = _degrees(g)
-    return _gamma2_pairs(degree_pair_counts(g, deg), max(deg))
+    deg, pc = graph_profile(g)
+    return g.m > 0 and graph_connected(g) and _gamma2_pairs(pc, max(deg))
 
 
 def _gamma2_pairs(pc, dmax: int) -> bool:
@@ -105,10 +92,8 @@ def in_gamma3(g: Graph) -> bool:
     and the middle degree must be a positive integer; decided from the
     degree-pair counts by :func:`gamma3_from_pairs`.
     """
-    if not _connected_with_edges(g):
-        return False
-    deg = _degrees(g)
-    return gamma3_from_pairs(degree_pair_counts(g, deg), max(deg), min(deg))
+    deg, pc = graph_profile(g)
+    return g.m > 0 and graph_connected(g) and gamma3_from_pairs(pc, max(deg), min(deg))
 
 
 def gamma3_from_pairs(pc: dict[tuple[int, int], int], dmax: int, dmin: int) -> bool:
@@ -133,12 +118,7 @@ def edge_ratio_constant(g: Graph) -> Fraction | None:
     """The common value of (di+dj)/(di^2+dj^2) over all edges, if constant."""
     if g.m == 0:
         raise GraphError("edge ratio undefined for an edgeless graph")
-    return _common_ratio(degree_pair_counts(g))
-
-
-def _common_ratio(pc) -> Fraction | None:
-    """:func:`edge_ratio_constant` from the degree-pair counts of a graph with edges."""
-    pairs = iter(pc)
+    pairs = iter(graph_profile(g)[1])
     a0, b0 = next(pairs)
     num0, den0 = a0 + b0, a0 * a0 + b0 * b0
     for a, b in pairs:
@@ -150,21 +130,20 @@ def _common_ratio(pc) -> Fraction | None:
 def classify(g: Graph) -> GraphClassLabel:
     """All membership verdicts for one graph, with consistency asserted.
 
-    The degrees, degree-pair counts and connectivity are found once, and
-    each family test reads them.
+    Each family test reads the degrees, degree-pair counts and connectivity
+    from :func:`graphs.graph_profile` and :func:`graphs.graph_connected`.
     """
     if g.n == 0:
         return GraphClassLabel(False, None, False, None, False, False, False, False, None)
-    deg = _degrees(g)
+    deg, pc = graph_profile(g)
     dmax, dmin = max(deg), min(deg)
-    pc = degree_pair_counts(g, deg)
-    connected = _connected_with_edges(g)
+    connected = g.m > 0 and graph_connected(g)
     r = dmax if dmax == dmin else None
-    pair = _semiregular_pair(g, deg, pc) if g.n >= 2 else None
+    pair = is_semiregular_bipartite(g) if g.n >= 2 else None
     g1 = connected and _gamma1_pairs(pc, dmax, dmin)
     g2 = connected and _gamma2_pairs(pc, dmax)
     g3 = connected and gamma3_from_pairs(pc, dmax, dmin)
-    ratio = _common_ratio(pc) if g.m >= 1 else None
+    ratio = edge_ratio_constant(g) if g.m >= 1 else None
 
     if r is not None and g.m >= 1:
         assert ratio == Fraction(1, r), "regular graphs have constant ratio 1/r"

@@ -29,7 +29,7 @@ from itertools import compress, repeat
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
 from .classify import classify
-from .graphs import (Graph, GraphError, degree_pair_counts, degrees, input_lines, parse_graph6,
+from .graphs import (Graph, GraphError, graph_connected, graph_profile, input_lines, parse_graph6,
                      write_graph6)
 from .indices import edge_term_isdd
 from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
@@ -454,10 +454,10 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
     :func:`evaluate_all` and :func:`classify` in Fraction arithmetic; the
     records from the helpers the kernel shares: :func:`_kernel.violation`,
     :func:`_kernel.pair_discrepancy` and :func:`_kernel.class_discrepancies`.
+    Each reads the graph's counts from the memos of :mod:`graphs`, found once.
     """
-    from .graphs import is_connected
-
-    connected = g.n >= 1 and is_connected(g)
+    deg, pairs = graph_profile(g)
+    connected = graph_connected(g)
     if (connected_only and not connected) or g.m == 0:
         return {"seen": 1, "checked": 0, "entries": []}
     sel = set(bounds)
@@ -469,8 +469,6 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
 
     if connected:
         label = classify(g)
-        deg = degrees(g)
-        pairs = degree_pair_counts(g, deg)
         dmax, dmin = max(deg), min(deg)
         consecutive = (
             label.semiregular_bipartite

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from isdd_lab import _kernel
 from isdd_lab import enumeration
+from isdd_lab import bounds as bounds_module, classify as classify_module
+from isdd_lab import graphs as graphs_module, indices as indices_module
 from isdd_lab.enumeration import (
     EqualityDiscrepancy,
     StreamError,
@@ -22,9 +24,10 @@ from isdd_lab.enumeration import (
     run_sweep,
     stream_graph6,
 )
-from isdd_lab.graphs import Graph, is_connected, parse_graph6, write_graph6
-from isdd_lab.bounds import ALL_BOUND_IDS
-from isdd_lab.classify import in_gamma3
+from isdd_lab.graphs import Graph, GraphError, is_connected, parse_graph6, write_graph6
+from isdd_lab.bounds import ALL_BOUND_IDS, evaluate_all
+from isdd_lab.classify import classify, in_gamma3
+from isdd_lab.indices import index_vector
 from isdd_lab.cli import main
 import helpers
 from helpers import (
@@ -249,6 +252,61 @@ class TestKernelAgainstReference:
                 mask = rng.randrange(1 << (n * (n - 1) // 2))
                 assert _kernel.mask_to_graph6(n, mask) == write_graph6(_graph_from_mask(n, mask))
                 assert _kernel.edges_to_mask(_graph_from_mask(n, mask).edges) == mask
+
+
+class TestReferenceProfile:
+    """The reference path reads a graph's degrees and degree-pair counts from
+    one memo, ``graphs.graph_profile``, and its connectivity from another,
+    ``graphs.graph_connected``."""
+
+    COUNTED = ("degrees", "degree_pair_counts", "is_connected")
+
+    def test_one_count_per_graph(self, monkeypatch):
+        # every isdd_lab name bound to one of the three functions is counted,
+        # so a module that imported it directly is counted too
+        calls = dict.fromkeys(self.COUNTED, 0)
+        modules = (graphs_module, indices_module, bounds_module, classify_module, enumeration,
+                   _kernel)
+        for name in self.COUNTED:
+            fn = getattr(graphs_module, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        graphs_module.graph_profile.cache_clear()
+        graphs_module.graph_connected.cache_clear()
+        cfg = SweepConfig(n_min=2, n_max=5, connected_only=False)
+        rep = run_sweep(cfg, engine="reference")
+        assert rep.graphs_seen == sum(1 << n * (n - 1) // 2 for n in range(2, 6))
+        assert calls == dict.fromkeys(self.COUNTED, rep.graphs_seen)
+
+    def test_memo_never_leaks_between_graphs(self):
+        every = [Graph(0), *(g for n in range(1, 5) for g in labeled_graphs(n))]
+
+        def outcomes(g):
+            try:
+                reports = evaluate_all(g)
+            except GraphError as exc:  # edgeless
+                reports = str(exc)
+            return (index_vector(g), reports, classify(g),
+                    flat_partial(check_graph_reference(g, ALL_BOUND_IDS, False)))
+
+        want = {}
+        for g in every:
+            graphs_module.graph_profile.cache_clear()
+            graphs_module.graph_connected.cache_clear()
+            bounds_module._params.cache_clear()
+            want[g] = outcomes(g)
+        for a, b in zip(every, every[1:]):
+            copy = Graph(a.n, tuple(list(a.edges)))
+            assert copy == a and copy is not a
+            for g in (a, b, a, copy):
+                assert outcomes(g) == want[g], write_graph6(g)
 
 
 def _per_graph_kernel(graphs, bounds, connected_only):
