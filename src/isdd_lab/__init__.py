@@ -3,14 +3,12 @@ division deg index and companion degree-based graph invariants."""
 
 from .graphs import (
     Bipartition,
-    DegreeData,
     EdgeListError,
     Graph,
     Graph6Error,
     GraphError,
     bipartition,
     count_degree_pair_edges,
-    degree_data,
     is_connected,
     parse_edge_list,
     parse_graph6,

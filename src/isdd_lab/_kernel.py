@@ -632,34 +632,6 @@ def _template(n: int, key: int, sel: frozenset) -> tuple:
     return records if records[0] or records[1] else ()
 
 
-def _tree_form(g: Graph) -> str:
-    """Canonical form of a tree: the AHU encoding rooted at its centre.
-
-    Peeling leaves layer by layer leaves one centre or two adjacent ones.
-    Rooted there, a subtree encodes as "(" + its children's codes sorted + ")";
-    with two centres the smaller of the two encodings is taken.  Two trees
-    get the same form exactly when they are isomorphic.
-    """
-    adj = g.neighbors()
-    left = [len(nb) for nb in adj]
-    layer = [v for v in range(g.n) if left[v] <= 1]
-    remaining = g.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                left[w] -= 1
-                if left[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-
-    def code(v, parent):
-        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
-
-    return min(code(c, -1) for c in layer)
-
-
 @lru_cache(maxsize=None)
 def free_trees(n: int) -> tuple[Graph, ...]:
     """One tree on n vertices per isomorphism class, by the walk of Wright,
@@ -792,25 +764,22 @@ def tree_class_key(n: int):
 
     Isomorphic trees get equal keys, and trees of distinct classes distinct
     ones.  The key is the tree's :func:`tree_signature` where only one free
-    tree (:func:`free_trees`) has that signature; else its
-    :func:`neighbour_degrees` where only one free tree of the signature has
-    those; else its :func:`_tree_form`.  An int, a tuple and a str never
-    compare equal, so the three kinds of key share one set.  At n <= 9 no
-    tree needs its tree form; at n = 10, 4 of the 106 free trees do.
+    tree (:func:`free_trees`) has that signature, else its
+    :func:`neighbour_degrees`; an int and a tuple never compare equal, so the
+    two kinds of key share one set.  Raises ValueError where free trees share
+    both, as 4 of the 106 do at n = 10; at n <= 9, the orders a tree sweep
+    accepts, no two do.
     """
     free = free_trees(n)
     signatures = Counter(map(tree_signature, free))
     shared = {sig for sig, classes in signatures.items() if classes > 1}
-    forms = Counter(neighbour_degrees(tree) for tree in free if tree_signature(tree) in shared)
-    ambiguous = {form for form, classes in forms.items() if classes > 1}
+    forms = [neighbour_degrees(tree) for tree in free if tree_signature(tree) in shared]
+    if len(set(forms)) < len(forms):
+        raise ValueError(f"neighbour degrees do not separate the free trees on {n} vertices")
 
     def key(tree: Graph):
         k = tree_signature(tree)
-        if k in shared:
-            k = neighbour_degrees(tree)
-            if k in ambiguous:
-                k = _tree_form(tree)
-        return k
+        return neighbour_degrees(tree) if k in shared else k
 
     return key
 

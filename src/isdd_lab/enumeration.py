@@ -544,9 +544,10 @@ def _first_tree_of_each_class(n: int, count: int):
                 return
 
 
-def _run_dedup_sweep(cfg: SweepConfig, n: int, count: int) -> dict:
-    """The partial report of order n that checks the first graph of each
-    isomorphism class met in positions [0, count); every position counts as seen.
+def _run_dedup_sweep(cfg: SweepConfig, n: int, count: int, check) -> dict:
+    """The partial report of order n that runs ``check`` (see :func:`_check_each`)
+    on the first graph of each isomorphism class met in positions [0, count);
+    every position counts as seen.
 
     Graphs: two labeled graphs on n vertices are isomorphic exactly when some
     permutation of the vertices maps one onto the other, so a class is the
@@ -571,15 +572,13 @@ def _run_dedup_sweep(cfg: SweepConfig, n: int, count: int) -> dict:
     n = 9 the 47 classes have 40 signatures.  The trees of a signature that
     several free trees share are told apart by their neighbours' degrees
     (:func:`_kernel.neighbour_degrees`), which settle every class at n <= 9,
-    and only where free trees share those too by their tree form
-    (:func:`_kernel._tree_form`, equal exactly for isomorphic trees; 4 of
-    the 106 classes at n = 10).  There are ``len(_kernel.free_trees(n))``
+    the orders a tree sweep accepts.  There are ``len(_kernel.free_trees(n))``
     classes, so once it has met that many, every later tree belongs to a
     class already checked and the walk stops: at n = 9 the last class turns
     up at rank 74,733 of 4,782,969.
     """
     first = _first_tree_of_each_class if cfg.trees else _first_of_each_class
-    partial = _check_each(cfg, first(n, count), _kernel.check_graph_kernel)
+    partial = _check_each(cfg, first(n, count), check)
     partial["seen"] = count  # every position, not only the graphs checked
     return partial
 
@@ -634,7 +633,7 @@ def run_sweep(cfg: SweepConfig, graphs=None, engine: str = "fast") -> SweepRepor
         cfg.validate()
         for n, count in _enumerated_counts(cfg):
             if cfg.dedup:
-                partial = _run_dedup_sweep(cfg, n, count)
+                partial = _run_dedup_sweep(cfg, n, count, check)
             elif engine == "reference":
                 source = labeled_trees if cfg.trees else labeled_graphs
                 partial = _check_each(cfg, itertools.islice(source(n), count), check)

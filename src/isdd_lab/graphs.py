@@ -106,10 +106,6 @@ class Graph(namedtuple("Graph", "n edges")):
         return tuple(tuple(a) for a in adj)
 
 
-class DegreeData(namedtuple("DegreeData", "degrees max_degree min_degree")):
-    __slots__ = ()
-
-
 class Bipartition(namedtuple("Bipartition", "side_of")):
     """Two-coloring of the vertices; every edge joins side 0 (U) to side 1 (W)."""
 
@@ -164,14 +160,6 @@ def _pair_key_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     that its first degree is the larger, for degrees a, b < n.  n^2 tuples,
     about 0.2 MB at n = 62."""
     return tuple(tuple((a, b) if a >= b else (b, a) for b in range(n)) for a in range(n))
-
-
-def degree_data(g: Graph) -> DegreeData:
-    """Per-vertex degrees plus the maximum and minimum degree."""
-    if g.n == 0:
-        raise GraphError("degree data undefined for the empty vertex set")
-    deg = degrees(g)
-    return DegreeData(tuple(deg), max(deg), min(deg))
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,7 +11,7 @@ from isdd_lab.classify import (
     is_regular,
     is_semiregular_bipartite,
 )
-from isdd_lab.graphs import Graph, GraphError, degree_data
+from isdd_lab.graphs import Graph, GraphError, degrees
 from helpers import (
     complete_bipartite,
     complete_graph,
@@ -133,11 +133,11 @@ class TestGammaFamilies:
 
 class TestH3Structure:
     def test_degree_profile(self):
-        dd = degree_data(h3_graph())
-        assert sorted(set(dd.degrees)) == [6, 9, 18]
-        assert dd.degrees.count(18) == 9
-        assert dd.degrees.count(6) == 9
-        assert dd.degrees.count(9) == 12
+        deg = degrees(h3_graph())
+        assert sorted(set(deg)) == [6, 9, 18]
+        assert deg.count(18) == 9
+        assert deg.count(6) == 9
+        assert deg.count(9) == 12
 
     def test_middle_degree_formula(self):
         # 18*(18-6)/(18+6) = 9

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import multiprocessing
@@ -674,7 +675,7 @@ class TestOrbitTable:
 class TestTreeClassKey:
     def test_keys_separate_classes_and_ignore_labels(self):
         rng = random.Random(20)
-        for n in range(2, 12):
+        for n in range(2, 10):
             trees = _kernel.free_trees(n)
             key = _kernel.tree_class_key(n)
             keys = [key(t) for t in trees]
@@ -686,9 +687,18 @@ class TestTreeClassKey:
                     relabeled = Graph(n, tuple(sorted(tuple(sorted((perm[i], perm[j])))
                                                       for i, j in tree.edges)))
                     assert key(relabeled) == k, (n, tree)
-            # the tree form settles only what neighbour degrees cannot
-            forms = sum(isinstance(k, str) for k in keys)
-            assert forms == {10: 4, 11: 18}.get(n, 0), n
+            # neighbour degrees key exactly the trees whose signature several
+            # free trees share: 23 classes have 21 signatures at n = 8, 47
+            # have 40 at n = 9
+            signatures = collections.Counter(map(_kernel.tree_signature, trees))
+            assert len(signatures) == {8: 21, 9: 40}.get(n, len(trees)), n
+            shared = sum(c for c in signatures.values() if c > 1)
+            assert sum(isinstance(k, tuple) for k in keys) == shared, n
+            assert shared == {8: 4, 9: 14}.get(n, 0), n
+
+    def test_refused_where_neighbour_degrees_are_shared(self):
+        with pytest.raises(ValueError, match="10 vertices"):
+            _kernel.tree_class_key(10)
 
 
 class TestSilentTreeOrders:
@@ -1020,7 +1030,7 @@ TREE_CLASSES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 
 
 class TestDedupSweep:
-    """The orbit-flagging walk (graphs) and the tree-form walk (trees) check
+    """The orbit-flagging walk (graphs) and the class-key walk (trees) check
     exactly the first graph of each class."""
 
     def test_graphs_match_oracle(self):
@@ -1059,6 +1069,27 @@ class TestDedupSweep:
             rep = run_sweep(SweepConfig(n_min=n, n_max=n, dedup=True, trees=True))
             assert rep.graphs_checked == count, n
             assert rep.graphs_seen == n ** (n - 2)
+
+    def test_runs_the_engine_it_is_given(self, monkeypatch):
+        # each engine's check runs once on the first graph of every class met,
+        # the other engine's never, and the two reports are equal
+        calls = []
+        for module, name in ((_kernel, "check_graph_kernel"),
+                             (enumeration, "check_graph_reference")):
+            monkeypatch.setattr(module, name, lambda g, *rest, name=name, check=getattr(module, name):
+                                calls.append(name) or check(g, *rest))
+        cases = ((SweepConfig(n_min=2, n_max=5, dedup=True),
+                  sum(GRAPH_CLASSES[n] for n in range(2, 6))),
+                 (SweepConfig(n_min=2, n_max=7, dedup=True, trees=True),
+                  sum(TREE_CLASSES[n] for n in range(2, 8))))
+        for cfg, classes in cases:
+            reports = []
+            for engine, name in (("fast", "check_graph_kernel"),
+                                 ("reference", "check_graph_reference")):
+                calls.clear()
+                reports.append(report_dict(run_sweep(cfg, engine=engine)))
+                assert calls == [name] * classes, (cfg.trees, engine)
+            assert reports[0] == reports[1], cfg.trees
 
 
 CONFIG = {"n_min": 2, "n_max": 7, "connected_only": True, "dedup": False,
