@@ -193,7 +193,7 @@ class SweepReport:
         if any(map(operator.eq, map(_GRAPH6, entries), map(_GRAPH6, entries[1:]))):
             entries = [(g6, _joined(map(_RECORDS, group)))
                        for g6, group in itertools.groupby(entries, _GRAPH6)]
-        ordered = _Memo(_in_report_order)
+        ordered = _kernel.Memo(_in_report_order)
         self._entries = list(zip(map(_GRAPH6, entries),
                                  map(ordered.__getitem__, map(_RECORDS, entries))))
         self._flat = None
@@ -294,18 +294,6 @@ _GRAPH6 = _VIOLATIONS = _BOUND_ID = operator.itemgetter(0)
 _RECORDS = _DISCREPANCIES = operator.itemgetter(1)
 
 
-class _Memo(dict):
-    """``fn(key)`` for each key looked up, computed on the first lookup."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _joined(records_of_one_graph) -> tuple:
     """One records pair holding the records of several, in turn."""
     parts = list(records_of_one_graph)
@@ -343,7 +331,7 @@ def _section_blocks(entries: list, side: int, text, escape):
     """
     cls, kind = _RECORD_TYPES[side], operator.itemgetter(side)
     slot = escape(_SLOT)
-    parts = _Memo(lambda records: text([cls(_SLOT, *rec) for rec in records]).split(slot))
+    parts = _kernel.Memo(lambda records: text([cls(_SLOT, *rec) for rec in records]).split(slot))
     entries = list(compress(entries, map(kind, map(_RECORDS, entries))))
     for lo in range(0, len(entries), WRITE_BLOCK):
         block = entries[lo:lo + WRITE_BLOCK]
@@ -590,14 +578,12 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
     :func:`check_graph_reference`; their per-graph partials are summed here,
     so the report merges once.  The selection is built once, as the frozenset
     both take.  A StreamError item counts as seen only, and a stream stops
-    once ``budget`` items have been seen.
+    once ``budget`` items have been seen, without pulling another.
     """
     seen = checked = 0
     entries: list = []
     bounds, connected_only = frozenset(cfg.bounds), cfg.connected_only
-    for item in graphs:
-        if seen == budget:
-            break
+    for item in itertools.islice(graphs, budget):
         seen += 1
         if isinstance(item, StreamError):
             continue

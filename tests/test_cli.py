@@ -453,6 +453,19 @@ class TestSweep:
         assert "error: max_graphs must be non-negative" in err
         assert out == ""
 
+    @pytest.mark.parametrize("cut, stdin_text, seen", [
+        ("1", "Ch\nbad!\n", 1),  # the bad line is past the cut
+        ("0", "bad!\nCh\n", 0),
+    ], ids=["cut-1", "cut-0"])
+    def test_stdin_max_graphs_reads_no_line_past_the_cut(self, monkeypatch, capsys, cut,
+                                                          stdin_text, seen):
+        code, out, err = run_cli(
+            ["sweep", "--stdin-graph6", "--max-graphs", cut], stdin_text, monkeypatch, capsys,
+        )
+        assert code == 0
+        assert "parse error" not in err
+        assert f"seen={seen} checked={seen} violations=0 " in err
+
     def test_stdin_any_order_matches_reference(self, tmp_path, monkeypatch, capsys):
         # orders 4, 9, 14 and 30, outside the default --n-min/--n-max range
         lines = ["Ch", write_graph6(path_graph(9)), write_graph6(h2_graph()),

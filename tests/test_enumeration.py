@@ -934,6 +934,20 @@ class TestRunSweep:
             assert fast["equality_discrepancies"]
             assert (fast["graphs_checked"] < len(lines)) == connected_only
 
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_stream_cut_pulls_no_item_past_it(self, budget):
+        # a stream that fails when pulled past the cut: the sweep stops at
+        # max_graphs items, on both engines
+        def stream():
+            yield from itertools.islice(itertools.cycle([parse_graph6("Ch"), path_graph(5)]),
+                                        budget)
+            raise AssertionError("pulled past the --max-graphs cut")
+
+        for engine in ("fast", "reference"):
+            cfg = SweepConfig(n_min=2, n_max=7, max_graphs=budget)
+            rep = run_sweep(cfg, graphs=stream(), engine=engine)
+            assert (rep.graphs_seen, rep.graphs_checked) == (budget, budget), engine
+
     def test_external_large_graph(self):
         rep = run_sweep(SweepConfig(n_min=2, n_max=7), graphs=iter([h3_graph()]))
         assert rep.graphs_checked == 1

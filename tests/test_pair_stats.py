@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from helpers import equality_cases, flat_partial
 from isdd_lab import _kernel
-from isdd_lab.bounds import ALL_BOUND_IDS, approx_eq, approx_ge
+from isdd_lab.bounds import ALL_BOUND_IDS, approx_eq, approx_ge, claim1_chain
 from isdd_lab.enumeration import _first_of_each_class, check_graph_reference, labeled_graphs
 from isdd_lab.graphs import Graph, degree_pair_counts, degrees
 
@@ -199,3 +199,61 @@ def test_exact_ties_at_long_header_orders(monkeypatch):
         assert flat_partial(fast) == flat_partial(ref), g.n
     assert len(calls) == len(cases)
     assert all(map(any, zip(*(equalities for _, equalities in calls))))
+
+
+def test_pair_terms_table_is_bit_identical():
+    # every pair's terms, the GA term bit for bit with the expression it
+    # stands for, over small degrees and the Delta ~ 10^6 pairs of the
+    # unrealizable inputs
+    pairs = {(a, b) for a in range(1, 301) for b in range(1, a + 1)}
+    big = {pair for *_, pc, _ in _unrealizable_inputs() for pair in pc if pair[0] > 10**4}
+    assert len(big) > 1000
+    for a, b in sorted(pairs | big):
+        p, q, s, ga_term = _kernel.PAIR_TERMS[a, b]
+        assert (p, q, s) == (a * b, a * a + b * b, a + b)
+        assert ga_term.hex() == (2.0 * math.sqrt(a * b) / (a + b)).hex(), (a, b)
+
+
+def test_extremes_table_matches_claim1_chain():
+    # the CLAIM1 entry is a record exactly where the Fraction chain fails
+    # (nowhere), and the other constants are those of (Delta, delta)
+    for dmax in range(2, 1001):
+        for dmin in range(1, dmax):
+            entry = _kernel._extreme_constants((dmax, dmin))
+            top, q1, p1, dm1, q2, p2, want, qk, pk, claim1, gamma2_keys = entry
+            assert (claim1 is None) == claim1_chain(dmax, dmin), (dmax, dmin)
+            assert top == (dmax, dmin) and (p1, q1) == (dmax * dmin, dmax**2 + dmin**2)
+            assert (dm1, p2, q2) == (dmax - 1, (dmax - 1) * dmin, (dmax - 1)**2 + dmin**2)
+            assert want == (max(dm1, dmin), min(dm1, dmin))
+            assert (pk, qk) == (dmax * dm1, dmax**2 + dm1**2)
+            assert gamma2_keys == ((dmax, dm1), (dmax, dmax), (dm1, dm1))
+    assert _kernel._extreme_constants((1, 1))[-1] == ((1, 0), (1, 1), None)
+
+
+def test_cold_tables_give_the_warm_records():
+    # the records do not depend on what the process-wide tables held before
+    # a call, and neither table grows past its cap
+    sel = frozenset(ALL_BOUND_IDS)
+    inputs = _unrealizable_inputs()[:10_000]
+    warm = [_kernel.check_pair_stats(*args, sel) for args in inputs]
+    cold = []
+    for args in inputs:
+        _kernel.PAIR_TERMS.clear()
+        _kernel.EXTREMES.clear()
+        cold.append(_kernel.check_pair_stats(*args, sel))
+    assert cold == warm
+    for args in _unrealizable_inputs():
+        _kernel.check_pair_stats(*args, sel)
+    assert 0 < len(_kernel.PAIR_TERMS) <= _kernel.TABLE_CAP
+    assert 0 < len(_kernel.EXTREMES) <= _kernel.TABLE_CAP
+
+
+def test_tables_empty_at_their_cap():
+    # a table that reaches its cap starts again from empty, and still
+    # answers every lookup
+    table = _kernel.Memo(_kernel._pair_terms, 8)
+    sizes = []
+    for a in range(1, 30):
+        assert table[a, 1] == _kernel._pair_terms((a, 1))
+        sizes.append(len(table))
+    assert max(sizes) == 8 and sizes[8] == 1
