@@ -46,9 +46,12 @@ it fixes every input of :func:`check_pair_stats`:
 So every verdict, every record but its graph6 field, is a function of
 (n, signature).  A scan renders graph6 once for each graph whose signature
 has records, and keeps the graph as one entry (graph6, records), its
-records being the signature's shared template.  Every check here returns a
+records being the signature's shared template.  Each scan returns a
 partial report ``{"seen", "checked", "entries"}`` with one such entry per
-graph that has records (:meth:`enumeration.SweepReport.merge`).  The float
+graph that has records (:meth:`enumeration.SweepReport.merge`).  The
+per-graph check, :func:`check_graph_kernel`, returns one graph's records
+alone: which graphs are checked, their connectivity and their graph6 are
+decided by the sweep loop (:func:`enumeration._check_each`).  The float
 GA sums run in pair order, not edge order; they may differ in the last
 bits, far inside the 1e-9 tolerance of those checks.
 
@@ -111,10 +114,11 @@ from functools import lru_cache, reduce
 from itertools import compress, repeat
 from math import factorial, gcd, sqrt
 
-from . import graphs
-from .bounds import STRICT_MARGIN, approx_eq, approx_ge, ga_m2_rhs, ga_simple_rhs, side_text
+from .bounds import (STRICT_MARGIN, approx_eq, approx_ge, claim1_chain, edge_second_min_term,
+                     ga_m2_rhs, ga_simple_rhs, side_text)
 from .classify import gamma3_from_pairs as _lazy_gamma3
 from .graphs import Graph, degree_pair_counts, degrees
+from .indices import edge_term_isdd
 from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
 
 # Classes whose membership is expected to coincide with equality, per check id.
@@ -284,17 +288,6 @@ def orbit(n: int, mask: int) -> memoryview:
     return memoryview(packed.to_bytes(4 * factorial(n), sys.byteorder)).cast("I")
 
 
-def _min_edge_term(pairs) -> tuple[int, int]:
-    """(ab, a^2 + b^2) of the pair (a, b) with the smallest edge term ab/(a^2+b^2),
-    compared by cross-multiplication; the first such pair on ties."""
-    it = iter(pairs)
-    ma, mb = next(it)
-    for a, b in it:
-        if a * b * (ma * ma + mb * mb) < ma * mb * (a * a + b * b):
-            ma, mb = a, b
-    return ma * mb, ma * ma + mb * mb
-
-
 # the four exact bounds on the index, in record order, each with the sign of
 # its slack: 1 for a lower bound (index >= bound), -1 for an upper one
 _EXACT_BOUNDS = (("LOWER_ELL", 1), ("UPPER_K", -1), ("UPPER_NDELTA", -1), ("M1_F", 1))
@@ -341,8 +334,8 @@ def _extreme_constants(extremes: tuple[int, int]) -> tuple:
     (Delta, delta) with its ab and a^2 + b^2 as p1 and q1, dm1 = Delta - 1,
     (Delta - 1, delta)'s as p2 and q2 and that pair in (larger, smaller)
     order as want, (Delta, Delta - 1)'s as pk and qk, CLAIM1's violation
-    record (its chain, :func:`bounds.claim1_chain`, by cross-multiplication)
-    or None when the chain holds or does not apply, and the pairs gamma2
+    record, with the sides :func:`bounds.evaluate_all` gives it, where
+    :func:`bounds.claim1_chain` fails, else None, and the pairs gamma2
     reads: (Delta, Delta - 1), (Delta, Delta) and (Delta - 1, Delta - 1),
     None for the last when Delta - 1 < 1.
     """
@@ -354,16 +347,9 @@ def _extreme_constants(extremes: tuple[int, int]) -> tuple:
     p2 = dm1 * dmin
     want = (dm1, dmin) if dm1 >= dmin else (dmin, dm1)
     claim1 = None
-    if dmin >= 1 and dmax >= dmin + 1:
-        pm = dmax * (dmin + 1)
-        qm = dmax * dmax + (dmin + 1) * (dmin + 1)
-        ok = p2 * qm <= pm * q2
-        if ok and dmax >= dmin + 2:
-            pr = dm1 * (dmin + 1)
-            qr = dm1 * dm1 + (dmin + 1) * (dmin + 1)
-            ok = pm * qr <= pr * qm
-        if not ok:
-            claim1 = violation("CLAIM1", Fraction(p2, q2), Fraction(pm, qm))
+    if 1 <= dmin < dmax and not claim1_chain(dmax, dmin):
+        claim1 = violation("CLAIM1", edge_second_min_term(dmax, dmin),
+                           edge_term_isdd(dmax, dmin + 1))
     gamma2_keys = (dmax, dm1), (dmax, dmax), (dm1, dm1) if dm1 >= 1 else None
     return (extremes, q1, p1, dm1, q2, p2, want, dmax * dmax + dm1 * dm1, dmax * dm1, claim1,
             gamma2_keys)
@@ -572,8 +558,8 @@ def check_pair_stats(
         if star not in pc:
             least = pe, qe
         else:  # only the star itself, unless the input is not a graph
-            applicable = [pair for pair in pc if pair != star]
-            least = _min_edge_term(applicable) if applicable else None
+            least = min([terms[pair][:2] for pair in pc if pair != star],
+                        key=lambda pq: Fraction(*pq), default=None)
         if least and least[0] * td < tn * least[1]:
             violations.append(violation("TREE_EDGE", Fraction(*least), Fraction(tn, td)))
 
@@ -1203,21 +1189,8 @@ def scan_tree_ranks(
     return {"seen": count, "checked": count, "entries": entries}
 
 
-def check_graph_kernel(g: Graph, bounds: tuple[str, ...], connected_only: bool) -> dict:
-    """Kernel checks for one graph, whatever its order.
-
-    A graph with fewer than n - 1 edges is disconnected without the
-    union-find of :func:`graphs.is_connected`.  ``bounds`` may already be
-    the frozenset of the selection, which ``frozenset`` then returns as is.
-    """
-    n, edges = g
-    m = len(edges)
-    connected = m > 0 and m >= n - 1 and graphs.is_connected(g)
-    if not m or (connected_only and not connected):
-        return {"seen": 1, "checked": 0, "entries": []}
+def check_graph_kernel(g: Graph, connected: bool, sel: frozenset) -> tuple[tuple, tuple]:
+    """The records of one graph with an edge, whatever its order, as
+    :func:`check_pair_stats` gives them; ``connected`` is whether g is."""
     deg = degrees(g)
-    records = check_pair_stats(n, m, deg, degree_pair_counts(g, deg), connected,
-                               frozenset(bounds))
-    if records[0] or records[1]:
-        return {"seen": 1, "checked": 1, "entries": [(graphs.write_graph6(g), records)]}
-    return {"seen": 1, "checked": 1, "entries": []}
+    return check_pair_stats(g.n, len(g.edges), deg, degree_pair_counts(g, deg), connected, sel)

@@ -164,8 +164,8 @@ class SweepReport:
         self._add([(g6, (tuple(v), tuple(d))) for g6, (v, d) in groups.items()])
 
     def merge(self, partial: dict):
-        """Add a partial report ``{"seen", "checked", "entries"}``, as the checks
-        of :mod:`_kernel` and :func:`check_graph_reference` return it."""
+        """Add a partial report ``{"seen", "checked", "entries"}``, as the scans
+        of :mod:`_kernel` and :func:`_check_each` return it."""
         self.graphs_seen += partial["seen"]
         self.graphs_checked += partial["checked"]
         self._add(partial["entries"])
@@ -433,22 +433,20 @@ def stream_graph6(lines):
             yield StreamError(line_no, str(exc))
 
 
-def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: bool) -> dict:
+def check_graph_reference(g: Graph, connected: bool, sel: frozenset) -> tuple[tuple, tuple]:
     """Reference per-graph checking built on the public bound/classify API.
 
-    Produces records identical to the kernel path.  It is the oracle the
-    test suite holds the kernel to, and the engine of
-    ``run_sweep(engine="reference")``.  Verdicts come from
-    :func:`evaluate_all` and :func:`classify` in Fraction arithmetic; the
-    records from the helpers the kernel shares: :func:`_kernel.violation`,
-    :func:`_kernel.pair_discrepancy` and :func:`_kernel.class_discrepancies`.
-    Each reads the graph's counts from the memos of :mod:`graphs`, found once.
+    The records (violations, discrepancies) of one graph with an edge for
+    the bound ids in ``sel``, ``connected`` being whether g is; identical to
+    :func:`_kernel.check_graph_kernel`'s.  It is the oracle the test suite
+    holds the kernel to, and the engine of ``run_sweep(engine="reference")``.
+    Verdicts come from :func:`evaluate_all` and :func:`classify` in Fraction
+    arithmetic; the records from the helpers the kernel shares:
+    :func:`_kernel.violation`, :func:`_kernel.pair_discrepancy` and
+    :func:`_kernel.class_discrepancies`.  Each reads the graph's counts from
+    the memos of :mod:`graphs`, found once.
     """
     deg, pairs = graph_profile(g)
-    connected = graph_connected(g)
-    if (connected_only and not connected) or g.m == 0:
-        return {"seen": 1, "checked": 0, "entries": []}
-    sel = set(bounds)
     reports = {r.bound_id.value: r for r in evaluate_all(g)
                if not isinstance(r, SkippedBound) and r.bound_id.value in sel}
     violations = [_kernel.violation(bid, rep.lhs, rep.rhs)
@@ -478,10 +476,7 @@ def check_graph_reference(g: Graph, bounds: tuple[str, ...], connected_only: boo
                        if p not in named and edge_term_isdd(*p) == reports[bid].rhs]
                 if bad:
                     discrepancies.append(_kernel.pair_discrepancy(bid, bad))
-    if not (violations or discrepancies):
-        return {"seen": 1, "checked": 1, "entries": []}
-    return {"seen": 1, "checked": 1,
-            "entries": [(write_graph6(g), (tuple(violations), tuple(discrepancies)))]}
+    return tuple(violations), tuple(discrepancies)
 
 
 def _enumerated_counts(cfg: SweepConfig):
@@ -574,22 +569,30 @@ def _run_dedup_sweep(cfg: SweepConfig, n: int, count: int, check) -> dict:
 def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> dict:
     """One partial report for ``check`` run on each graph of ``graphs`` in turn.
 
+    The one place that decides, graph by graph, what a sweep checks.  Every
+    item counts as seen; a StreamError or a graph with no edge is not
+    checked, nor, under ``connected_only``, a disconnected graph.  A graph
+    with fewer than n - 1 edges is disconnected without a connectivity test.
     ``check`` is :func:`_kernel.check_graph_kernel` or
-    :func:`check_graph_reference`; their per-graph partials are summed here,
-    so the report merges once.  The selection is built once, as the frozenset
-    both take.  A StreamError item counts as seen only, and a stream stops
-    once ``budget`` items have been seen, without pulling another.
+    :func:`check_graph_reference`, called as ``check(g, connected, sel)`` with
+    the selection built once as a frozenset; only a graph with records is
+    rendered as graph6, for its entry.  A stream stops once ``budget`` items
+    have been seen, without pulling another.
     """
     seen = checked = 0
     entries: list = []
-    bounds, connected_only = frozenset(cfg.bounds), cfg.connected_only
-    for item in itertools.islice(graphs, budget):
+    sel, connected_only = frozenset(cfg.bounds), cfg.connected_only
+    for g in itertools.islice(graphs, budget):
         seen += 1
-        if isinstance(item, StreamError):
+        if isinstance(g, StreamError) or not g.edges:
             continue
-        partial = check(item, bounds, connected_only)
-        checked += partial["checked"]
-        entries += partial["entries"]
+        connected = len(g.edges) >= g.n - 1 and graph_connected(g)
+        if connected_only and not connected:
+            continue
+        checked += 1
+        records = check(g, connected, sel)
+        if records[0] or records[1]:
+            entries.append((write_graph6(g), records))
     return {"seen": seen, "checked": checked, "entries": entries}
 
 

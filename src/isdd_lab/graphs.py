@@ -222,7 +222,8 @@ def graph_profile(g: Graph) -> tuple[list[int], dict[tuple[int, int], int]]:
 @last_graph_memo
 def graph_connected(g: Graph) -> bool:
     """:func:`is_connected` of g (False for n = 0), once per graph for the
-    reference path; apart from the profile, which ``compute`` reads alone."""
+    sweep loop (:func:`enumeration._check_each`) and the reference path;
+    apart from the profile, which ``compute`` reads alone."""
     return g.n > 0 and is_connected(g)
 
 

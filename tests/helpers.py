@@ -232,6 +232,22 @@ def flat_records(entries) -> tuple[list, list]:
             [(g6, *rec) for g6, (_, discrepancies) in entries for rec in discrepancies])
 
 
+def per_graph_partial(check, g: Graph, bounds, connected_only: bool) -> dict:
+    """The partial report ``{"seen", "checked", "entries"}`` of one graph,
+    ``check`` being either engine's per-graph check.
+
+    Which graphs are checked is stated here with ``is_connected``, apart from
+    the sweep's rule: a graph with an edge, and under ``connected_only`` a
+    connected one.
+    """
+    connected = g.m > 0 and is_connected(g)
+    if not g.m or (connected_only and not connected):
+        return {"seen": 1, "checked": 0, "entries": []}
+    records = check(g, connected, frozenset(bounds))
+    entries = [(write_graph6(g), records)] if records[0] or records[1] else []
+    return {"seen": 1, "checked": 1, "entries": entries}
+
+
 def flat_partial(part: dict) -> dict:
     """A partial report with its entries as sorted flat record lists: record
     order within one graph, and graph order within a partial, are not
@@ -267,14 +283,16 @@ def enumerated(cfg):
 
 def oracle_checked_report(items, cfg) -> SweepReport:
     """The report of ``cfg``'s checks run on each graph of ``items`` on its
-    own by the reference path, built from their flat records in item order
-    (:func:`oracle_report`); any other item, a StreamError, counts as seen only."""
+    own by the reference path (:func:`per_graph_partial`), built from their
+    flat records in item order (:func:`oracle_report`); any other item, a
+    StreamError, counts as seen only."""
     seen = checked = 0
     violations, discrepancies = [], []
     for item in items:
         seen += 1
         if isinstance(item, Graph):
-            part = check_graph_reference(item, cfg.bounds, cfg.connected_only)
+            part = per_graph_partial(check_graph_reference, item, cfg.bounds,
+                                     cfg.connected_only)
             checked += part["checked"]
             more = flat_records(part["entries"])
             violations += more[0]

@@ -410,8 +410,8 @@ class TestSweep:
     def test_stdin_violation_outranks_parse_error(self, monkeypatch, capsys):
         from isdd_lab import _kernel
 
-        def fake_kernel(g, bounds, connected_only):
-            return {"seen": 1, "checked": 1, "entries": [("Ch", ((("LOWER_ELL", "0", "1"),), ()))]}
+        def fake_kernel(g, connected, sel):
+            return (("LOWER_ELL", "0", "1"),), ()
 
         monkeypatch.setattr(_kernel, "check_graph_kernel", fake_kernel)
         code, out, err = run_cli(
@@ -685,8 +685,8 @@ class _ClosedPipe(io.TextIOBase):
 def _force_violation(monkeypatch):
     from isdd_lab import _kernel
 
-    def fake_kernel(g, bounds, connected_only):
-        return {"seen": 1, "checked": 1, "entries": [("Ch", ((("LOWER_ELL", "0", "1"),), ()))]}
+    def fake_kernel(g, connected, sel):
+        return (("LOWER_ELL", "0", "1"),), ()
 
     monkeypatch.setattr(_kernel, "check_graph_kernel", fake_kernel)
 

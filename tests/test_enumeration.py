@@ -42,6 +42,7 @@ from helpers import (
     oracle_report,
     oracle_report_text,
     path_graph,
+    per_graph_partial,
 )
 
 
@@ -215,8 +216,8 @@ class TestKernelAgainstReference:
         # record order within one graph is not contractual (reports sort at
         # finalize), so compare sorted partials
         for g in graphs:
-            fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only)
-            ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only)
+            fast = per_graph_partial(_kernel.check_graph_kernel, g, ALL_BOUND_IDS, connected_only)
+            ref = per_graph_partial(check_graph_reference, g, ALL_BOUND_IDS, connected_only)
             assert flat_partial(fast) == flat_partial(ref), \
                 f"diverges on {write_graph6(g)} (n={g.n})"
 
@@ -258,7 +259,7 @@ class TestKernelAgainstReference:
 class TestReferenceProfile:
     """The reference path reads a graph's degrees and degree-pair counts from
     one memo, ``graphs.graph_profile``, and its connectivity from another,
-    ``graphs.graph_connected``."""
+    ``graphs.graph_connected``, which the sweep loop fills."""
 
     COUNTED = ("degrees", "degree_pair_counts", "is_connected")
 
@@ -283,8 +284,10 @@ class TestReferenceProfile:
         graphs_module.graph_connected.cache_clear()
         cfg = SweepConfig(n_min=2, n_max=5, connected_only=False)
         rep = run_sweep(cfg, engine="reference")
-        assert rep.graphs_seen == sum(1 << n * (n - 1) // 2 for n in range(2, 6))
-        assert calls == dict.fromkeys(self.COUNTED, rep.graphs_seen)
+        # the counts run once per checked graph, a graph with an edge; the
+        # connectivity test once per graph with at least n - 1 edges
+        assert (rep.graphs_seen, rep.graphs_checked) == (1098, 1094)
+        assert calls == {"degrees": 1094, "degree_pair_counts": 1094, "is_connected": 895}
 
     def test_memo_never_leaks_between_graphs(self):
         every = [Graph(0), *(g for n in range(1, 5) for g in labeled_graphs(n))]
@@ -295,7 +298,7 @@ class TestReferenceProfile:
             except GraphError as exc:  # edgeless
                 reports = str(exc)
             return (index_vector(g), reports, classify(g),
-                    flat_partial(check_graph_reference(g, ALL_BOUND_IDS, False)))
+                    flat_partial(per_graph_partial(check_graph_reference, g, ALL_BOUND_IDS, False)))
 
         want = {}
         for g in every:
@@ -313,7 +316,7 @@ class TestReferenceProfile:
 def _per_graph_kernel(graphs, bounds, connected_only):
     out = {"seen": 0, "checked": 0, "entries": []}
     for g in graphs:
-        part = _kernel.check_graph_kernel(g, bounds, connected_only)
+        part = per_graph_partial(_kernel.check_graph_kernel, g, bounds, connected_only)
         for key in out:
             out[key] += part[key]
     return flat_partial(out)
@@ -490,7 +493,9 @@ class TestSignatureScans:
             return Graph.from_edges(n, _kernel.prufer_edges(seq, n))
 
         def recorded(n, rank):
-            return bool(_kernel.check_graph_kernel(tree(n, rank), ALL_BOUND_IDS, True)["entries"])
+            part = per_graph_partial(_kernel.check_graph_kernel, tree(n, rank), ALL_BOUND_IDS,
+                                     True)
+            return bool(part["entries"])
 
         def end_near(n, rank, step):
             while not (recorded(n, rank - 1) and recorded(n, rank)):
@@ -524,13 +529,13 @@ class TestSignatureScans:
                 for i, j in g.edges} == {(6, 2), (6, 3)}
         assert in_gamma3(g)
         mask = _kernel.edges_to_mask(g.edges)
-        want = flat_partial(check_graph_reference(g, ALL_BOUND_IDS, True))
+        want = flat_partial(per_graph_partial(check_graph_reference, g, ALL_BOUND_IDS, True))
         assert want == _per_graph_kernel([g], ALL_BOUND_IDS, True)
         assert want == flat_partial(
             _kernel.scan_graph_masks(10, mask, mask + 1, ALL_BOUND_IDS, True))
         assert not want["discrepancies"]
         monkeypatch.setattr(_kernel, "_lazy_gamma3", lambda *args: False)
-        part = flat_partial(_kernel.check_graph_kernel(g, ALL_BOUND_IDS, True))
+        part = flat_partial(per_graph_partial(_kernel.check_graph_kernel, g, ALL_BOUND_IDS, True))
         assert [rec[1] for rec in part["discrepancies"]] == ["RATIO_CONSTANT"]
 
 
@@ -557,7 +562,8 @@ class TestClassRule:
         for g in self._graphs():
             want = helpers.oracle_class_discrepancies(g)
             for check in (_kernel.check_graph_kernel, check_graph_reference):
-                records = flat_partial(check(g, ALL_BOUND_IDS, True))["discrepancies"]
+                part = per_graph_partial(check, g, ALL_BOUND_IDS, True)
+                records = flat_partial(part)["discrepancies"]
                 got = sorted(rec for rec in records if rec[1] in helpers.ORACLE_EXPECTED_CLASSES)
                 assert got == want, f"{check.__name__} diverges on {write_graph6(g)}"
 
@@ -893,8 +899,8 @@ class TestRunSweep:
             for _ in range(150):
                 seq = tuple(rng.randrange(n) for _ in range(n - 2))
                 g = Graph.from_edges(n, _kernel.prufer_edges(seq, n))
-                fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True)
-                ref = check_graph_reference(g, ALL_BOUND_IDS, True)
+                fast = per_graph_partial(_kernel.check_graph_kernel, g, ALL_BOUND_IDS, True)
+                ref = per_graph_partial(check_graph_reference, g, ALL_BOUND_IDS, True)
                 assert flat_partial(fast) == flat_partial(ref), f"diverges on tree n={n} seq={seq}"
 
     def test_tiny_trees_skip_tree_edge_bound(self):
@@ -933,6 +939,39 @@ class TestRunSweep:
             assert fast == ref, connected_only
             assert fast["equality_discrepancies"]
             assert (fast["graphs_checked"] < len(lines)) == connected_only
+
+    def test_each_check_runs_once_per_checked_graph(self, monkeypatch):
+        # the sweep loop alone decides what is checked: each engine's check
+        # runs on every graph with an edge that connected_only keeps, once,
+        # with its connectivity, and on no edgeless graph, bad line or
+        # disconnected graph that connected_only drops
+        graphs = [Graph(4), Graph.from_edges(5, [(0, 1), (2, 3)]),  # m < n - 1
+                  Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+                  path_graph(4), cycle_graph(5), h2_graph()]
+        lines = [write_graph6(g) for g in graphs]
+        lines.insert(3, "zzz!")
+        calls = []
+        for module, name in ((_kernel, "check_graph_kernel"),
+                             (enumeration, "check_graph_reference")):
+            def spy(g, connected, sel, check=getattr(module, name)):
+                calls.append((g, connected))
+                return check(g, connected, sel)
+
+            monkeypatch.setattr(module, name, spy)
+        for connected_only in (True, False):
+            want = [(g, is_connected(g)) for g in graphs
+                    if g.m and (is_connected(g) or not connected_only)]
+            assert len(want) == (3 if connected_only else 5)
+            cfg = SweepConfig(n_min=2, n_max=7, connected_only=connected_only)
+            reports = []
+            for engine in ("fast", "reference"):
+                calls.clear()
+                rep = run_sweep(cfg, graphs=stream_graph6(lines), engine=engine)
+                assert calls == want, (engine, connected_only)
+                assert (rep.graphs_seen, rep.graphs_checked) == (len(lines), len(want))
+                reports.append(report_dict(rep))
+            assert reports[0] == reports[1], connected_only
+            assert reports[0]["equality_discrepancies"]
 
     @pytest.mark.parametrize("budget", [0, 1, 3])
     def test_stream_cut_pulls_no_item_past_it(self, budget):
@@ -1030,7 +1069,8 @@ def _dedup_oracle(cfg: SweepConfig) -> dict:
         form = canonical_form(g)
         if form not in forms:
             forms.add(form)
-            partial = flat_partial(check_graph_reference(g, cfg.bounds, cfg.connected_only))
+            partial = flat_partial(per_graph_partial(check_graph_reference, g, cfg.bounds,
+                                                     cfg.connected_only))
             checked += partial["checked"]
             violations += partial["violations"]
             discrepancies += partial["discrepancies"]
@@ -1085,15 +1125,16 @@ class TestDedupSweep:
             assert rep.graphs_seen == n ** (n - 2)
 
     def test_runs_the_engine_it_is_given(self, monkeypatch):
-        # each engine's check runs once on the first graph of every class met,
-        # the other engine's never, and the two reports are equal
+        # each engine's check runs once on the first graph of every class met
+        # that is checked, here every connected class, the other engine's
+        # never, and the two reports are equal
         calls = []
         for module, name in ((_kernel, "check_graph_kernel"),
                              (enumeration, "check_graph_reference")):
             monkeypatch.setattr(module, name, lambda g, *rest, name=name, check=getattr(module, name):
                                 calls.append(name) or check(g, *rest))
         cases = ((SweepConfig(n_min=2, n_max=5, dedup=True),
-                  sum(GRAPH_CLASSES[n] for n in range(2, 6))),
+                  sum(CONNECTED_CLASSES[n] for n in range(2, 6))),
                  (SweepConfig(n_min=2, n_max=7, dedup=True, trees=True),
                   sum(TREE_CLASSES[n] for n in range(2, 8))))
         for cfg, classes in cases:

@@ -17,7 +17,7 @@ import math
 import random
 from fractions import Fraction
 
-from helpers import equality_cases, flat_partial
+from helpers import equality_cases, flat_partial, per_graph_partial
 from isdd_lab import _kernel
 from isdd_lab.bounds import ALL_BOUND_IDS, approx_eq, approx_ge, claim1_chain
 from isdd_lab.enumeration import _first_of_each_class, check_graph_reference, labeled_graphs
@@ -104,8 +104,8 @@ def test_records_match_reference_on_wide_degrees():
         g = Graph(n, edges)
         assert len(degree_pair_counts(g)) > 100
         for connected_only in (True, False):
-            fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, connected_only)
-            ref = check_graph_reference(g, ALL_BOUND_IDS, connected_only)
+            fast = per_graph_partial(_kernel.check_graph_kernel, g, ALL_BOUND_IDS, connected_only)
+            ref = per_graph_partial(check_graph_reference, g, ALL_BOUND_IDS, connected_only)
             assert flat_partial(fast) == flat_partial(ref)
 
 
@@ -194,8 +194,8 @@ def test_exact_ties_at_long_header_orders(monkeypatch):
     calls = _spy_on_exact_verdict(monkeypatch)
     cases = equality_cases()
     for g in cases:
-        fast = _kernel.check_graph_kernel(g, ALL_BOUND_IDS, True)
-        ref = check_graph_reference(g, ALL_BOUND_IDS, True)
+        fast = per_graph_partial(_kernel.check_graph_kernel, g, ALL_BOUND_IDS, True)
+        ref = per_graph_partial(check_graph_reference, g, ALL_BOUND_IDS, True)
         assert flat_partial(fast) == flat_partial(ref), g.n
     assert len(calls) == len(cases)
     assert all(map(any, zip(*(equalities for _, equalities in calls))))
@@ -215,8 +215,9 @@ def test_pair_terms_table_is_bit_identical():
 
 
 def test_extremes_table_matches_claim1_chain():
-    # the CLAIM1 entry is a record exactly where the Fraction chain fails
-    # (nowhere), and the other constants are those of (Delta, delta)
+    # the table is wired to bounds.claim1_chain: the CLAIM1 entry is a record
+    # exactly where that chain fails (nowhere), and the other constants are
+    # those of (Delta, delta)
     for dmax in range(2, 1001):
         for dmin in range(1, dmax):
             entry = _kernel._extreme_constants((dmax, dmin))
