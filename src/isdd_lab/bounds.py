@@ -6,13 +6,16 @@ are rational are decided in exact arithmetic; the three involving the
 geometric-arithmetic index are decided in floating point under a relative
 1e-9 tolerance.
 
+Every per-edge quantity is the edge term t(a, b) = ab/(a^2+b^2) of
+:func:`indices.edge_term_isdd`, taken at the degree pair each bound names.
+
 Identifiers:
 
-* EDGE_MIN          every edge term >= max_deg*min_deg/(max_deg^2+min_deg^2)
-* EDGE_SECOND_MIN   every edge term off the extreme pair >= the second minimum
-* TREE_EDGE         tree edges off the (n-1, 1) pair >= (n-2)/((n-2)^2+1)
+* EDGE_MIN          every edge term >= t(max_deg, min_deg)
+* EDGE_SECOND_MIN   every edge term off the extreme pair >= t(max_deg-1, min_deg)
+* TREE_EDGE         tree edges off the (n-1, 1) pair >= t(n-2, 1)
 * LOWER_ELL         index >= min_term*ell + second_min_term*(m-ell)
-* UPPER_K           index <= k/2 + top_pair_term*(m-k)
+* UPPER_K           index <= k/2 + top_pair_term*(m-k), top_pair_term = t(max_deg, max_deg-1)
 * UPPER_NDELTA      UPPER_K with m replaced by n*max_deg/2
 * GA_SIMPLE         index >= ga^2/(4m)
 * GA_M2             index >= max_deg^2*ga^2/(4m*max_deg^2 - 2*m2)
@@ -89,19 +92,21 @@ def ga_m2_rhs(ga: float, m: int, dmax: int, m2: int) -> float:
 
 
 def edge_min_term(delta_max: int, delta_min: int) -> Fraction:
-    """Smallest possible edge term for a graph with the given degree extremes."""
+    """Smallest possible edge term for a graph with the given degree extremes:
+    t(max, min)."""
     if not 1 <= delta_min <= delta_max:
         raise GraphError(f"need 1 <= min <= max, got ({delta_max}, {delta_min})")
-    return Fraction(delta_max * delta_min, delta_max ** 2 + delta_min ** 2)
+    return edge_term_isdd(delta_max, delta_min)
 
 
 def edge_second_min_term(delta_max: int, delta_min: int) -> Fraction:
-    """Lower bound for edge terms whose degree pair is not the extreme pair."""
+    """Lower bound for edge terms whose degree pair is not the extreme pair:
+    t(max-1, min)."""
     if delta_max < 2:
         raise GraphError(f"second minimum needs max degree >= 2, got {delta_max}")
     if not 1 <= delta_min <= delta_max - 1:
         raise GraphError(f"need 1 <= min <= max-1, got ({delta_max}, {delta_min})")
-    return Fraction((delta_max - 1) * delta_min, (delta_max - 1) ** 2 + delta_min ** 2)
+    return edge_term_isdd(delta_max - 1, delta_min)
 
 
 def claim1_chain(delta_max: int, delta_min: int) -> bool:
@@ -142,6 +147,10 @@ class _Params:
         self.pair_counts = pc
         self.ell = pc.get((self.dmax, self.dmin), 0)
         self.k = sum(c for (a, b), c in pc.items() if a == b)
+        # t(max, max-1); 0 when max <= 1, where no edge has unequal degrees
+        # and edge_term_isdd(1, 0) would raise
+        self.top_pair_term = (edge_term_isdd(self.dmax, self.dmax - 1) if self.dmax >= 2
+                              else Fraction(0))
         self.isdd = isdd(g)
         self.ga = geometric_arithmetic(g)
         self.m2 = zagreb2(g)
@@ -171,7 +180,8 @@ def _params(g: Graph) -> _Params:
 
 
 def tree_edge_lower(n: int, di: int, dj: int) -> BoundReport:
-    """Tree-specific per-edge lower bound for edges off the (n-1, 1) pair."""
+    """Tree-specific per-edge lower bound for edges off the (n-1, 1) pair:
+    t(n-2, 1), which beats the all-pairs form t(n-1, 1)."""
     if n <= 3:
         raise GraphError(f"tree bound needs order >= 4, got {n}")
     hi, lo = (di, dj) if di >= dj else (dj, di)
@@ -179,8 +189,8 @@ def tree_edge_lower(n: int, di: int, dj: int) -> BoundReport:
         raise GraphError(f"degrees ({di}, {dj}) impossible in a tree of order {n}")
     if (hi, lo) == (n - 1, 1):
         raise GraphError("the (n-1, 1) degree pair is excluded from the tree bound")
-    rhs = Fraction(n - 2, (n - 2) ** 2 + 1)
-    weaker = Fraction(n - 1, (n - 1) ** 2 + 1)
+    rhs = edge_term_isdd(n - 2, 1)
+    weaker = edge_term_isdd(n - 1, 1)
     assert rhs > weaker, "the tree bound must strictly beat the all-pairs form"
     lhs = edge_term_isdd(hi, lo)
     ctx = _empty_context(n)
@@ -189,7 +199,8 @@ def tree_edge_lower(n: int, di: int, dj: int) -> BoundReport:
 
 
 def lower_bound_ell(g: Graph) -> BoundReport:
-    """Lower bound from the edge minimum and second minimum, weighted by ell."""
+    """Lower bound from the edge minimum t(max, min), weighted by ell, and the
+    second minimum t(max-1, min) on the other m - ell edges."""
     p = _params(g)
     p.require_edges()
     p.require_min_degree()
@@ -203,21 +214,21 @@ def lower_bound_ell(g: Graph) -> BoundReport:
 
 
 def upper_bound_k(g: Graph) -> BoundReport:
-    """Upper bound from the equal-degree edge count k."""
+    """Upper bound from the equal-degree edge count k: each of the k edges
+    gives 1/2, each other edge at most t(max, max-1)."""
     p = _params(g)
     p.require_edges()
-    coef = Fraction(p.dmax * (p.dmax - 1), p.dmax ** 2 + (p.dmax - 1) ** 2)
-    rhs = Fraction(p.k, 2) + coef * (p.m - p.k)
+    rhs = Fraction(p.k, 2) + p.top_pair_term * (p.m - p.k)
     lhs = p.isdd
     return BoundReport(BoundId.UPPER_K, lhs, rhs, lhs <= rhs, lhs == rhs, "exact", p.context())
 
 
 def upper_bound_n_delta(g: Graph) -> BoundReport:
-    """Coarser upper bound with m replaced by n*max_degree/2."""
+    """Coarser upper bound with m replaced by n*max_degree/2; its
+    coefficient is UPPER_K's t(max, max-1)."""
     p = _params(g)
     p.require_edges()
-    coef = Fraction(p.dmax * (p.dmax - 1), p.dmax ** 2 + (p.dmax - 1) ** 2)
-    rhs = Fraction(p.k, 2) + coef * (Fraction(g.n * p.dmax, 2) - p.k)
+    rhs = Fraction(p.k, 2) + p.top_pair_term * (Fraction(g.n * p.dmax, 2) - p.k)
     lhs = p.isdd
     return BoundReport(BoundId.UPPER_NDELTA, lhs, rhs, lhs <= rhs, lhs == rhs, "exact", p.context())
 
@@ -286,7 +297,7 @@ def _tree_edge_report(g: Graph, p: _Params) -> BoundReport | SkippedBound:
     pairs = [pq for pq in p.pair_counts if pq != (g.n - 1, 1)]
     if not pairs:
         return SkippedBound(BoundId.TREE_EDGE, "every edge has the excluded (n-1, 1) pair")
-    rhs = Fraction(g.n - 2, (g.n - 2) ** 2 + 1)
+    rhs = edge_term_isdd(g.n - 2, 1)
     lhs = min(edge_term_isdd(a, b) for (a, b) in pairs)
     return BoundReport(BoundId.TREE_EDGE, lhs, rhs, lhs >= rhs, lhs == rhs, "exact", p.context())
 

@@ -4,10 +4,11 @@ Subcommands: ``compute`` (index values), ``check`` (bound reports),
 ``classify`` (family membership), ``sweep`` (exhaustive verification), and
 ``trees`` (tree-mode sweep).  Records go to stdout, diagnostics to stderr.
 
-Exit codes: 0 success; 1 unreadable input, an unwritable report path or an
-invalid configuration (an unknown bound id, or no bound id at all); 2 parse
-errors in the input; 3 at least one bound violation (a falsified claim,
-which CI must be able to tell apart from bad input).  ``check`` skips an
+Exit codes: 0 success; 1 unreadable input, an unwritable report path, an
+unknown option or a malformed option value, or an invalid configuration (an
+unknown bound id, or no bound id at all); 2 parse errors in the input; 3 at
+least one bound violation (a falsified claim, which CI must be able to tell
+apart from bad input).  ``check`` skips an
 edgeless graph, which has no bound to check, with a stderr line: exit 0
 and, with ``--json``, an empty ``bounds`` list, as a sweep counts such a
 graph seen but not checked.  When the reader of
@@ -312,6 +313,16 @@ def cmd_sweep(args) -> int:
     return EXIT_PARSE if parse_errors else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit EXIT_USAGE: argparse's own
+    code 2 is this tool's code for parse errors in the input.  Subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _add_input_flags(p: argparse.ArgumentParser):
     p.add_argument("--input", default="-", help="input path or - for stdin (default: -)")
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6",
@@ -340,7 +351,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser, tree_defaults: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isdd-lab",
         description="Exact index computation and brute-force bound verification "
                     "for degree-based graph invariants.",

@@ -62,6 +62,18 @@ class TestEdgeMinTerms:
         with pytest.raises(GraphError):
             edge_second_min_term(3, 3)
 
+    def test_terms_written_out_on_a_grid(self):
+        # t(a, b) = ab/(a^2 + b^2) at (max, min) and (max-1, min), written
+        # out here rather than read from indices.edge_term_isdd
+        for dmax in range(1, 61):
+            for dmin in range(1, dmax + 1):
+                first = edge_min_term(dmax, dmin)
+                assert first == Fraction(dmax * dmin, dmax * dmax + dmin * dmin)
+                if dmin < dmax:
+                    a = dmax - 1
+                    second = edge_second_min_term(dmax, dmin)
+                    assert second == Fraction(a * dmin, a * a + dmin * dmin)
+
 
 class TestClaim1:
     def test_three_one(self):
@@ -114,6 +126,13 @@ class TestTreeEdgeLower:
         with pytest.raises(GraphError):
             tree_edge_lower(3, 1, 1)
 
+    def test_rhs_written_out_for_every_order(self):
+        # t(n-2, 1) = (n-2)/((n-2)^2 + 1), whichever allowed pair is checked
+        for n in range(4, 61):
+            for hi, lo in ((2, 1), (n - 2, 1), (2, 2)):
+                rep = tree_edge_lower(n, hi, lo)
+                assert rep.rhs == Fraction(n - 2, (n - 2) * (n - 2) + 1)
+
 
 class TestLowerEll:
     def test_c5_equality(self):
@@ -148,6 +167,15 @@ class TestLowerEll:
         assert rep.equality
 
 
+# max degree 1, where UPPER_K's coefficient t(max, max-1) is taken as 0:
+# K2, 2K2 and K2 + K1, each with rhs m/2
+MAX_DEGREE_ONE = [
+    (Graph.from_edges(2, [(0, 1)]), Fraction(1, 2)),
+    (Graph.from_edges(4, [(0, 1), (2, 3)]), Fraction(1)),
+    (Graph.from_edges(3, [(0, 1)]), Fraction(1, 2)),
+]
+
+
 class TestUpperK:
     def test_k4(self):
         rep = upper_bound_k(complete_graph(4))
@@ -166,6 +194,12 @@ class TestUpperK:
         assert rep.rhs == Fraction(18, 13)
         assert rep.lhs == Fraction(9, 10)
         assert rep.holds and not rep.equality
+
+    @pytest.mark.parametrize("g, rhs", MAX_DEGREE_ONE)
+    def test_max_degree_one(self, g, rhs):
+        rep = upper_bound_k(g)
+        assert type(rep.rhs) is Fraction and rep.rhs == rhs
+        assert rep.equality
 
 
 class TestUpperNDelta:
@@ -187,6 +221,12 @@ class TestUpperNDelta:
         # pendant-heavy star to hit a half-integer bound instead
         rep = upper_bound_n_delta(star_graph(4))  # n=5, max=4 -> 10 - k
         assert rep.holds
+
+    @pytest.mark.parametrize("g, rhs", MAX_DEGREE_ONE)
+    def test_max_degree_one(self, g, rhs):
+        rep = upper_bound_n_delta(g)
+        assert type(rep.rhs) is Fraction and rep.rhs == rhs
+        assert rep.equality
 
 
 class TestGaBounds:

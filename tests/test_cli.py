@@ -517,6 +517,30 @@ class TestSweep:
         assert out == ""
 
 
+class TestUsageErrors:
+    """argparse exits 2 on a usage error by default; here 2 means bad graph data."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--bogus"],
+        ["sweep", "--n-min", "x"],
+        ["compute", "--format", "xml"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out == "" and err.startswith("usage: isdd-lab") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, _ = capsys.readouterr()
+        assert exc.value.code == 0 and out.startswith("usage: isdd-lab")
+
+
 def _stdin_bytes(monkeypatch, data: bytes):
     """stdin as the interpreter opens it on POSIX in a UTF-8 locale: undecodable
     bytes escaped, lines split at "\n" only."""
