@@ -114,10 +114,10 @@ from functools import lru_cache, reduce
 from itertools import compress, repeat
 from math import factorial, gcd, sqrt
 
-from .bounds import (STRICT_MARGIN, approx_eq, approx_ge, claim1_chain, edge_second_min_term,
-                     ga_m2_rhs, ga_simple_rhs, side_text)
+from .bounds import (STRICT_MARGIN, approx_eq, approx_ge, approx_tol, claim1_chain,
+                     edge_second_min_term, ga_m2_rhs, ga_simple_rhs, side_text)
 from .classify import gamma3_from_pairs as _lazy_gamma3
-from .graphs import Graph, degree_pair_counts, degrees
+from .graphs import Graph, degree_pair_counts, degrees, unchecked_graph
 from .indices import edge_term_isdd
 from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
 
@@ -465,11 +465,13 @@ def check_pair_stats(
       division r = fl(R).  X <= R gives fl(X) <= r, so lo > r proves
       X > R; likewise hi < r proves X < R.  Either settles the bound and
       its equality flag (false).
-    - ``approx_ge`` is monotone in its left side, so approx_ge(lo, rhs)
-      true settles approx_ge(fl(X), rhs) true.  ``approx_eq`` is true on an
-      interval of its left side (|fl(v - rhs)| grows with the distance of v
-      from rhs), so equal values at lo and hi settle it, unless both are
-      false with rhs between them.
+    - The GA checks are ``approx_ge`` and ``approx_eq`` written out on
+      ``approx_tol(rhs)``, taken once per right side, with the same float
+      operations.  v >= rhs - approx_tol(rhs) is monotone in v, so lo
+      passing it settles approx_ge(fl(X), rhs) true.  |v - rhs| <=
+      approx_tol(rhs) is true on an interval of v (|fl(v - rhs)| grows with
+      the distance of v from rhs), so equal values at lo and hi settle
+      approx_eq, unless both are false with rhs between them.
 
     Anything else, a threshold inside [lo, hi] or a violated check, goes to
     :func:`_exact_verdict`, so every verdict and every record is what the
@@ -582,11 +584,14 @@ def check_pair_stats(
     tol = (len(pc) + 1) * _ENCLOSURE * x
     lo = x - tol
     hi = x + tol
-    ga_eq = class_rule and approx_eq(lo, rhs_m2)
+    # approx_ge and approx_eq written out, each right side's tolerance taken once
+    tol_m2 = approx_tol(rhs_m2)
+    ga_eq = class_rule and abs(lo - rhs_m2) <= tol_m2
     if (lo > ell_bound[0] / ell_bound[1] and hi < k_num / k_den and hi < nd_num / k_den
-            and lo > f_num / f_den and approx_ge(lo, rhs_simple) and approx_ge(lo, rhs_m2)
+            and lo > f_num / f_den and lo >= rhs_simple - approx_tol(rhs_simple)
+            and lo >= rhs_m2 - tol_m2
             and (not class_rule
-                 or ga_eq == approx_eq(hi, rhs_m2) and (ga_eq or not lo < rhs_m2 < hi))):
+                 or ga_eq == (abs(hi - rhs_m2) <= tol_m2) and (ga_eq or not lo < rhs_m2 < hi))):
         # settled by the enclosure: every exact bound holds strictly, GA too
         equalities = (False, False, False, False, ga_eq)
     else:
@@ -622,7 +627,8 @@ def check_pair_stats(
         # (max+min)/(max^2+min^2) on both edge types
         gamma3 = ratio_const and not (regular or semireg) and _lazy_gamma3(pc, dmax, dmin)
         classes = (regular, semireg, consecutive, g1, g2, gamma3, ratio_const)
-        if any(classes) or any(equalities):  # else no check differs from its classes
+        # every flag is a bool, so ``True in`` is ``any``
+        if True in classes or True in equalities:  # else no check differs from its classes
             ell_eq, k_eq, nd_eq, f_eq, ga_eq = equalities
             discrepancies += class_discrepancies(
                 {"LOWER_ELL": ell_eq, "UPPER_K": k_eq, "UPPER_NDELTA": nd_eq, "M1_F": f_eq,
@@ -736,7 +742,7 @@ def free_trees(n: int) -> tuple[Graph, ...]:
         for v in range(1, n):
             edges.append((last[levels[v] - 1], v))
             last[levels[v]] = v
-        trees.append(Graph._make((n, tuple(sorted(edges)))))
+        trees.append(unchecked_graph((n, tuple(sorted(edges)))))
         p = n - 1
         while levels[p] == 1:
             p -= 1

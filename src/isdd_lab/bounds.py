@@ -75,12 +75,18 @@ def side_text(x: Fraction | float) -> str:
     return repr(x) if isinstance(x, float) else fraction_str(x)
 
 
+def approx_tol(rhs: float) -> float:
+    """The tolerance of a GA check against ``rhs``: ``REL_TOL`` relative,
+    absolute below 1."""
+    return REL_TOL * max(1.0, abs(rhs))
+
+
 def approx_ge(lhs: float, rhs: float) -> bool:
-    return lhs >= rhs - REL_TOL * max(1.0, abs(rhs))
+    return lhs >= rhs - approx_tol(rhs)
 
 
 def approx_eq(lhs: float, rhs: float) -> bool:
-    return abs(lhs - rhs) <= REL_TOL * max(1.0, abs(rhs))
+    return abs(lhs - rhs) <= approx_tol(rhs)
 
 
 def ga_simple_rhs(ga: float, m: int) -> float:

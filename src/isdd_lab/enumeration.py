@@ -30,7 +30,7 @@ from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
 from .classify import classify
 from .graphs import (Graph, GraphError, graph_connected, graph_profile, input_lines, parse_graph6,
-                     write_graph6)
+                     unchecked_graph, write_graph6)
 from .indices import edge_term_isdd
 from .indices import fraction_str  # unused here; perfbench/layers.py wraps this name
 
@@ -353,7 +353,7 @@ def labeled_graphs(n: int):
         raise ValueError(f"labeled enumeration supports 1 <= n <= 7, got {n}")
     pairs, bits = _sorted_pairs(n)
     for mask in range(1 << len(bits)):
-        yield Graph._make((n, tuple(compress(pairs, map(mask.__and__, bits)))))
+        yield unchecked_graph((n, tuple(compress(pairs, map(mask.__and__, bits)))))
 
 
 def labeled_trees(n: int):
@@ -362,7 +362,7 @@ def labeled_trees(n: int):
         raise ValueError(f"tree enumeration supports 2 <= n <= 9, got {n}")
     for seq in itertools.product(range(n), repeat=n - 2):
         # each decoded edge is (smaller, larger); the decoding order is not sorted
-        yield Graph._make((n, tuple(sorted(_kernel.prufer_edges(seq, n)))))
+        yield unchecked_graph((n, tuple(sorted(_kernel.prufer_edges(seq, n)))))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -505,7 +505,7 @@ def _first_of_each_class(n: int, count: int):
     flags = bytearray(1 << len(pairs))
     pos = flags.find(0, 0, count)
     while pos >= 0:
-        yield Graph._make((n, tuple(compress(pairs, map(pos.__and__, pair_bits)))))
+        yield unchecked_graph((n, tuple(compress(pairs, map(pos.__and__, pair_bits)))))
         deque(map(flags.__setitem__, _kernel.orbit(n, pos), repeat(1)), 0)
         pos = flags.find(0, pos + 1, count)
 
@@ -584,9 +584,12 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
     sel, connected_only = frozenset(cfg.bounds), cfg.connected_only
     for g in itertools.islice(graphs, budget):
         seen += 1
-        if isinstance(g, StreamError) or not g.edges:
+        if isinstance(g, StreamError):
             continue
-        connected = len(g.edges) >= g.n - 1 and graph_connected(g)
+        n, edges = g
+        if not edges:
+            continue
+        connected = len(edges) >= n - 1 and graph_connected(g)
         if connected_only and not connected:
             continue
         checked += 1

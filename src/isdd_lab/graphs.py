@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import re
 from collections import deque, namedtuple
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from itertools import compress, repeat
 from operator import itemgetter
 
@@ -62,8 +62,8 @@ class EdgeListError(GraphError):
 class Graph(namedtuple("Graph", "n edges")):
     """Immutable simple graph.
 
-    ``Graph(n, edges)`` validates; ``Graph._make((n, edges))`` does not, for
-    callers whose edge tuple is canonical by construction.
+    ``Graph(n, edges)`` validates; :data:`unchecked_graph` ``((n, edges))``
+    does not, for callers whose edge tuple is canonical by construction.
     """
 
     __slots__ = ()
@@ -104,6 +104,12 @@ class Graph(namedtuple("Graph", "n edges")):
             adj[i].append(j)
             adj[j].append(i)
         return tuple(tuple(a) for a in adj)
+
+
+# A Graph built without the checks of ``Graph(n, edges)``, nor namedtuple
+# ``_make``'s length check: ``unchecked_graph((n, edges))``, for an edge tuple
+# that is canonical by construction
+unchecked_graph = partial(tuple.__new__, Graph)
 
 
 class Bipartition(namedtuple("Bipartition", "side_of")):
@@ -194,17 +200,21 @@ def last_graph_memo(fn):
 
     A Graph is immutable and the memo holds it, so its identity is an exact
     key, one that needs no hash of the edge tuple (0.6 ms at K_300).
-    ``cache_clear()`` drops it."""
-    last = [None, None]  # the graph, fn(graph)
+    ``cache_clear()`` drops it.  The value is stored before the graph, so
+    an ``fn`` that raises leaves the memo as it was."""
+    last_g = last_value = None
 
     @wraps(fn)
     def memo(g):
-        if last[0] is not g:
-            last[:] = g, fn(g)
-        return last[1]
+        nonlocal last_g, last_value
+        if last_g is not g:
+            last_value = fn(g)
+            last_g = g
+        return last_value
 
     def cache_clear():
-        last[:] = None, None
+        nonlocal last_g, last_value
+        last_g = last_value = None
 
     memo.cache_clear = cache_clear
     return memo
@@ -299,17 +309,17 @@ def parse_graph6(text: str) -> Graph:
         )
     # the edge tuples below are canonical by construction: no re-validation
     if not nbits:
-        return Graph._make((n, ()))
+        return unchecked_graph((n, ()))
     bits = b"".join(map(_G6_CHAR_BITS.__getitem__, b[pos:]))
     if bits.find(1, nbits) >= 0:
         # the padding lies in the last byte
         raise Graph6Error("trailing padding bits not zero", len(b) - 1)
     if n > SLOT_TABLE_MAX_N:
-        return Graph._make((n, tuple(_matrix_edges(n, bits))))
+        return unchecked_graph((n, tuple(_matrix_edges(n, bits))))
     select, pairs = _graph6_slots(n)
     # through a list: tuple() of an iterator grows by resizing, which is
     # slower and raised peak RSS by about 0.5 MB on a 20,000-graph stream
-    return Graph._make((n, tuple(list(compress(pairs, select(bits))))))
+    return unchecked_graph((n, tuple(list(compress(pairs, select(bits))))))
 
 
 def write_graph6(g: Graph) -> str:

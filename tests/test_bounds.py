@@ -1,11 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from isdd_lab.bounds import (
+    REL_TOL,
     BoundId,
     BoundReport,
     SkippedBound,
+    approx_eq,
+    approx_ge,
+    approx_tol,
     claim1_chain,
     edge_min_term,
     edge_second_min_term,
@@ -273,6 +278,51 @@ class TestGaBounds:
             assert rep.holds
             assert rep.rhs == pytest.approx(lo, abs=1e-6)
             assert rep.lhs == pytest.approx(hi, abs=1e-6)
+
+
+def _ulps_around(x: float, k: int) -> list[float]:
+    """x and the k floats on either side of it."""
+    below = above = x
+    out = [x]
+    for _ in range(k):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+class TestTolerance:
+    """The GA checks' tolerance, REL_TOL relative and absolute below 1, which
+    check_pair_stats writes out on approx_tol: every bit must be that of the
+    written-out forms."""
+
+    RHS = [0.0, -0.0, 1e-300, 5e-10, 0.25, 0.5, 1.0 - 2 ** -53, 1.0, 1.0 + 2 ** -52, 1.5,
+           2.885618083164127, 1e3, 7.5e8, 1e9, 1e12, 1e300]
+
+    def test_tolerance_written_out(self):
+        for r in self.RHS + [-r for r in self.RHS]:
+            assert approx_tol(r).hex() == (REL_TOL * max(1.0, abs(r))).hex(), r
+
+    def test_checks_written_out_on_a_grid(self):
+        cases = 0
+        for r in self.RHS + [-r for r in self.RHS]:
+            tol = REL_TOL * max(1.0, abs(r))
+            # lhs at rhs, and at either edge of the band the tolerance
+            # allows, each with a few ulps either side
+            for lhs in _ulps_around(r, 4) + _ulps_around(r - tol, 4) + _ulps_around(r + tol, 4):
+                assert approx_ge(lhs, r) is (lhs >= r - tol), (lhs, r)
+                assert approx_eq(lhs, r) is (abs(lhs - r) <= tol), (lhs, r)
+                cases += 1
+        assert cases == 2 * len(self.RHS) * 27
+
+    def test_both_verdicts_come_up(self):
+        # the grid crosses each check's threshold, so the forms above are
+        # compared on both sides of it
+        for r in (0.5, -0.5, 1e3, -1e3):
+            tol = approx_tol(r)
+            below = math.nextafter(r - tol, -math.inf)
+            assert approx_ge(r - tol, r) and not approx_ge(below, r)
+            assert approx_eq(r, r) and not approx_eq(r + 4 * tol, r)
 
 
 class TestM1F:

@@ -1,12 +1,17 @@
+import importlib.util
 import io
 import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isdd_lab.enumeration import _first_of_each_class, labeled_graphs, labeled_trees
+from isdd_lab._kernel import free_trees
+from isdd_lab.enumeration import (StreamError, _first_of_each_class, labeled_graphs, labeled_trees,
+                                  stream_graph6)
 from isdd_lab.graphs import (
     GRAPH6_MAX_N,
     SLOT_TABLE_MAX_N,
@@ -18,6 +23,7 @@ from isdd_lab.graphs import (
     count_degree_pair_edges,
     degrees,
     is_connected,
+    last_graph_memo,
     parse_edge_list,
     parse_graph6,
     write_graph6,
@@ -392,6 +398,27 @@ class TestDecodedGraphsAreCanonical:
                 assert_canonical(decoded)
                 assert decoded == g
 
+    def test_free_trees(self):
+        for n in range(0, 13):
+            for g in free_trees(n):
+                assert_canonical(g)
+                assert g.m == max(n - 1, 0) and (n == 0 or is_connected(g))
+
+    def test_benchmark_stream(self, monkeypatch):
+        # the seed-1 stream of the stream-g6 benchmark workload; the module is
+        # registered while it loads, as its dataclasses need
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        text, seen, _ = workloads.make_stream(1)
+        graphs = list(stream_graph6(io.StringIO(text, newline="\n")))
+        assert len(graphs) == seen == 20000
+        for g in graphs:
+            assert not isinstance(g, StreamError)
+            assert_canonical(g)
+
     @given(st.one_of(st.text(), _GRAPH6_LIKE))
     @settings(max_examples=500, deadline=None)
     def test_text(self, text):
@@ -411,6 +438,59 @@ class TestDecodedGraphsAreCanonical:
                 except GraphError:
                     continue
                 assert_canonical(g)
+
+
+class TestLastGraphMemo:
+    """``last_graph_memo`` keys on the identity of the last graph it saw."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def wrapped(g):
+            calls.append(g)
+            return fn(g)
+        return last_graph_memo(wrapped), calls
+
+    def test_same_graph_computed_once(self):
+        memo, calls = self.counted(degrees)
+        g = path_graph(4)
+        assert memo(g) == [1, 2, 2, 1]
+        assert memo(g) is memo(g)
+        assert len(calls) == 1 and calls[0] is g
+
+    def test_equal_but_distinct_graph_computed_again(self):
+        memo, calls = self.counted(degrees)
+        g, h = Graph(3, ((0, 1),)), Graph(3, ((0, 1),))
+        assert g == h and g is not h
+        first = memo(g)
+        second = memo(h)
+        assert first == second and first is not second
+        assert len(calls) == 2 and calls[1] is h
+        memo(h)
+        assert len(calls) == 2
+
+    def test_raising_fn_keeps_previous_graph_and_value(self):
+        memo, calls = self.counted(is_connected)  # raises on the empty vertex set
+        g = path_graph(4)
+        assert memo(g) is True
+        for _ in range(2):  # a failed call is not remembered
+            with pytest.raises(GraphError):
+                memo(Graph(0))
+        assert len(calls) == 3
+        assert memo(g) is True
+        assert len(calls) == 3  # g is still the memo's graph, with its value
+
+    def test_cache_clear_releases_the_graph(self):
+        memo, calls = self.counted(len)
+        g = Graph(5, ((0, 1), (3, 4)))
+        free = sys.getrefcount(g)
+        assert memo(g) == 2
+        del calls[:]
+        assert sys.getrefcount(g) == free + 1  # held by the memo
+        memo.cache_clear()
+        assert sys.getrefcount(g) == free
+        assert memo(g) == 2 and calls == [g]  # computed again after the clear
 
 
 class TestConnectivityAgainstOracle:
