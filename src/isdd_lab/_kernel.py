@@ -46,7 +46,8 @@ it fixes every input of :func:`check_pair_stats`:
 So every verdict, every record but its graph6 field, is a function of
 (n, signature).  A scan renders graph6 once for each graph whose signature
 has records, and keeps the graph as one entry (graph6, records), its
-records being the signature's shared template.  Each scan returns a
+records being the signature's shared template, in report order
+(:func:`in_report_order`).  Each scan returns a
 partial report ``{"seen", "checked", "entries"}`` with one such entry per
 graph that has records (:meth:`enumeration.SweepReport.merge`).  The
 per-graph check, :func:`check_graph_kernel`, returns one graph's records
@@ -684,20 +685,51 @@ def signature_degrees(n: int, pc: dict[tuple[int, int], int]) -> list[int]:
     return [0] * (n - len(deg)) + deg
 
 
+_BOUND_ID = operator.itemgetter(0)  # of a record without its graph6 field
+
+
+def in_report_order(records) -> tuple:
+    """A records pair (violations, discrepancies) in report order: the
+    violations sorted by (bound_id, lhs, rhs) and the discrepancies by
+    bound_id, both stably, each side a tuple.
+
+    Every records value is put in this order where it is made: once per
+    signature (:func:`_template`), once per checked graph with records
+    (:func:`enumeration._check_each`), and when a report groups flat records
+    or joins the records of a graph it holds twice.  A report sorted by
+    graph6 then lists its records as a stable sort of the flat records by
+    (graph6, bound_id, lhs, rhs) and by (graph6, bound_id) would.
+    """
+    violations, discrepancies = records
+    return tuple(sorted(violations)), tuple(sorted(discrepancies, key=_BOUND_ID))
+
+
+# one object per distinct template value: a report's writers look each
+# graph's records up in a dict, and an identical key is found without
+# comparing the records field by field (every labeled path on 4..9
+# vertices has the same records under --bounds all)
+_TEMPLATES: dict = {}
+
+
 @lru_cache(maxsize=None)
 def _template(n: int, key: int, sel: frozenset) -> tuple:
     """The records of every graph on n vertices with signature ``key`` >= 0.
 
     ``()`` when there are none, else the pair (violations, discrepancies)
     that :func:`check_pair_stats` returns for the pair counts and degrees
-    the key fixes: every check, filtered by the selection ``sel``, a
-    frozenset of bound ids.  Shared and never mutated: each graph of the
-    signature that a scan meets gets the entry (graph6, template).
+    the key fixes, put in report order (:func:`in_report_order`) once per
+    signature: every check, filtered by the selection ``sel``, a frozenset
+    of bound ids.  Shared and never mutated: each graph of the signature
+    that a scan meets gets the entry (graph6, template).  Equal templates
+    are one object (:data:`_TEMPLATES`), whatever their order or signature.
     """
     pc = signature_pairs(n, key)
     records = check_pair_stats(n, sum(pc.values()), signature_degrees(n, pc), pc,
                                bool(key & 1), sel)
-    return records if records[0] or records[1] else ()
+    if not (records[0] or records[1]):
+        return ()
+    records = in_report_order(records)
+    return _TEMPLATES.setdefault(records, records)
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,15 @@ Every sweep runs serially, one order at a time: a graph sweep scans each
 order's masks in one :func:`_kernel.scan_graph_masks` call and a tree sweep
 decodes only the trees whose signature has records
 (:func:`_kernel.scan_tree_ranks`).  A report keeps one entry (graph6,
-records) per graph with records, from the scans to the writers; finalizing
-sorts the entries by graph6 and puts each distinct records value in bound
-order once, so the report does not depend on the order in which partial
-reports merge.  A finalized report writes its JSON file and stdout lines
-itself (``SweepReport.write_json``, ``write_lines``), formatting the text
-of each distinct records value once and filling in each graph's graph6.
+records) per graph with records, from the scans to the writers.  Each
+records value is put in bound order where it is made
+(:func:`_kernel.in_report_order`): once per signature in the scans, once
+per graph with records in :func:`_check_each`.  Finalizing then only sorts
+the entries by graph6, in place, so the report does not depend on the order
+in which partial reports merge.  A finalized report writes its JSON file
+and stdout lines itself (``SweepReport.write_json``, ``write_lines``),
+formatting the text of each distinct records value once and filling in
+each graph's graph6, a few graphs per write.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import operator
 import os
 import time
 from collections import deque, namedtuple
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 from . import _kernel
 from .bounds import ALL_BOUND_IDS, SkippedBound, evaluate_all
@@ -140,13 +143,15 @@ class SweepReport:
     The records are kept per graph, as entries ``(graph6, records)``, one
     for each graph that has any.  ``records`` is the pair (violations,
     discrepancies) of record tuples without their graph6 field, as
-    :func:`_kernel.check_pair_stats` returns it; a scan gives every graph of
-    a signature the same pair (:func:`_kernel._template`), so a whole report
+    :func:`_kernel.check_pair_stats` returns it, in report order
+    (:func:`_kernel.in_report_order`); a scan gives every graph of a
+    signature the same pair (:func:`_kernel._template`), so a whole report
     holds few distinct ones.  ``violation_count`` and ``discrepancy_count``
     count the records.  ``violations`` and ``equality_discrepancies``, the
     flat lists of :class:`Violation` and :class:`EqualityDiscrepancy`
     records, are built from the entries when first read; the constructor
-    takes such flat lists too and groups them by graph6.
+    takes such flat lists too, in any order, and groups them by graph6 into
+    entries in report order, as :meth:`finalize` leaves them.
     """
 
     def __init__(self, graphs_seen: int = 0, graphs_checked: int = 0, violations=None,
@@ -161,11 +166,13 @@ class SweepReport:
         for side, records in enumerate((violations or (), equality_discrepancies or ())):
             for rec in records:
                 groups.setdefault(rec[0], ([], []))[side].append(tuple(rec[1:]))
-        self._add([(g6, (tuple(v), tuple(d))) for g6, (v, d) in groups.items()])
+        self._add([(g6, _kernel.in_report_order(records))
+                   for g6, records in sorted(groups.items(), key=_GRAPH6)])
 
     def merge(self, partial: dict):
         """Add a partial report ``{"seen", "checked", "entries"}``, as the scans
-        of :mod:`_kernel` and :func:`_check_each` return it."""
+        of :mod:`_kernel` and :func:`_check_each` return it: each entry's
+        records already in report order (:func:`_kernel.in_report_order`)."""
         self.graphs_seen += partial["seen"]
         self.graphs_checked += partial["checked"]
         self._add(partial["entries"])
@@ -178,24 +185,20 @@ class SweepReport:
         self._flat = None
 
     def finalize(self):
-        """Put the records in report order, whatever order the partials merged in.
+        """Put the entries in report order, whatever order the partials merged in.
 
-        The entries are sorted by graph6, stably, and the records of the
-        entries that share a graph6 (a stream can hold a graph twice) are
-        joined in merge order.  Then each distinct records pair is put in
-        order once: violations by (bound_id, lhs, rhs) and discrepancies by
-        bound_id, both stably.  The flat lists are then those of a stable
-        sort of the flat records by (graph6, bound_id, lhs, rhs) and by
-        (graph6, bound_id).
+        The entries are sorted by graph6, stably and in place; each one's
+        records are in report order already (:meth:`merge`).  Only when
+        entries share a graph6 (a stream can hold a graph twice) are their
+        records joined in merge order and put in report order again.  The
+        flat lists are then those of a stable sort of the flat records by
+        (graph6, bound_id, lhs, rhs) and by (graph6, bound_id).
         """
         entries = self._entries
         entries.sort(key=_GRAPH6)
-        if any(map(operator.eq, map(_GRAPH6, entries), map(_GRAPH6, entries[1:]))):
-            entries = [(g6, _joined(map(_RECORDS, group)))
-                       for g6, group in itertools.groupby(entries, _GRAPH6)]
-        ordered = _kernel.Memo(_in_report_order)
-        self._entries = list(zip(map(_GRAPH6, entries),
-                                 map(ordered.__getitem__, map(_RECORDS, entries))))
+        if any(map(operator.eq, map(_GRAPH6, entries), islice(map(_GRAPH6, entries), 1, None))):
+            entries[:] = [(g6, _joined(map(_RECORDS, group)))
+                          for g6, group in itertools.groupby(entries, _GRAPH6)]
         self._flat = None
 
     @property
@@ -230,7 +233,8 @@ class SweepReport:
     # distinct records value with a slot for the graph6 (_section_blocks),
     # and each graph gets that text with its graph6 filled in: JSON-escaped
     # in the report, since graph6 text can hold a backslash, and raw on
-    # stdout.  The text goes out WRITE_BLOCK graphs per write.
+    # stdout.  The text goes out WRITE_BLOCK graphs per write, so a writer
+    # holds no more than one block's text at a time.
 
     def write_json(self, fh, config: dict) -> None:
         """Write ``{"config": config, **self.to_dict()}`` as ``json.dump(indent=2)`` does.
@@ -288,22 +292,22 @@ def until_reader_leaves(out):
 
 
 _SLOT = "\x00"  # stands in for a graph6 or a record list while a text is formatted
-WRITE_BLOCK = 1024  # graphs per write call, so that no whole output is held in memory
+# graphs per write call: a writer holds this many graphs' text, twice (the
+# texts and their join).  Blocks of 64 write as fast as blocks of 1024,
+# within a few percent; blocks of 1 take about three times as long.
+WRITE_BLOCK = 64
 _RECORD_TYPES = (Violation, EqualityDiscrepancy)  # per side of a records pair
-_GRAPH6 = _VIOLATIONS = _BOUND_ID = operator.itemgetter(0)
+_GRAPH6 = _VIOLATIONS = operator.itemgetter(0)
 _RECORDS = _DISCREPANCIES = operator.itemgetter(1)
 
 
 def _joined(records_of_one_graph) -> tuple:
-    """One records pair holding the records of several, in turn."""
+    """One records pair holding the records of several, in turn, put in
+    report order."""
     parts = list(records_of_one_graph)
-    return (tuple(itertools.chain.from_iterable(map(_VIOLATIONS, parts))),
-            tuple(itertools.chain.from_iterable(map(_DISCREPANCIES, parts))))
-
-
-def _in_report_order(records: tuple) -> tuple:
-    violations, discrepancies = records
-    return tuple(sorted(violations)), tuple(sorted(discrepancies, key=_BOUND_ID))
+    return _kernel.in_report_order(
+        (itertools.chain.from_iterable(map(_VIOLATIONS, parts)),
+         itertools.chain.from_iterable(map(_DISCREPANCIES, parts))))
 
 
 def _report_text(records) -> str:
@@ -327,14 +331,15 @@ def _section_blocks(entries: list, side: int, text, escape):
     A graph's text is ``text`` of its records of that kind, with ``escape``
     of its graph6 in each record.  The text of a records value is
     formatted once, with a slot for the graph6, and kept split at the
-    slots, so that filling in a graph6 is one ``join``.
+    slots, so that filling in a graph6 is one ``join``.  The graphs are
+    taken a block at a time from one pass over ``entries``, so no list of
+    them is built.
     """
     cls, kind = _RECORD_TYPES[side], operator.itemgetter(side)
     slot = escape(_SLOT)
     parts = _kernel.Memo(lambda records: text([cls(_SLOT, *rec) for rec in records]).split(slot))
-    entries = list(compress(entries, map(kind, map(_RECORDS, entries))))
-    for lo in range(0, len(entries), WRITE_BLOCK):
-        block = entries[lo:lo + WRITE_BLOCK]
+    loud = compress(entries, map(kind, map(_RECORDS, entries)))
+    while block := list(islice(loud, WRITE_BLOCK)):
         yield list(map(str.join, map(escape, map(_GRAPH6, block)),
                        map(parts.__getitem__, map(kind, map(_RECORDS, block)))))
 
@@ -576,7 +581,8 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
     ``check`` is :func:`_kernel.check_graph_kernel` or
     :func:`check_graph_reference`, called as ``check(g, connected, sel)`` with
     the selection built once as a frozenset; only a graph with records is
-    rendered as graph6, for its entry.  A stream stops once ``budget`` items
+    rendered as graph6, for its entry, and has its records put in report
+    order (:func:`_kernel.in_report_order`).  A stream stops once ``budget`` items
     have been seen, without pulling another.
     """
     seen = checked = 0
@@ -595,7 +601,7 @@ def _check_each(cfg: SweepConfig, graphs, check, budget: int | None = None) -> d
         checked += 1
         records = check(g, connected, sel)
         if records[0] or records[1]:
-            entries.append((write_graph6(g), records))
+            entries.append((write_graph6(g), _kernel.in_report_order(records)))
     return {"seen": seen, "checked": checked, "entries": entries}
 
 

@@ -261,10 +261,12 @@ def oracle_report(seen: int, checked: int, violations, discrepancies,
                   wall_time: float = 0.0) -> SweepReport:
     """The finalized report of flat records, without ``merge`` or ``finalize``.
 
-    The records are put in report order here, as finalizing once did: a
-    stable sort of the violations by (graph6, bound_id, lhs, rhs) and of the
-    discrepancies by (graph6, bound_id).  The report is built from the
-    sorted flat lists.
+    The records are put in report order here, in one step over the flat
+    lists: a stable sort of the violations by (graph6, bound_id, lhs, rhs)
+    and of the discrepancies by (graph6, bound_id).  A sweep gets there in
+    two, each graph's records ordered where they are made and the graphs
+    sorted by graph6 at ``finalize``.  The report is built from the sorted
+    flat lists.
     """
     return SweepReport(
         seen, checked,

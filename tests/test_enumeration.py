@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,8 +214,8 @@ class TestKernelAgainstReference:
         self._compare_graphs([_graph_from_mask(n, mask) for mask in masks], connected_only)
 
     def _compare_graphs(self, graphs, connected_only=True):
-        # record order within one graph is not contractual (reports sort at
-        # finalize), so compare sorted partials
+        # the checks return a graph's records in check order, which the sweep
+        # puts in report order (_check_each), so compare sorted partials
         for g in graphs:
             fast = per_graph_partial(_kernel.check_graph_kernel, g, ALL_BOUND_IDS, connected_only)
             ref = per_graph_partial(check_graph_reference, g, ALL_BOUND_IDS, connected_only)
@@ -1172,7 +1173,7 @@ class TestReportWriters:
     def test_no_records(self):
         self.assert_matches_oracle(SweepReport(graphs_seen=5, graphs_checked=0, wall_time=0.25))
 
-    @pytest.mark.parametrize("block", [1, 2, 1024])
+    @pytest.mark.parametrize("block", [1, 2, 64, 1024])
     def test_every_record_shape(self, monkeypatch, block):
         # no real sweep has a violation, so only a report built by hand covers them
         monkeypatch.setattr(enumeration, "WRITE_BLOCK", block)
@@ -1208,8 +1209,9 @@ class TestReportWriters:
         self.assert_matches_oracle(report)
 
     def test_sort_keys_are_distinct(self):
-        # finalize's (graph6, bound_id) keys order the records totally, so the
-        # output does not depend on the order in which partial reports merge
+        # the report order's (graph6, bound_id) keys order the records totally,
+        # so the output does not depend on the order in which partial reports
+        # merge
         for cfg in (SweepConfig(n_min=1, n_max=6, connected_only=False),
                     SweepConfig(n_min=4, n_max=8, trees=True)):
             report = run_sweep(cfg)
@@ -1231,7 +1233,7 @@ class TestReportOrder:
             len(want.violations), len(want.equality_discrepancies))
         assert written(report) == (oracle_report_text(want, CONFIG), oracle_record_lines(want))
 
-    @pytest.mark.parametrize("block", [1, 3, 1024])
+    @pytest.mark.parametrize("block", [1, 3, 64, 1024])
     def test_stream_holding_a_graph_twice(self, monkeypatch, block):
         # the two copies of a loud graph have the same records; in report
         # order they interleave by bound, not copy after copy
@@ -1247,7 +1249,7 @@ class TestReportOrder:
         assert bounds == ["EDGE_SECOND_MIN"] * 2 + ["LOWER_ELL"] * 2
         self.assert_matches(report, want)
 
-    @pytest.mark.parametrize("block", [1, 2, 1024])
+    @pytest.mark.parametrize("block", [1, 2, 64, 1024])
     def test_repeated_graph6_entries_built_by_hand(self, monkeypatch, block):
         # no real sweep has a violation, and no real graph gives one graph6
         # two different records: entries built by hand do, in merge order
@@ -1289,3 +1291,130 @@ class TestReportOrder:
         assert report.graphs_seen == cfg.max_graphs
         assert report.equality_discrepancies[-1].graph6[0] == chr(63 + cfg.n_max)
         self.assert_matches(report, want)
+
+    def test_records_arrive_in_report_order(self):
+        # every records value is in report order where it is made, so
+        # finalize has only the entries to sort: the graph scans' and tree
+        # scans' templates, and the per-graph records _check_each keeps on a
+        # stream and on the reference engine
+        partials = []
+        for n in range(1, 7):
+            for connected_only in (True, False):
+                partials.append(_kernel.scan_graph_masks(n, 0, 1 << n * (n - 1) // 2,
+                                                         ALL_BOUND_IDS, connected_only))
+        for n in range(2, 9):
+            partials.append(_kernel.scan_tree_ranks(n, 0, n ** (n - 2), ALL_BOUND_IDS))
+        rng = random.Random(33)
+        lines = [write_graph6(g) for g in helpers.equality_cases()]
+        lines += ["Ch", "D\\o", "C~", "DQc", write_graph6(path_graph(9)), "zzz!"]
+        for _ in range(300):
+            n = rng.randint(8, 12)
+            lines.append(write_graph6(Graph.from_edges(n, [
+                (i, j) for j in range(n) for i in range(j) if rng.random() < 0.4])))
+        rng.shuffle(lines)
+        for connected_only in (True, False):
+            cfg = SweepConfig(n_min=1, n_max=1, connected_only=connected_only)
+            partials.append(enumeration._check_each(cfg, stream_graph6(lines),
+                                                    _kernel.check_graph_kernel))
+            for n in range(1, 6):
+                partials.append(enumeration._check_each(cfg, labeled_graphs(n),
+                                                        check_graph_reference))
+        entries = [entry for partial in partials for entry in partial["entries"]]
+        assert all(records == _kernel.in_report_order(records) for _, records in entries)
+        assert len(entries) > 20_000
+        # the reference checks leave some graphs' records out of report order
+        sel = frozenset(ALL_BOUND_IDS)
+        raw = [check_graph_reference(g, graphs_module.graph_connected(g), sel)
+               for g in map(parse_graph6, dict.fromkeys(map(operator.itemgetter(0), entries)))
+               if g.n <= 5]
+        assert any(records != _kernel.in_report_order(records) for records in raw)
+
+    def test_finalize_keeps_the_merged_entries(self):
+        # with no graph6 twice, finalize only sorts: the entries are the
+        # tuples that were merged, by graph6
+        merged = []
+        report = SweepReport()
+        for n, total in reversed(list(enumeration._enumerated_counts(SweepConfig(2, 6)))):
+            for lo in reversed(range(0, total, 5000)):
+                partial = _kernel.scan_graph_masks(n, lo, min(lo + 5000, total),
+                                                   ALL_BOUND_IDS, True)
+                merged += partial["entries"]
+                report.merge(partial)
+        report.finalize()
+        want = sorted(merged, key=operator.itemgetter(0))
+        assert len(report._entries) == len(want) > 1000
+        assert all(map(operator.is_, report._entries, want))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_flat_lists_in_any_order(self, seed):
+        # the constructor groups flat records by graph6, sorts the graphs and
+        # puts each graph's records in report order, so it needs no finalize
+        real = run_sweep(SweepConfig(n_min=2, n_max=5, connected_only=False))
+        gap = ("LOWER_ELL", LOWER_ELL_CLASSES, ("gamma2",), True)
+        other_gap = ("LOWER_ELL", LOWER_ELL_CLASSES, ("semiregular_bipartite",), False)
+        violations = [("Ch", "UPPER_K", "3", "5/2"), ("Ch", "LOWER_ELL", "13/10", "7/5"),
+                      ("C\\", "GA_SIMPLE", "2.5", "2.6"), ("Ch", "LOWER_ELL", "1", "2")]
+        discrepancies = [*map(tuple, real.equality_discrepancies), ("Ch", *gap),
+                         ("Ch", *other_gap), ("Ch", "RATIO_CONSTANT", ("regular",), (), False),
+                         ("Ch", *gap)]
+        rng = random.Random(seed)
+        rng.shuffle(violations)
+        rng.shuffle(discrepancies)
+        report = SweepReport(24, 20, violations, discrepancies)
+        assert report.violations == sorted(violations, key=operator.itemgetter(0, 1, 2, 3))
+        assert report.equality_discrepancies == sorted(discrepancies,
+                                                       key=operator.itemgetter(0, 1))
+        self.assert_matches(report, oracle_report(24, 20, violations, discrepancies))
+
+
+class _Sink:
+    """A text stream that discards what is written to it."""
+
+    def write(self, text):
+        pass
+
+    def flush(self):
+        pass
+
+
+def _traced_peak(call) -> int:
+    """The peak of the memory that ``call()`` allocates, in bytes, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module", params=[
+    # the benchmark's graphs-n7 run (7,765 entries) and every tree on 4..9
+    # vertices under every bound (204,552 entries)
+    SweepConfig(n_min=2, n_max=7, max_graphs=300_000),
+    SweepConfig(n_min=4, n_max=9, trees=True),
+], ids=["graphs-n7", "all-trees"])
+def merged_report(request):
+    """A sweep's report, merged but not finalized."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SweepReport, "finalize", lambda report: None)
+        return run_sweep(request.param)
+
+
+class TestReportMemory:
+    """finalize sorts the entries in place, and the writers hold one block of
+    WRITE_BLOCK graphs' text at a time, whatever the report's size."""
+
+    def test_finalize_allocates_the_sort_keys_alone(self, merged_report):
+        # list.sort with a key holds one key per entry and, while merging
+        # runs, a buffer of at most half the keys and entries: 16 B per
+        # entry in all
+        entries = len(merged_report._entries)
+        peak = _traced_peak(merged_report.finalize)
+        assert peak <= 16 * entries + 16_384, (peak, entries)
+
+    @pytest.mark.parametrize("writer", ["write_json", "write_lines"])
+    def test_writers_hold_one_block(self, merged_report, writer):
+        merged_report.finalize()
+        args = (_Sink(), CONFIG) if writer == "write_json" else (_Sink(),)
+        peak = _traced_peak(lambda: getattr(merged_report, writer)(*args))
+        assert peak < 300_000, peak
